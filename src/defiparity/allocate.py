@@ -137,7 +137,11 @@ def closed_form_diagonal(m: RiskMatrix) -> WeightVector:
     """Exact ERC weights for a strictly diagonal matrix: w_i ~ 1/sqrt(d_i)."""
     if not m.is_diagonal():
         raise NotDiagonal("closed form only applies to diagonal risk matrices")
-    d = np.diagonal(m.entries)
+    return closed_form_weights(m.universe_ids, np.diagonal(m.entries))
+
+
+def closed_form_weights(universe_ids: tuple[str, ...], d: np.ndarray) -> WeightVector:
+    """Exact ERC weights for the diagonal risk d: w_i ~ 1/sqrt(d_i)."""
     if np.all(d == d[0]):
         # equal scores: the symmetric point, on the same arithmetic path as
         # equal_weights so the two coincide exactly
@@ -145,7 +149,7 @@ def closed_form_diagonal(m: RiskMatrix) -> WeightVector:
     else:
         inv = 1.0 / np.sqrt(d)
         values = inv / float(np.sort(inv).sum())
-    return WeightVector(m.universe_ids, tuple(float(v) for v in values))
+    return WeightVector(universe_ids, tuple(float(v) for v in values))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .allocate import ErcSolverOptions, equal_weights, solve_erc, tvl_weights
+import numpy as np
+
+from .allocate import closed_form_weights, equal_weights, tvl_weights
 from .domain import DatedSeries, Universe, WeightVector
 from .errors import (
     DateRangeMismatch,
@@ -23,7 +25,7 @@ from .errors import (
     NoActiveProtocols,
     NonPositiveRate,
 )
-from .risk import build_risk_matrix, normalize, portfolio_risk_report
+from .risk import normalized_scores
 
 METHODS = ("erc", "ew", "tvl")
 APY_CONVENTIONS = ("compound_365", "simple_365")
@@ -92,6 +94,25 @@ def daily_rate(apy: float, convention: str = "compound_365") -> float:
     raise ValueError(f"unknown APY convention {convention!r}")
 
 
+def _resolve_apys(
+    panel: YieldPanel, ids: tuple[str, ...], date: dt.date, max_gap_fill_days: int
+) -> dict[str, float]:
+    """APY of each protocol priceable on `date`, by id in universe order.
+
+    Priceable means observed on `date`, or forward-filled within the gap.
+    Raises NoActiveProtocols when no protocol is.
+    """
+    apys = {}
+    for pid in ids:
+        series = panel.series.get(pid)
+        apy = None if series is None else series.fill_forward(date, max_gap_fill_days)
+        if apy is not None:
+            apys[pid] = apy
+    if not apys:
+        raise NoActiveProtocols(date)
+    return apys
+
+
 def active_universe(
     panel: YieldPanel,
     universe: Universe,
@@ -99,16 +120,7 @@ def active_universe(
     max_gap_fill_days: int = 3,
 ) -> Universe:
     """Protocols priceable on `date`: observed, or forward-filled within the gap."""
-    active = []
-    for record in universe:
-        series = panel.series.get(record.protocol_id)
-        if series is None:
-            continue
-        if series.fill_forward(date, max_gap_fill_days) is not None:
-            active.append(record)
-    if not active:
-        raise NoActiveProtocols(date)
-    return Universe(tuple(active))
+    return universe.subset(_resolve_apys(panel, universe.ids, date, max_gap_fill_days))
 
 
 @dataclass(frozen=True)
@@ -168,47 +180,44 @@ class BacktestLedger:
         return tuple(r.portfolio_risk for r in self.rows)
 
 
-def _weights_and_risk(
-    method: str, active: Universe, solver_opts: ErcSolverOptions | None
-) -> tuple[WeightVector, float]:
-    matrix = normalize(build_risk_matrix(active))
+def _weights_and_risk(method: str, active: Universe) -> tuple[WeightVector, float]:
+    scores = normalized_scores(active)
     if method == "erc":
-        weights = solve_erc(matrix, solver_opts).weights
+        weights = closed_form_weights(active.ids, scores)
     elif method == "ew":
         weights = equal_weights(active)
     else:
         weights = tvl_weights(active)
-    return weights, portfolio_risk_report(weights, matrix)
+    return weights, float(np.dot(weights.values, scores))
 
 
 def run_backtest(
     config: BacktestConfig,
     universe: Universe,
     panel: YieldPanel,
-    solver_opts: ErcSolverOptions | None = None,
 ) -> BacktestLedger:
     """Simulate one portfolio day by day over [start_date, end_date].
 
-    Weights are recomputed each day over the day's active set (the risk
-    matrix is rebuilt and renormalized over that subset); since scores are
-    static they only change when the active set changes, so the per-set
-    result is cached.  Accrual is frictionless: value compounds by the
-    weighted daily rate.
+    Weights are recomputed each day from the active set's scores, normalized
+    over that subset (the risk model is diagonal, so ERC is its closed form);
+    since scores are static they only change when the active set changes,
+    so the per-set result is cached.  Accrual is frictionless: value
+    compounds by the weighted daily rate.
     """
+    ids = universe.ids
     cache: dict[tuple[str, ...], tuple[WeightVector, float]] = {}
     rows = []
     value = config.initial_value
     date = config.start_date
     while date <= config.end_date:
-        active = active_universe(panel, universe, date, config.max_gap_fill_days)
-        key = active.ids
+        apys = _resolve_apys(panel, ids, date, config.max_gap_fill_days)
+        key = tuple(apys)
         if key not in cache:
-            cache[key] = _weights_and_risk(config.method, active, solver_opts)
+            cache[key] = _weights_and_risk(config.method, universe.subset(key))
         weights, risk = cache[key]
 
         day_return = 0.0
-        for pid, w in zip(weights.universe_ids, weights.values):
-            apy = panel.series[pid].fill_forward(date, config.max_gap_fill_days)
+        for w, apy in zip(weights.values, apys.values()):
             day_return += w * daily_rate(apy, config.apy_convention)
         value = value * (1.0 + day_return)
 

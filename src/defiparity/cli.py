@@ -49,10 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="compute weights for one method")
     p.add_argument("--scores", required=True, help="scores CSV path")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--tolerance", type=float, default=1e-12,
-                   help="ERC objective tolerance")
-    p.add_argument("--max-iter", type=int, default=10_000,
-                   help="ERC iteration budget")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(func=cmd_allocate)
 
@@ -94,9 +90,7 @@ def cmd_allocate(args) -> int:
         weights = alloc.tvl_weights(universe)
     else:
         matrix = normalize(build_risk_matrix(universe))
-        solution = alloc.solve_erc(matrix, alloc.ErcSolverOptions(
-            max_iterations=args.max_iter, tolerance=args.tolerance,
-        ))
+        solution = alloc.solve_erc(matrix)
         weights = solution.weights
         extra = {
             "objective": solution.objective,

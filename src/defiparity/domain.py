@@ -96,16 +96,10 @@ class Universe:
 def validate_universe(protocols: Iterable[ProtocolRecord]) -> Universe:
     """Build a canonical Universe from records in any order.
 
-    Sorts by protocol id, rejects empties and duplicate ids. Idempotent:
-    validating an already-valid universe returns an identical universe.
+    Sorts by protocol id; Universe rejects empties and duplicate ids.
+    Idempotent: validating an already-valid universe returns it unchanged.
     """
-    records = sorted(protocols, key=lambda p: p.protocol_id)
-    if not records:
-        raise EmptyUniverse("universe has no protocols")
-    for a, b in zip(records, records[1:]):
-        if a.protocol_id == b.protocol_id:
-            raise DuplicateId(b.protocol_id)
-    return Universe(tuple(records))
+    return Universe(tuple(sorted(protocols, key=lambda p: p.protocol_id)))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import hashlib
 import json
 import math
 import os
@@ -22,8 +23,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import requests
 
 from .backtest import YieldPanel
 from .domain import DatedSeries, ProtocolRecord, Universe, validate_universe
@@ -283,7 +282,8 @@ def _cache_read(spec: FetchSpec, resource: str, key: str):
             with open(meta_path, encoding="utf-8") as fh:
                 meta = json.load(fh)
             age = time.time() - float(meta["fetched_at"])
-            if age > spec.cache_ttl:
+            if not 0.0 <= age <= spec.cache_ttl:
+                # a negative age means the clock stepped back since the write
                 return None
             with open(payload_path, encoding="utf-8") as fh:
                 return json.load(fh)
@@ -310,6 +310,8 @@ def _cache_write(spec: FetchSpec, resource: str, key: str, payload, url: str) ->
 
 
 def _http_get(spec: FetchSpec, session, url: str, params: dict):
+    import requests  # only fetching needs it; CSV-only commands skip the import
+
     last_error = None
     for attempt in range(spec.max_retries + 1):
         if attempt:
@@ -336,10 +338,12 @@ def _http_get(spec: FetchSpec, session, url: str, params: dict):
 
 def _fetch_resource(spec: FetchSpec, session, resource: str, key: str,
                     path: str, params: dict):
+    url = spec.base_url.rstrip("/") + "/" + path.lstrip("/")
+    request = json.dumps([url, params], sort_keys=True).encode("utf-8")
+    key = f"{key}_{hashlib.sha256(request).hexdigest()[:16]}"
     cached = _cache_read(spec, resource, key)
     if cached is not None:
         return cached
-    url = spec.base_url.rstrip("/") + "/" + path.lstrip("/")
     payload = _http_get(spec, session, url, params)
     _cache_write(spec, resource, key, payload, url)
     return payload
@@ -364,12 +368,14 @@ def fetch_remote(
     """Fetch scores, yields and (optionally) FX from the configured API.
 
     Raw JSON payloads are cached under ``cache_dir/<resource>/<key>.json``
-    keyed by (resource, id, date_range); a cache hit younger than the TTL
-    skips the network entirely.  Payloads pass through the same validation
-    as the file loaders, so an equivalent local file produces an identical
-    bundle.
+    keyed by (resource, id, date_range) plus a hash of the request URL and
+    parameters; a cache hit younger than the TTL skips the network entirely.
+    Payloads pass through the same validation as the file loaders, so an
+    equivalent local file produces an identical bundle.
     """
     if session is None:
+        import requests
+
         session = requests.Session()
     start, end = date_range
     range_key = f"{start.isoformat()}_{end.isoformat()}"

@@ -20,11 +20,14 @@ from .errors import (
 )
 
 
-def _frobenius_norm(entries: np.ndarray) -> float:
+def _unit_frobenius(entries: np.ndarray) -> np.ndarray:
     # summing sorted squares makes the norm independent of entry order,
     # so permuting the universe permutes weights exactly
     squares = np.sort(np.square(entries.ravel()))
-    return float(np.sqrt(squares.sum()))
+    norm = float(np.sqrt(squares.sum()))
+    if norm == 0.0:
+        raise ZeroMatrix("cannot normalize an all-zero risk matrix")
+    return entries / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +74,16 @@ def normalize(matrix: RiskMatrix) -> RiskMatrix:
     """Scale the matrix to unit Frobenius norm; the input is left untouched."""
     if matrix.normalized:
         raise AlreadyNormalized("risk matrix is already normalized")
-    norm = _frobenius_norm(matrix.entries)
-    if norm == 0.0:
-        raise ZeroMatrix("cannot normalize an all-zero risk matrix")
-    return RiskMatrix(matrix.universe_ids, matrix.entries / norm, normalized=True)
+    entries = _unit_frobenius(matrix.entries)
+    return RiskMatrix(matrix.universe_ids, entries, normalized=True)
+
+
+def normalized_scores(universe: Universe) -> np.ndarray:
+    """Diagonal of normalize(build_risk_matrix(universe)), without the matrix.
+
+    The diagonal model's Frobenius norm is the Euclidean norm of the scores.
+    """
+    return _unit_frobenius(np.asarray(universe.scores, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,88 @@
+"""The per-day backtest loop the score-vector engine replaced, kept as an oracle.
+
+Every day it resolves the active set with one `fill_forward` per protocol,
+builds and normalizes the dense risk matrix over that set, runs the
+general-path weighting (`solve_erc` for ERC), reports risk through
+`portfolio_risk_report`, and calls `fill_forward` again for each active
+protocol to accrue.  It shares no code with `run_backtest` beyond the
+public value types and the general allocation path; on a diagonal matrix
+`solve_erc` takes the same closed form, which the allocation tests check
+against the iterative solver.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+
+from defiparity.allocate import equal_weights, solve_erc, tvl_weights
+from defiparity.backtest import (
+    BacktestConfig,
+    BacktestLedger,
+    BacktestRow,
+    YieldPanel,
+    daily_rate,
+)
+from defiparity.domain import Universe
+from defiparity.errors import MissingFx, NoActiveProtocols
+from defiparity.risk import build_risk_matrix, normalize, portfolio_risk_report
+
+_ONE_DAY = dt.timedelta(days=1)
+
+
+def reference_active_universe(panel: YieldPanel, universe: Universe,
+                              date: dt.date, max_gap_fill_days: int) -> Universe:
+    active = []
+    for record in universe:
+        series = panel.series.get(record.protocol_id)
+        if series is None:
+            continue
+        if series.fill_forward(date, max_gap_fill_days) is not None:
+            active.append(record)
+    if not active:
+        raise NoActiveProtocols(date)
+    return Universe(tuple(active))
+
+
+def _weights_and_risk(method: str, active: Universe):
+    matrix = normalize(build_risk_matrix(active))
+    if method == "erc":
+        weights = solve_erc(matrix).weights
+    elif method == "ew":
+        weights = equal_weights(active)
+    else:
+        weights = tvl_weights(active)
+    return weights, portfolio_risk_report(weights, matrix)
+
+
+def reference_backtest(config: BacktestConfig, universe: Universe,
+                       panel: YieldPanel) -> BacktestLedger:
+    cache = {}
+    rows = []
+    value = config.initial_value
+    date = config.start_date
+    while date <= config.end_date:
+        active = reference_active_universe(panel, universe, date,
+                                           config.max_gap_fill_days)
+        key = active.ids
+        if key not in cache:
+            cache[key] = _weights_and_risk(config.method, active)
+        weights, risk = cache[key]
+
+        day_return = 0.0
+        for pid, w in zip(weights.universe_ids, weights.values):
+            apy = panel.series[pid].fill_forward(date, config.max_gap_fill_days)
+            day_return += w * daily_rate(apy, config.apy_convention)
+        value = value * (1.0 + day_return)
+
+        value_usd = None
+        if panel.fx is not None:
+            rate = panel.fx.fill_forward(date, config.max_gap_fill_days)
+            if rate is None:
+                raise MissingFx(date)
+            value_usd = value * rate
+
+        rows.append(
+            BacktestRow(date, key, weights, day_return, value, value_usd, risk)
+        )
+        date += _ONE_DAY
+    return BacktestLedger(config.method, config.initial_value, tuple(rows))

@@ -1,0 +1,137 @@
+"""The score-vector engine against the per-day reference loop on random panels.
+
+Panels have late entrants, gaps inside and beyond the fill window, equal
+scores, single protocols and FX on and off.  Dates, active sets and the EW
+and TVL weights must agree exactly.  Every other figure may move in the
+last bits, because the engine normalizes the n scores where the reference
+normalizes all n^2 matrix entries, and NumPy groups those sums differently.
+"""
+
+import datetime as dt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defiparity.backtest import (
+    BacktestConfig,
+    YieldPanel,
+    active_universe,
+    run_backtest,
+)
+from defiparity.domain import DatedSeries, ProtocolRecord, validate_universe
+from defiparity.errors import MissingFx, NoActiveProtocols
+from reference_engine import reference_active_universe, reference_backtest
+
+# float64 epsilon (2.2e-16) times a few hundred days of compounding
+REL_TOL = 1e-13
+
+START = dt.date(2022, 3, 1)
+
+
+def _close(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a == b or abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+
+
+def _series(observed, values, first_day):
+    return DatedSeries.from_pairs(
+        (START + dt.timedelta(days=first_day + i), v)
+        for i, (seen, v) in enumerate(zip(observed, values))
+        if seen
+    )
+
+
+@st.composite
+def scenarios(draw):
+    days = draw(st.integers(1, 90))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        scores = [draw(st.sampled_from([0.5, 2.0, 7.25]))] * n
+    else:
+        scores = draw(st.lists(
+            st.one_of(st.sampled_from([1.0, 3.0]), st.floats(0.05, 20.0)),
+            min_size=n, max_size=n))
+    records, series = [], {}
+    for i, score in enumerate(scores):
+        pid = f"p{i}"
+        records.append(ProtocolRecord(pid, score, tvl=draw(st.floats(1.0, 1e9))))
+        # protocol 0 starts on day one and is mostly observed throughout, so
+        # most panels run to the end; the others enter late and have gaps,
+        # some longer than any fill window drawn below
+        late = 0 if i == 0 else draw(st.integers(0, days))
+        length = days - late
+        observed = draw(st.lists(st.sampled_from([True] * 4 + [False]),
+                                 min_size=length, max_size=length))
+        if i == 0 and draw(st.integers(0, 3)):
+            observed = [True] * length
+        apys = draw(st.lists(st.integers(0, 3000).map(lambda k: k / 1e4),
+                             min_size=length, max_size=length))
+        if any(observed):
+            series[pid] = _series(observed, apys, late)
+    fx = None
+    if draw(st.booleans()):
+        seen = draw(st.lists(st.sampled_from([True] * 8 + [False]),
+                             min_size=days, max_size=days))
+        rates = draw(st.lists(st.integers(9_900, 10_100).map(lambda k: k / 1e4),
+                              min_size=days, max_size=days))
+        if any(seen):
+            fx = _series(seen, rates, 0)
+    universe = validate_universe(records)
+    panel = YieldPanel(series=series, fx=fx)
+    end = START + dt.timedelta(days=days - 1)
+    gap = draw(st.integers(0, 4))
+    convention = draw(st.sampled_from(["compound_365", "simple_365"]))
+    return universe, panel, end, gap, convention
+
+
+def _outcome(engine, config, universe, panel):
+    try:
+        return engine(config, universe, panel)
+    except (NoActiveProtocols, MissingFx) as exc:
+        return exc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_engine_matches_reference_loop(scenario):
+    universe, panel, end, gap, convention = scenario
+    for method in ("ew", "tvl", "erc"):
+        config = BacktestConfig(START, end, method, max_gap_fill_days=gap,
+                                apy_convention=convention)
+        got = _outcome(run_backtest, config, universe, panel)
+        want = _outcome(reference_backtest, config, universe, panel)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert got.date == want.date
+            continue
+        assert len(got.rows) == len(want.rows)
+        for g, w in zip(got.rows, want.rows):
+            assert g.date == w.date
+            assert g.active_ids == w.active_ids
+            assert g.weights.universe_ids == w.weights.universe_ids
+            if method == "erc":
+                assert all(map(_close, g.weights.values, w.weights.values))
+            else:
+                assert g.weights == w.weights
+            assert _close(g.daily_return, w.daily_return)
+            assert _close(g.value_stable, w.value_stable)
+            assert _close(g.value_usd, w.value_usd)
+            assert _close(g.portfolio_risk, w.portfolio_risk)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_active_universe_matches_reference(scenario):
+    universe, panel, end, gap, _ = scenario
+    date = START
+    while date <= end:
+        try:
+            want = reference_active_universe(panel, universe, date, gap)
+        except NoActiveProtocols:
+            with pytest.raises(NoActiveProtocols):
+                active_universe(panel, universe, date, gap)
+        else:
+            assert active_universe(panel, universe, date, gap) == want
+        date += dt.timedelta(days=1)

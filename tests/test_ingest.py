@@ -1,6 +1,11 @@
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -414,3 +419,48 @@ class TestFetchRemote:
     def test_ttl_must_be_nonnegative(self, tmp_path):
         with pytest.raises(ValueError):
             make_spec(tmp_path, cache_ttl=-1.0)
+
+    def test_future_dated_cache_refetches(self, tmp_path):
+        # an entry stamped after now (the clock stepped back) is a miss,
+        # not a hit for as long as the clock stays behind
+        bundle = sample_bundle()
+        spec = make_spec(tmp_path)
+        session = StubSession(stub_routes(bundle))
+        fetch_remote(spec, bundle.universe.ids, RANGE, session=session)
+        calls_after_first = len(session.calls)
+        for meta in (tmp_path / "cache").rglob("*.meta"):
+            stamped = json.loads(meta.read_text())
+            stamped["fetched_at"] = time.time() + 3600.0
+            meta.write_text(json.dumps(stamped))
+        fetch_remote(spec, bundle.universe.ids, RANGE, session=session)
+        assert len(session.calls) == 2 * calls_after_first
+
+    def test_cache_not_shared_across_providers(self, tmp_path):
+        def routes(score):
+            return {
+                "/scores": [{"protocol_id": "aave", "score": score}],
+                "/yields/aave": [{"date": D0.isoformat(), "apy": 0.05}],
+            }
+
+        endpoints = {"scores": "/scores", "yields": "/yields/{protocol_id}"}
+        spec_a = make_spec(tmp_path, base_url="https://a.example", endpoints=endpoints)
+        spec_b = make_spec(tmp_path, base_url="https://b.example", endpoints=endpoints)
+        a = fetch_remote(spec_a, ("aave",), RANGE, session=StubSession(routes(1.0)))
+        session_b = StubSession(routes(9.0))
+        b = fetch_remote(spec_b, ("aave",), RANGE, session=session_b)
+        assert a.universe.scores == (1.0,)
+        assert b.universe.scores == (9.0,)
+        assert len(session_b.calls) == 2
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # only `fetch` talks HTTP, so the other commands should not pay for
+    # importing requests
+    import defiparity
+
+    src = str(Path(defiparity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, defiparity.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

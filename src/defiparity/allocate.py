@@ -50,20 +50,30 @@ def _uniform_values(n: int) -> np.ndarray:
 
 def equal_weights(universe: Universe) -> WeightVector:
     """1/n in every protocol, renormalized so the sum is 1."""
-    values = _uniform_values(len(universe))
-    return WeightVector(universe.ids, tuple(float(v) for v in values))
+    return uniform_weights(universe.ids)
+
+
+def uniform_weights(universe_ids: tuple[str, ...]) -> WeightVector:
+    """equal_weights over an id list."""
+    values = _uniform_values(len(universe_ids))
+    return WeightVector(universe_ids, tuple(values.tolist()))
 
 
 def tvl_weights(universe: Universe) -> WeightVector:
     """Weights proportional to each protocol's TVL."""
-    for p in universe:
-        if p.tvl is None:
-            raise MissingTvl(p.protocol_id)
-    tvls = np.asarray([p.tvl for p in universe], dtype=float)
+    tvls = [np.nan if p.tvl is None else p.tvl for p in universe]
+    return tvl_share_weights(universe.ids, np.asarray(tvls, dtype=float))
+
+
+def tvl_share_weights(universe_ids: tuple[str, ...], tvls: np.ndarray) -> WeightVector:
+    """tvl_weights over an id list and its TVLs, NaN where a TVL is missing."""
+    missing = np.isnan(tvls)
+    if missing.any():
+        raise MissingTvl(universe_ids[int(missing.argmax())])
     total = float(np.sort(tvls).sum())
     if total == 0.0:
         raise ZeroTotalTvl("total TVL across the universe is zero")
-    return WeightVector(universe.ids, tuple(float(v) for v in tvls / total))
+    return WeightVector(universe_ids, tuple((tvls / total).tolist()))
 
 
 def _check_pair(w: WeightVector, m: RiskMatrix) -> None:
@@ -149,7 +159,7 @@ def closed_form_weights(universe_ids: tuple[str, ...], d: np.ndarray) -> WeightV
     else:
         inv = 1.0 / np.sqrt(d)
         values = inv / float(np.sort(inv).sum())
-    return WeightVector(universe_ids, tuple(float(v) for v in values))
+    return WeightVector(universe_ids, tuple(values.tolist()))
 
 
 @dataclass(frozen=True)

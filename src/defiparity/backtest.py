@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocate import closed_form_weights, equal_weights, tvl_weights
+from .allocate import closed_form_weights, tvl_share_weights, uniform_weights
 from .domain import DatedSeries, Universe, WeightVector
 from .errors import (
     DateRangeMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     NoActiveProtocols,
     NonPositiveRate,
 )
-from .risk import normalized_scores
+from .risk import unit_frobenius
 
 METHODS = ("erc", "ew", "tvl")
 APY_CONVENTIONS = ("compound_365", "simple_365")
@@ -80,6 +80,18 @@ class YieldPanel:
                 if not (math.isfinite(rate) and rate > 0.0):
                     raise NonPositiveRate(f"FX rate must be > 0: {rate!r} on {date}")
 
+    def _window(self, universe_ids: tuple[str, ...], config: "BacktestConfig") -> "_Window":
+        """The window `config` asks for, compiled once and kept for the next
+        method's run over the same dates (the last one only, so a long-lived
+        panel holds one)."""
+        key = (universe_ids, config.start_date, config.end_date,
+               config.max_gap_fill_days, config.apy_convention)
+        last = self.__dict__.get("_last_window")
+        if last is None or last[0] != key:
+            last = (key, _Window(self, *key))
+            object.__setattr__(self, "_last_window", last)
+        return last[1]
+
 
 def daily_rate(apy: float, convention: str = "compound_365") -> float:
     """One day of yield implied by an annual APY."""
@@ -94,25 +106,6 @@ def daily_rate(apy: float, convention: str = "compound_365") -> float:
     raise ValueError(f"unknown APY convention {convention!r}")
 
 
-def _resolve_apys(
-    panel: YieldPanel, ids: tuple[str, ...], date: dt.date, max_gap_fill_days: int
-) -> dict[str, float]:
-    """APY of each protocol priceable on `date`, by id in universe order.
-
-    Priceable means observed on `date`, or forward-filled within the gap.
-    Raises NoActiveProtocols when no protocol is.
-    """
-    apys = {}
-    for pid in ids:
-        series = panel.series.get(pid)
-        apy = None if series is None else series.fill_forward(date, max_gap_fill_days)
-        if apy is not None:
-            apys[pid] = apy
-    if not apys:
-        raise NoActiveProtocols(date)
-    return apys
-
-
 def active_universe(
     panel: YieldPanel,
     universe: Universe,
@@ -120,7 +113,94 @@ def active_universe(
     max_gap_fill_days: int = 3,
 ) -> Universe:
     """Protocols priceable on `date`: observed, or forward-filled within the gap."""
-    return universe.subset(_resolve_apys(panel, universe.ids, date, max_gap_fill_days))
+    active = []
+    for pid in universe.ids:
+        series = panel.series.get(pid)
+        if series is not None and series.fill_forward(date, max_gap_fill_days) is not None:
+            active.append(pid)
+    if not active:
+        raise NoActiveProtocols(date)
+    return universe.subset(active)
+
+
+def _forward_fill(series: DatedSeries, days: np.ndarray, gap: int):
+    """Vector form of `series.fill_forward(day, gap)` over consecutive day ordinals.
+
+    Returns (found, index, values): `found[i]` says whether day i has a
+    value, which is then `values[index[i]]`; None when no observation lies
+    within days[0] - gap .. days[-1].
+    """
+    ordinals, values = series.observed_between(
+        dt.date.fromordinal(max(1, int(days[0]) - gap)), dt.date.fromordinal(int(days[-1])))
+    if not ordinals:
+        return None
+    ordinals = np.asarray(ordinals)
+    index = np.searchsorted(ordinals, days, side="right") - 1
+    found = (index >= 0) & (days - ordinals[index] <= gap)
+    return found, index, values
+
+
+class _Window:
+    """A panel resolved over [start, end] for one universe, shared by all methods.
+
+    Only observations dated start - gap .. end are read, and each one's daily
+    rate is computed once.  `rates[i, j]` is protocol j's daily rate on day
+    i, forward-filled as `fill_forward` would, and 0.0 where j is inactive.
+    Days are grouped by active set, sets numbered in order of first
+    appearance.  `stop` is (day, error) for the first day the per-day loop
+    cannot price, NoActiveProtocols before MissingFx on the same day.
+    """
+
+    def __init__(self, panel: YieldPanel, ids: tuple[str, ...], start: dt.date,
+                 end: dt.date, gap: int, convention: str):
+        days = np.arange(start.toordinal(), end.toordinal() + 1)
+        self.dates = [dt.date.fromordinal(d) for d in days.tolist()]
+        active = np.zeros((days.size, len(ids)), dtype=bool, order="F")
+        self.rates = np.zeros((days.size, len(ids)), order="F")
+        for j, pid in enumerate(ids):
+            series = panel.series.get(pid)
+            filled = None if series is None else _forward_fill(series, days, gap)
+            if filled is not None:
+                found, index, apys = filled
+                rates = np.array([daily_rate(apy, convention) for apy in apys])
+                active[:, j] = found
+                self.rates[:, j] = np.where(found, rates[index], 0.0)
+
+        # (day, rank, error): on one day the loop finds no active protocol
+        # before it looks the FX rate up
+        stops = []
+        empty = ~active.any(axis=1)
+        if empty.any():
+            stops.append((int(empty.argmax()), 0, NoActiveProtocols))
+        self.fx = None
+        if panel.fx is not None:
+            filled = _forward_fill(panel.fx, days, gap)
+            found = np.zeros(days.size, dtype=bool) if filled is None else filled[0]
+            if not found.all():
+                stops.append((int((~found).argmax()), 1, MissingFx))
+            else:
+                self.fx = np.asarray(filled[2])[filled[1]]
+        self.stop = None
+        if stops:
+            day, _, error = min(stops)
+            self.stop = (day, error)
+
+        packed = np.packbits(active, axis=1)
+        width = packed.shape[1]
+        raw = packed.tobytes()  # row after row, whatever the memory order
+        number: dict[bytes, int] = {}
+        self.set_of_day = [number.setdefault(raw[i * width:(i + 1) * width], len(number))
+                           for i in range(days.size)]
+        firsts = np.unique(self.set_of_day, return_index=True)[1].tolist()
+        self.set_cols = [np.flatnonzero(active[d]) for d in firsts]
+        self.set_ids = [tuple(ids[j] for j in cols.tolist()) for cols in self.set_cols]
+        # the sets the loop weighs before it stops: weights come before the
+        # FX lookup on a day, and an empty day has no weights
+        self.sets_priced = len(firsts)
+        if self.stop is not None:
+            day, error = self.stop
+            side = "right" if error is MissingFx else "left"
+            self.sets_priced = int(np.searchsorted(firsts, day, side=side))
 
 
 @dataclass(frozen=True)
@@ -180,15 +260,16 @@ class BacktestLedger:
         return tuple(r.portfolio_risk for r in self.rows)
 
 
-def _weights_and_risk(method: str, active: Universe) -> tuple[WeightVector, float]:
-    scores = normalized_scores(active)
+def _weights_and_risk(method: str, ids: tuple[str, ...], scores: np.ndarray,
+                      tvls: np.ndarray) -> tuple[WeightVector, float]:
+    normalized = unit_frobenius(scores)
     if method == "erc":
-        weights = closed_form_weights(active.ids, scores)
+        weights = closed_form_weights(ids, normalized)
     elif method == "ew":
-        weights = equal_weights(active)
+        weights = uniform_weights(ids)
     else:
-        weights = tvl_weights(active)
-    return weights, float(np.dot(weights.values, scores))
+        weights = tvl_share_weights(ids, tvls)
+    return weights, float(np.dot(weights.values, normalized))
 
 
 def run_backtest(
@@ -201,38 +282,49 @@ def run_backtest(
     Weights are recomputed each day from the active set's scores, normalized
     over that subset (the risk model is diagonal, so ERC is its closed form);
     since scores are static they only change when the active set changes,
-    so the per-set result is cached.  Accrual is frictionless: value
-    compounds by the weighted daily rate.
+    so they are computed once per distinct set.  Accrual is frictionless:
+    value compounds by the weighted daily rate.
+
+    The window is compiled once per panel and dates (see `_Window`), so
+    running each method in turn resolves the APYs and FX only once.
     """
-    ids = universe.ids
-    cache: dict[tuple[str, ...], tuple[WeightVector, float]] = {}
-    rows = []
-    value = config.initial_value
-    date = config.start_date
-    while date <= config.end_date:
-        apys = _resolve_apys(panel, ids, date, config.max_gap_fill_days)
-        key = tuple(apys)
-        if key not in cache:
-            cache[key] = _weights_and_risk(config.method, universe.subset(key))
-        weights, risk = cache[key]
+    window = panel._window(universe.ids, config)
+    scores = np.asarray(universe.scores, dtype=float)
+    tvls = np.asarray([np.nan if p.tvl is None else p.tvl for p in universe], dtype=float)
+    weights, risks = [], []
+    dense = np.zeros((window.sets_priced, len(universe)), order="F")
+    for s in range(window.sets_priced):
+        cols = window.set_cols[s]
+        w, risk = _weights_and_risk(config.method, window.set_ids[s],
+                                    scores[cols], tvls[cols])
+        weights.append(w)
+        risks.append(risk)
+        dense[s, cols] = w.values
+    if window.stop is not None:
+        day, error = window.stop
+        raise error(window.dates[day])
 
-        day_return = 0.0
-        for w, apy in zip(weights.values, apys.values()):
-            day_return += w * daily_rate(apy, config.apy_convention)
-        value = value * (1.0 + day_return)
-
-        value_usd = None
-        if panel.fx is not None:
-            rate = panel.fx.fill_forward(date, config.max_gap_fill_days)
-            if rate is None:
-                raise MissingFx(date)
-            value_usd = value * rate
-
-        rows.append(
-            BacktestRow(date, key, weights, day_return, value, value_usd, risk)
-        )
-        date += _ONE_DAY
-    return BacktestLedger(config.method, config.initial_value, tuple(rows))
+    # summed term by term in universe order, as the per-day loop adds
+    # w * rate over the active protocols; inactive terms add +0.0
+    set_of_day = np.asarray(window.set_of_day)
+    returns = np.zeros(len(window.dates))
+    for j in range(len(universe)):
+        returns += dense[:, j][set_of_day] * window.rates[:, j]
+    # np.cumprod multiplies in sequence, as `value *= 1 + r` does
+    values = np.cumprod(np.concatenate(([config.initial_value], 1.0 + returns)))[1:]
+    values_usd = ([None] * len(values) if window.fx is None
+                  else (values * window.fx).tolist())
+    rows = tuple(map(
+        BacktestRow,
+        window.dates,
+        [window.set_ids[s] for s in window.set_of_day],
+        [weights[s] for s in window.set_of_day],
+        returns.tolist(),
+        values.tolist(),
+        values_usd,
+        [risks[s] for s in window.set_of_day],
+    ))
+    return BacktestLedger(config.method, config.initial_value, rows)
 
 
 @dataclass(frozen=True)

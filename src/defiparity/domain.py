@@ -173,6 +173,13 @@ class DatedSeries:
     def get(self, date: dt.date) -> float | None:
         return self._by_date.get(date)
 
+    def observed_between(self, first: dt.date, last: dt.date) -> tuple[list[int], list[float]]:
+        """Day ordinals and values of the observations dated first..last."""
+        lo = bisect.bisect_left(self._dates, first)
+        hi = bisect.bisect_right(self._dates, last)
+        return ([d.toordinal() for d in self._dates[lo:hi]],
+                [v for _, v in self.entries[lo:hi]])
+
     def fill_forward(self, date: dt.date, max_gap_days: int = 0) -> float | None:
         """Value on `date`, or the last value at most `max_gap_days` old.
 

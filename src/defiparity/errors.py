@@ -18,8 +18,11 @@ class EmptyUniverse(DefiParityError):
 
 
 class DuplicateId(DefiParityError):
-    def __init__(self, protocol_id: str):
-        super().__init__(f"duplicate protocol id: {protocol_id!r}")
+    def __init__(self, protocol_id: str, detail: str = ""):
+        msg = f"duplicate protocol id: {protocol_id!r}"
+        if detail:
+            msg += f" ({detail})"
+        super().__init__(msg)
         self.protocol_id = protocol_id
 
 

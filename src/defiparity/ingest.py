@@ -24,9 +24,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .backtest import YieldPanel
 from .domain import DatedSeries, ProtocolRecord, Universe, validate_universe
 from .errors import (
+    DuplicateId,
     DuplicateObservation,
     InvalidApy,
     MappingError,
@@ -57,27 +60,38 @@ class DataBundle:
 # --- CSV loading --------------------------------------------------------------
 
 
+def _checked_reader(fh, path, expected_header: list[str]):
+    """A csv reader over `fh`, past a header row that must equal `expected_header`."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(path, 1, "file is empty; a header row is required")
+    if [h.strip() for h in header] != expected_header:
+        raise ParseError(
+            path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
+        )
+    return reader
+
+
+def _blank(row: list[str]) -> bool:
+    return all(not cell.strip() for cell in row)
+
+
+def _field_count_error(path, lineno: int, expected: int, got: int) -> ParseError:
+    return ParseError(path, lineno, f"expected {expected} fields, got {got}")
+
+
 def _read_rows(path, expected_header: list[str]):
+    """Yield (line number, stripped cells) for each non-blank row, in file order."""
+    width = len(expected_header)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "file is empty; a header row is required")
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        for lineno, row in enumerate(_checked_reader(fh, path, expected_header), start=2):
+            if _blank(row):
                 continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
-                )
-            rows.append((lineno, [cell.strip() for cell in row]))
-    return rows
+            if len(row) != width:
+                raise _field_count_error(path, lineno, width, len(row))
+            yield lineno, [cell.strip() for cell in row]
 
 
 def _parse_float(text: str, path, lineno: int, name: str, percent_ok: bool = False) -> float:
@@ -105,6 +119,7 @@ def _parse_date(text: str, path, lineno: int) -> dt.date:
 def load_scores(path) -> Universe:
     """Read the scores CSV into a validated universe."""
     records = []
+    seen = set()
     for lineno, (pid, name, chain, score_text, tvl_text) in _read_rows(path, SCORES_HEADER):
         if not pid:
             raise ParseError(path, lineno, "protocol_id must not be empty")
@@ -116,34 +131,85 @@ def load_scores(path) -> Universe:
             tvl = _parse_float(tvl_text, path, lineno, "tvl")
             if tvl < 0:
                 raise ParseError(path, lineno, f"tvl must be nonnegative, got {tvl_text!r}")
+        if pid in seen:
+            raise DuplicateId(pid, f"{path}:{lineno}")
+        seen.add(pid)
         records.append(ProtocolRecord(pid, score, name=name, chain=chain, tvl=tvl))
     return validate_universe(records)
+
+
+# load_yields packs a (protocol, day) pair into one int: the protocol's index
+# above the day ordinal, which stays below 2**22 (date.max is 3_652_059)
+_DAY_BITS = 22
 
 
 def load_yields(path, ids: Iterable[str]) -> YieldPanel:
     """Read the long-format yields CSV into per-protocol series.
 
     Rows must name a protocol in `ids`; the same (protocol, date) pair may
-    appear only once.
+    appear only once.  Rows are checked in file order and stream into flat
+    columns (packed protocol/day key, APY); each protocol's series is then
+    one slice of the columns sorted by key.
     """
-    known = set(ids)
-    observations: dict[str, dict[dt.date, float]] = {}
-    for lineno, (date_text, pid, apy_text) in _read_rows(path, YIELDS_HEADER):
-        date = _parse_date(date_text, path, lineno)
-        if pid not in known:
-            raise UnknownProtocol(pid, f"{path}:{lineno}")
-        apy = _parse_float(apy_text, path, lineno, "apy", percent_ok=True)
-        if apy <= -1.0:
-            raise InvalidApy(f"{path}:{lineno}: APY must be > -1, got {apy_text!r}")
-        per_id = observations.setdefault(pid, {})
-        if date in per_id:
-            raise DuplicateObservation(
-                f"{path}:{lineno}: duplicate observation for {pid!r} on {date}"
-            )
-        per_id[date] = apy
+    order = sorted(set(ids))
+    # cells are looked up raw and stripped only on a miss; an id with outer
+    # whitespace can never equal a stripped cell, so it gets no entry
+    index = {pid: k for k, pid in enumerate(order) if pid == pid.strip()}
+    day_of: dict[str, int] = {}  # raw date text -> ordinal, parsed once per string
+    seen: set[int] = set()
+    keys: list[int] = []
+    apys: list[float] = []
+    width = len(YIELDS_HEADER)
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(_checked_reader(fh, path, YIELDS_HEADER), start=2):
+            if len(row) != width:
+                if _blank(row):
+                    continue
+                raise _field_count_error(path, lineno, width, len(row))
+            date_text, pid, apy_text = row
+            day = day_of.get(date_text)
+            if day is None:
+                if _blank(row):
+                    continue
+                day = _parse_date(date_text.strip(), path, lineno).toordinal()
+                day_of[date_text] = day
+            k = index.get(pid)
+            if k is None:
+                pid = pid.strip()
+                k = index.get(pid)
+                if k is None:
+                    raise UnknownProtocol(pid, f"{path}:{lineno}")
+            try:
+                apy = float(apy_text)  # float() itself ignores outer whitespace
+            except ValueError:
+                apy = _parse_float(apy_text.strip(), path, lineno, "apy", percent_ok=True)
+            if not -1.0 < apy < math.inf:
+                apy_text = apy_text.strip()
+                if not math.isfinite(apy):
+                    raise ParseError(path, lineno, f"apy must be finite, got {apy_text!r}")
+                raise InvalidApy(f"{path}:{lineno}: APY must be > -1, got {apy_text!r}")
+            key = k << _DAY_BITS | day
+            if key in seen:
+                raise DuplicateObservation(
+                    f"{path}:{lineno}: duplicate observation for {order[k]!r} "
+                    f"on {dt.date.fromordinal(day)}"
+                )
+            seen.add(key)
+            keys.append(key)
+            apys.append(apy)
+    del seen  # the row-time structures go before the series are built
+    packed = np.array(keys, dtype=np.int64)
+    by_key = np.argsort(packed)
+    packed = packed[by_key]
+    values = np.array(apys, dtype=float)[by_key].tolist()
+    del keys, apys
+    bounds = np.searchsorted(packed, np.arange(len(order) + 1) << _DAY_BITS).tolist()
+    date_of = {day: dt.date.fromordinal(day) for day in day_of.values()}
+    dates = list(map(date_of.__getitem__, (packed & ((1 << _DAY_BITS) - 1)).tolist()))
     series = {
-        pid: DatedSeries.from_pairs(per_id.items())
-        for pid, per_id in sorted(observations.items())
+        pid: DatedSeries(tuple(zip(dates[lo:hi], values[lo:hi])))
+        for pid, lo, hi in zip(order, bounds, bounds[1:])
+        if lo < hi
     }
     return YieldPanel(series=series)
 
@@ -151,11 +217,15 @@ def load_yields(path, ids: Iterable[str]) -> YieldPanel:
 def load_fx(path) -> DatedSeries:
     """Read the FX CSV (USD per stablecoin unit); unsorted rows are sorted."""
     pairs = []
+    seen = set()
     for lineno, (date_text, rate_text) in _read_rows(path, FX_HEADER):
         date = _parse_date(date_text, path, lineno)
         rate = _parse_float(rate_text, path, lineno, "rate")
         if rate <= 0:
             raise NonPositiveRate(f"{path}:{lineno}: rate must be > 0, got {rate_text!r}")
+        if date in seen:
+            raise DuplicateObservation(f"{path}:{lineno}: duplicate observation on {date}")
+        seen.add(date)
         pairs.append((date, rate))
     return DatedSeries.from_pairs(pairs)
 
@@ -261,13 +331,13 @@ class FetchSpec:
             raise ValueError("endpoints must define at least 'scores' and 'yields'")
 
 
-_key_locks: dict[str, threading.Lock] = {}
-_key_locks_guard = threading.Lock()
+# striped: cache paths share a fixed set of locks, picked by hash, so a
+# long-lived fetcher holds no lock per path it has ever touched
+_key_locks = tuple(threading.Lock() for _ in range(64))
 
 
 def _lock_for(path: Path) -> threading.Lock:
-    with _key_locks_guard:
-        return _key_locks.setdefault(str(path), threading.Lock())
+    return _key_locks[hash(str(path)) % len(_key_locks)]
 
 
 def _cache_paths(spec: FetchSpec, resource: str, key: str) -> tuple[Path, Path]:

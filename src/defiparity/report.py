@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,20 +142,35 @@ LEDGER_FIELDS = [
 ]
 
 
+def _csv_cell(text: str) -> str:
+    """`text` quoted as csv.writer quotes a field inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
 def _write_ledger_csv(ledger: BacktestLedger, path: Path) -> None:
+    # lines are built by hand: dates and float reprs never need quoting, and
+    # the id and weight cells are formatted once per distinct active set
+    # (the engine shares one active_ids tuple and one WeightVector per set)
+    ids_cells: dict[tuple[str, ...], str] = {}
+    weight_cells: dict[int, str] = {}  # keyed by id(); the ledger keeps them alive
+    lines = [",".join(LEDGER_FIELDS) + "\n"]
+    for row in ledger.rows:
+        ids_cell = ids_cells.get(row.active_ids)
+        if ids_cell is None:
+            ids_cell = ids_cells[row.active_ids] = _csv_cell(";".join(row.active_ids))
+        weights_cell = weight_cells.get(id(row.weights))
+        if weights_cell is None:
+            weights_cell = ";".join(map(repr, row.weights.values))
+            weight_cells[id(row.weights)] = weights_cell
+        usd = "" if row.value_usd is None else repr(row.value_usd)
+        lines.append(
+            f"{row.date.isoformat()},{row.daily_return!r},{row.value_stable!r},"
+            f"{usd},{row.portfolio_risk!r},{ids_cell},{weights_cell}\n"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LEDGER_FIELDS)
-        for row in ledger.rows:
-            writer.writerow([
-                row.date.isoformat(),
-                repr(row.daily_return),
-                repr(row.value_stable),
-                "" if row.value_usd is None else repr(row.value_usd),
-                repr(row.portfolio_risk),
-                ";".join(row.active_ids),
-                ";".join(repr(v) for v in row.weights.values),
-            ])
+        fh.writelines(lines)
 
 
 def _write_comparison_csv(ledgers: list[BacktestLedger], path: Path) -> None:

@@ -20,7 +20,8 @@ from .errors import (
 )
 
 
-def _unit_frobenius(entries: np.ndarray) -> np.ndarray:
+def unit_frobenius(entries: np.ndarray) -> np.ndarray:
+    """`entries` scaled to unit Frobenius (Euclidean) norm."""
     # summing sorted squares makes the norm independent of entry order,
     # so permuting the universe permutes weights exactly
     squares = np.sort(np.square(entries.ravel()))
@@ -74,7 +75,7 @@ def normalize(matrix: RiskMatrix) -> RiskMatrix:
     """Scale the matrix to unit Frobenius norm; the input is left untouched."""
     if matrix.normalized:
         raise AlreadyNormalized("risk matrix is already normalized")
-    entries = _unit_frobenius(matrix.entries)
+    entries = unit_frobenius(matrix.entries)
     return RiskMatrix(matrix.universe_ids, entries, normalized=True)
 
 
@@ -83,7 +84,7 @@ def normalized_scores(universe: Universe) -> np.ndarray:
 
     The diagonal model's Frobenius norm is the Euclidean norm of the scores.
     """
-    return _unit_frobenius(np.asarray(universe.scores, dtype=float))
+    return unit_frobenius(np.asarray(universe.scores, dtype=float))
 
 
 @dataclass(frozen=True)

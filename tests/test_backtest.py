@@ -1,4 +1,6 @@
 import datetime as dt
+import sys
+import threading
 
 import pytest
 
@@ -205,6 +207,74 @@ class TestRunBacktest:
         for row in ledger.rows:
             value *= 1.0 + row.daily_return
             assert row.value_stable == pytest.approx(value, rel=1e-12)
+
+    def test_accrual_compounds_in_sequence(self):
+        # value_t = value_{t-1} * (1 + r_t), bit for bit, from a value other
+        # than 1.0 (where initial * prod(1 + r) would round differently)
+        universe = validate_universe([ProtocolRecord("a", 1.0), ProtocolRecord("b", 4.0)])
+        panel = YieldPanel(series={
+            "a": DatedSeries.from_pairs([(day(i), 0.02 + 0.001 * (i % 5)) for i in range(60)]),
+            "b": DatedSeries.from_pairs([(day(i), 0.06 + 0.002 * (i % 3)) for i in range(60)]),
+        })
+        config = BacktestConfig(day(0), day(59), "erc", initial_value=1000.0 / 3.0)
+        value = config.initial_value
+        for row in run_backtest(config, universe, panel).rows:
+            value = value * (1.0 + row.daily_return)
+            assert row.value_stable == value
+
+    def test_window_reaching_before_the_first_calendar_day(self):
+        # start - gap lies before date.min; the fill window is clipped there
+        first = dt.date.min
+        universe = validate_universe([ProtocolRecord("a", 1.0)])
+        panel = YieldPanel(series={"a": DatedSeries.from_pairs(
+            [(first + dt.timedelta(days=i), 0.05) for i in range(5)])})
+        config = BacktestConfig(first + dt.timedelta(days=1), first + dt.timedelta(days=4), "ew")
+        ledger = run_backtest(config, universe, panel)
+        assert ledger.dates == tuple(first + dt.timedelta(days=i) for i in range(1, 5))
+
+    def test_concurrent_runs_share_one_panel(self):
+        # the panel keeps its last compiled window; threads that keep
+        # swapping it for other dates must still get their own results
+        universe = validate_universe([
+            ProtocolRecord(pid, score, tvl=tvl)
+            for pid, score, tvl in (("a", 1.0, 5.0), ("b", 4.0, 2.0), ("c", 2.5, 9.0))
+        ])
+        series = {
+            "a": constant_series(0.03, 0, 59),
+            "b": DatedSeries.from_pairs((day(i), 0.01 * (i % 7)) for i in range(10, 60)
+                                        if i % 9),
+            "c": constant_series(0.05, 20, 45),
+        }
+        fx = DatedSeries.from_pairs((day(i), 1.0 + 0.001 * (i % 4)) for i in range(60))
+        configs = [BacktestConfig(day(first), day(59), method, max_gap_fill_days=gap)
+                   for first in (0, 15) for method in ("ew", "tvl", "erc") for gap in (0, 3)]
+        expected = [run_backtest(c, universe, YieldPanel(series=series, fx=fx))
+                    for c in configs]
+        panel = YieldPanel(series=series, fx=fx)
+        mismatches, errors = [], []
+
+        def work(offset):
+            try:
+                for k in range(5 * len(configs)):
+                    i = (k + offset) % len(configs)
+                    if run_backtest(configs[i], universe, panel) != expected[i]:
+                        mismatches.append(i)
+            except Exception as exc:  # reported below; a thread cannot raise into pytest
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert not mismatches
 
     def test_positive_value_with_negative_yields(self):
         universe = validate_universe([ProtocolRecord("a", 1.0)])

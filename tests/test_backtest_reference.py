@@ -1,10 +1,12 @@
-"""The score-vector engine against the per-day reference loop on random panels.
+"""The compiled-window engine against the per-day reference loop on random panels.
 
 Panels have late entrants, gaps inside and beyond the fill window, equal
-scores, single protocols and FX on and off.  Dates, active sets and the EW
-and TVL weights must agree exactly.  Every other figure may move in the
-last bits, because the engine normalizes the n scores where the reference
-normalizes all n^2 matrix entries, and NumPy groups those sums differently.
+scores, single protocols, protocols without TVL and FX on and off.  Where
+the loop fails, the engine must fail with the same error on the same first
+failing day.  Dates, active sets and the EW and TVL weights must agree
+exactly.  Every other figure may move in the last bits, because the engine
+normalizes the n scores where the reference normalizes all n^2 matrix
+entries, and NumPy groups those sums differently.
 """
 
 import datetime as dt
@@ -20,7 +22,7 @@ from defiparity.backtest import (
     run_backtest,
 )
 from defiparity.domain import DatedSeries, ProtocolRecord, validate_universe
-from defiparity.errors import MissingFx, NoActiveProtocols
+from defiparity.errors import MissingFx, MissingTvl, NoActiveProtocols
 from reference_engine import reference_active_universe, reference_backtest
 
 # float64 epsilon (2.2e-16) times a few hundred days of compounding
@@ -56,7 +58,8 @@ def scenarios(draw):
     records, series = [], {}
     for i, score in enumerate(scores):
         pid = f"p{i}"
-        records.append(ProtocolRecord(pid, score, tvl=draw(st.floats(1.0, 1e9))))
+        tvl = None if draw(st.integers(0, 15)) == 15 else draw(st.floats(1.0, 1e9))
+        records.append(ProtocolRecord(pid, score, tvl=tvl))
         # protocol 0 starts on day one and is mostly observed throughout, so
         # most panels run to the end; the others enter late and have gaps,
         # some longer than any fill window drawn below
@@ -89,8 +92,16 @@ def scenarios(draw):
 def _outcome(engine, config, universe, panel):
     try:
         return engine(config, universe, panel)
-    except (NoActiveProtocols, MissingFx) as exc:
+    except (NoActiveProtocols, MissingFx, MissingTvl) as exc:
         return exc
+
+
+def _same_failure(got, want) -> bool:
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, MissingTvl):
+        return got.protocol_id == want.protocol_id
+    return got.date == want.date
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -103,8 +114,7 @@ def test_engine_matches_reference_loop(scenario):
         got = _outcome(run_backtest, config, universe, panel)
         want = _outcome(reference_backtest, config, universe, panel)
         if isinstance(want, Exception):
-            assert type(got) is type(want)
-            assert got.date == want.date
+            assert _same_failure(got, want)
             continue
         assert len(got.rows) == len(want.rows)
         for g, w in zip(got.rows, want.rows):
@@ -135,3 +145,56 @@ def test_active_universe_matches_reference(scenario):
         else:
             assert active_universe(panel, universe, date, gap) == want
         date += dt.timedelta(days=1)
+
+
+def _day(i):
+    return START + dt.timedelta(days=i)
+
+
+def _failing_panel(days, empty=(), fx_missing=(), no_tvl_from=None):
+    """Protocol "a" is observed except on `empty` days; "b", without TVL,
+    is observed from day `no_tvl_from` on; FX is missing on `fx_missing`."""
+    records = [ProtocolRecord("a", 1.0, tvl=5.0), ProtocolRecord("b", 4.0)]
+    series = {"a": DatedSeries.from_pairs(
+        (_day(i), 0.05) for i in range(days) if i not in empty)}
+    if no_tvl_from is not None:
+        series["b"] = DatedSeries.from_pairs(
+            (_day(i), 0.02) for i in range(no_tvl_from, days))
+    fx = DatedSeries.from_pairs(
+        (_day(i), 1.0) for i in range(days) if i not in fx_missing)
+    return validate_universe(records), YieldPanel(series=series, fx=fx)
+
+
+# (empty days, FX-missing days, day "b" enters) -> {method: (error, day or id)}
+FAILURES = [
+    # NoActiveProtocols before MissingFx on the same day
+    (((6,), (6,), None), {m: (NoActiveProtocols, 6) for m in ("ew", "tvl", "erc")}),
+    (((6,), (3,), None), {m: (MissingFx, 3) for m in ("ew", "tvl", "erc")}),
+    (((3,), (6,), None), {m: (NoActiveProtocols, 3) for m in ("ew", "tvl", "erc")}),
+    # the loop weighs a day's new set before it looks the FX rate up
+    (((), (4,), 4), {"ew": (MissingFx, 4), "erc": (MissingFx, 4),
+                     "tvl": (MissingTvl, "b")}),
+    (((), (3,), 4), {m: (MissingFx, 3) for m in ("ew", "tvl", "erc")}),
+    (((2,), (), 4), {"ew": (NoActiveProtocols, 2), "erc": (NoActiveProtocols, 2),
+                     "tvl": (NoActiveProtocols, 2)}),
+    (((5,), (), 4), {"ew": (None, None), "erc": (None, None),
+                     "tvl": (MissingTvl, "b")}),
+]
+
+
+@pytest.mark.parametrize("layout,expected", FAILURES)
+def test_first_failure_matches_reference(layout, expected):
+    # gap 0, so each missing day is beyond the fill window
+    empty, fx_missing, no_tvl_from = layout
+    universe, panel = _failing_panel(10, empty, fx_missing, no_tvl_from)
+    for method, (error, where) in expected.items():
+        config = BacktestConfig(START, _day(9), method, max_gap_fill_days=0)
+        got = _outcome(run_backtest, config, universe, panel)
+        want = _outcome(reference_backtest, config, universe, panel)
+        if error is None:
+            assert not isinstance(want, Exception)
+            assert got.rows == want.rows
+            continue
+        assert type(want) is error
+        assert want.protocol_id == where if error is MissingTvl else want.date == _day(where)
+        assert _same_failure(got, want)

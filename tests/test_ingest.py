@@ -11,7 +11,9 @@ import pytest
 
 from defiparity.backtest import YieldPanel
 from defiparity.domain import DatedSeries, ProtocolRecord, validate_universe
+from defiparity import ingest
 from defiparity.errors import (
+    DuplicateId,
     DuplicateObservation,
     EmptyUniverse,
     InvalidApy,
@@ -71,6 +73,17 @@ class TestLoadScores:
         with pytest.raises(ParseError) as exc:
             load_scores(path)
         assert exc.value.line == 2
+
+    def test_duplicate_id_names_second_line(self, tmp_path):
+        path = write(tmp_path / "scores.csv",
+                     "protocol_id,name,chain,score,tvl\n"
+                     "aave,Aave,Ethereum,0.5,1000\n"
+                     "curve,Curve,Ethereum,0.8,\n"
+                     "aave,Aave,Ethereum,0.6,\n")
+        with pytest.raises(DuplicateId) as exc:
+            load_scores(path)
+        assert exc.value.protocol_id == "aave"
+        assert f"{path}:4" in str(exc.value)
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path / "scores.csv", "a,Alpha,ChainX,0.5,1000\n")
@@ -155,6 +168,14 @@ class TestLoadFx:
         path = write(tmp_path / "fx.csv", "date,rate\n2022-01-01,0\n")
         with pytest.raises(NonPositiveRate):
             load_fx(path)
+
+    def test_duplicate_date_names_second_line(self, tmp_path):
+        path = write(tmp_path / "fx.csv",
+                     "date,rate\n2022-01-01,1.0\n2022-01-02,1.0\n\n2022-01-01,0.99\n")
+        with pytest.raises(DuplicateObservation) as exc:
+            load_fx(path)
+        assert str(exc.value).startswith(f"{path}:5: ")
+        assert "2022-01-01" in str(exc.value)
 
 
 def sample_bundle(with_fx=True):
@@ -415,6 +436,18 @@ class TestFetchRemote:
             t.join()
         assert not errors
         assert all(r == bundle for r in results)
+
+    def test_cache_locks_do_not_grow(self, tmp_path):
+        # a long-lived fetcher touches ever new cache paths; the lock table
+        # must not keep one lock per path
+        spec = make_spec(tmp_path)
+        locks = ingest._key_locks
+        count = len(locks)
+        for i in range(1000):
+            ingest._cache_write(spec, "yields", f"p{i}", [], "https://yields.example")
+        assert ingest._key_locks is locks
+        assert len(ingest._key_locks) == count
+        assert ingest._cache_read(spec, "yields", "p999") == []
 
     def test_ttl_must_be_nonnegative(self, tmp_path):
         with pytest.raises(ValueError):

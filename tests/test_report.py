@@ -213,6 +213,22 @@ class TestEmitOutputs:
             assert reloaded.method == ledger.method
             assert reloaded.rows == ledger.rows
 
+    def test_ledger_csv_quotes_ids_like_csv_writer(self, tmp_path):
+        # ids may hold the CSV delimiter and quote character
+        universe = validate_universe([
+            ProtocolRecord("a,b", 1.0), ProtocolRecord('c"d', 4.0),
+        ])
+        panel = YieldPanel(series={
+            pid: DatedSeries.from_pairs([(D0 + dt.timedelta(days=i), 0.03) for i in range(3)])
+            for pid in universe.ids
+        })
+        ledger = run_backtest(BacktestConfig(D0, D0 + dt.timedelta(days=2), "ew"),
+                              universe, panel)
+        emit_outputs([ledger], [monthly_report(ledger)], tmp_path)
+        path = tmp_path / "ledger_ew.csv"
+        assert path.read_text().splitlines()[1].split(",", 5)[5].startswith('"a,b;c""d"')
+        assert read_ledger_csv(path).rows == ledger.rows
+
     def test_report_roundtrip_through_csv(self, tmp_path):
         ledgers = multi_method_ledgers()
         reports = [monthly_report(l) for l in ledgers]

@@ -25,6 +25,8 @@ from .errors import (
 from .risk import RiskMatrix
 
 _ARMIJO = 1e-4
+_INITIAL_STEP = 1.0  # the very first trial step
+_BACKTRACK = 0.5  # step shrink on each rejected trial
 _PLATEAU_WINDOW = 10
 _PLATEAU_REL_DECREASE = 1e-14
 _MAX_BACKTRACKS = 200
@@ -167,14 +169,11 @@ class ErcSolverOptions:
     """Tuning knobs for the projected-gradient ERC solver.
 
     The step rule is spectral (Barzilai-Borwein) seeding with Armijo
-    backtracking; `initial_step` seeds the very first trial step and
-    `backtracking_factor` is the shrink applied on rejection.
+    backtracking.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-12
-    initial_step: float = 1.0
-    backtracking_factor: float = 0.5
     allow_closed_form: bool = True
 
     def __post_init__(self):
@@ -182,10 +181,6 @@ class ErcSolverOptions:
             raise ValueError("max_iterations must be >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be > 0")
-        if not 0.0 < self.backtracking_factor < 1.0:
-            raise ValueError("backtracking_factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -232,7 +227,7 @@ def solve_erc(m: RiskMatrix, opts: ErcSolverOptions | None = None) -> ErcSolutio
     w = _uniform_values(n)
     f = _objective(entries, w)
     g = _gradient(entries, w)
-    step = opts.initial_step
+    step = _INITIAL_STEP
     history = [f]
     converged = f <= opts.tolerance
     plateaued = False
@@ -252,7 +247,7 @@ def solve_erc(m: RiskMatrix, opts: ErcSolverOptions | None = None) -> ErcSolutio
             if f_new <= f + _ARMIJO * float(g @ direction):
                 moved = True
                 break
-            step *= opts.backtracking_factor
+            step *= _BACKTRACK
             if step < 1e-18:
                 break
         if not moved:

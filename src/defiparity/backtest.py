@@ -248,10 +248,6 @@ class BacktestLedger:
         return tuple(r.date for r in self.rows)
 
     @property
-    def daily_returns(self) -> tuple[float, ...]:
-        return tuple(r.daily_return for r in self.rows)
-
-    @property
     def values_stable(self) -> tuple[float, ...]:
         return tuple(r.value_stable for r in self.rows)
 

@@ -19,7 +19,6 @@ from .backtest import (
     APY_CONVENTIONS,
     METHODS,
     BacktestConfig,
-    YieldPanel,
     run_backtest,
 )
 from .errors import DefiParityError, NotConverged
@@ -121,9 +120,7 @@ def cmd_backtest(args) -> int:
         raise ValueError("no backtest method given")
 
     universe = ingest.load_scores(args.scores)
-    panel = ingest.load_yields(args.yields, universe.ids)
-    if args.fx:
-        panel = YieldPanel(series=panel.series, fx=ingest.load_fx(args.fx))
+    panel = ingest.load_yields(args.yields, universe.ids, args.fx or None)
 
     ledgers = []
     for method in methods:

@@ -73,12 +73,6 @@ class Universe:
     def scores(self) -> tuple[float, ...]:
         return tuple(p.score for p in self.protocols)
 
-    def get(self, protocol_id: str) -> ProtocolRecord:
-        for p in self.protocols:
-            if p.protocol_id == protocol_id:
-                return p
-        raise KeyError(protocol_id)
-
     def subset(self, ids: Iterable[str]) -> "Universe":
         wanted = set(ids)
         missing = wanted - set(self.ids)
@@ -148,11 +142,7 @@ class DatedSeries:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[dt.date, float]]) -> "DatedSeries":
         """Sort unordered (date, value) pairs; duplicate dates are rejected."""
-        ordered = sorted(pairs, key=lambda e: e[0])
-        for a, b in zip(ordered, ordered[1:]):
-            if a[0] == b[0]:
-                raise DuplicateObservation(f"duplicate observation on {a[0]}")
-        return cls(tuple((d, float(v)) for d, v in ordered))
+        return cls(tuple((d, float(v)) for d, v in sorted(pairs, key=lambda e: e[0])))
 
     @cached_property
     def _dates(self) -> list[dt.date]:
@@ -169,9 +159,6 @@ class DatedSeries:
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.entries)
-
-    def get(self, date: dt.date) -> float | None:
-        return self._by_date.get(date)
 
     def observed_between(self, first: dt.date, last: dt.date) -> tuple[list[int], list[float]]:
         """Day ordinals and values of the observations dated first..last."""

@@ -117,24 +117,25 @@ def _parse_date(text: str, path, lineno: int) -> dt.date:
 
 
 def load_scores(path) -> Universe:
-    """Read the scores CSV into a validated universe."""
+    """Read the scores CSV into a validated universe.
+
+    `ProtocolRecord` checks each row's id, score and TVL; its errors are
+    raised again naming the row's `path:line`.
+    """
     records = []
     seen = set()
     for lineno, (pid, name, chain, score_text, tvl_text) in _read_rows(path, SCORES_HEADER):
-        if not pid:
-            raise ParseError(path, lineno, "protocol_id must not be empty")
         score = _parse_float(score_text, path, lineno, "score")
-        if score <= 0:
-            raise NonPositiveScore(pid, f"{path}:{lineno}")
-        tvl = None
-        if tvl_text:
-            tvl = _parse_float(tvl_text, path, lineno, "tvl")
-            if tvl < 0:
-                raise ParseError(path, lineno, f"tvl must be nonnegative, got {tvl_text!r}")
+        tvl = _parse_float(tvl_text, path, lineno, "tvl") if tvl_text else None
+        try:
+            records.append(ProtocolRecord(pid, score, name=name, chain=chain, tvl=tvl))
+        except NonPositiveScore:
+            raise NonPositiveScore(pid, f"{path}:{lineno}") from None
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
         if pid in seen:
             raise DuplicateId(pid, f"{path}:{lineno}")
         seen.add(pid)
-        records.append(ProtocolRecord(pid, score, name=name, chain=chain, tvl=tvl))
     return validate_universe(records)
 
 
@@ -143,13 +144,14 @@ def load_scores(path) -> Universe:
 _DAY_BITS = 22
 
 
-def load_yields(path, ids: Iterable[str]) -> YieldPanel:
+def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     """Read the long-format yields CSV into per-protocol series.
 
     Rows must name a protocol in `ids`; the same (protocol, date) pair may
     appear only once.  Rows are checked in file order and stream into flat
     columns (packed protocol/day key, APY); each protocol's series is then
-    one slice of the columns sorted by key.
+    one slice of the columns sorted by key.  The FX CSV at `fx_path`, if
+    given, is read after the yields rows and becomes the panel's overlay.
     """
     order = sorted(set(ids))
     # cells are looked up raw and stripped only on a miss; an id with outer
@@ -211,7 +213,7 @@ def load_yields(path, ids: Iterable[str]) -> YieldPanel:
         for pid, lo, hi in zip(order, bounds, bounds[1:])
         if lo < hi
     }
-    return YieldPanel(series=series)
+    return YieldPanel(series=series, fx=None if fx_path is None else load_fx(fx_path))
 
 
 def load_fx(path) -> DatedSeries:
@@ -278,10 +280,9 @@ def load_bundle(in_dir) -> DataBundle:
     """Inverse of save_bundle; fx.csv is optional."""
     base = Path(in_dir)
     universe = load_scores(base / "scores.csv")
-    panel = load_yields(base / "yields.csv", universe.ids)
     fx_path = base / "fx.csv"
-    if fx_path.exists():
-        panel = YieldPanel(series=panel.series, fx=load_fx(fx_path))
+    panel = load_yields(base / "yields.csv", universe.ids,
+                        fx_path if fx_path.exists() else None)
     return DataBundle(universe, panel)
 
 
@@ -406,27 +407,46 @@ def _http_get(spec: FetchSpec, session, url: str, params: dict):
     )
 
 
-def _fetch_resource(spec: FetchSpec, session, resource: str, key: str,
-                    path: str, params: dict):
+def _fetch_rows(spec: FetchSpec, session, resource: str, key: str, path: str,
+                params: dict, fields) -> list[tuple]:
+    """One resource's payload items, each as a tuple of converted fields.
+
+    `fields` lists (our field name, converter, required); a missing
+    optional field is None.  A value the converter rejects raises a
+    ParseError naming the request URL and the item's index.
+    """
     url = spec.base_url.rstrip("/") + "/" + path.lstrip("/")
     request = json.dumps([url, params], sort_keys=True).encode("utf-8")
     key = f"{key}_{hashlib.sha256(request).hexdigest()[:16]}"
-    cached = _cache_read(spec, resource, key)
-    if cached is not None:
-        return cached
-    payload = _http_get(spec, session, url, params)
-    _cache_write(spec, resource, key, payload, url)
-    return payload
+    payload = _cache_read(spec, resource, key)
+    if payload is None:
+        payload = _http_get(spec, session, url, params)
+        _cache_write(spec, resource, key, payload, url)
+    if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
+        raise ParseError(url, None, "payload must be a JSON list of objects")
+    field_map = spec.field_map.get(resource, DEFAULT_FIELD_MAP[resource])
+    rows = []
+    for index, item in enumerate(payload):
+        row = []
+        for name, convert, required in fields:
+            source = field_map.get(name, name)
+            value = item.get(source)
+            if value is None:
+                if required:
+                    raise MappingError(resource, source)
+                row.append(None)
+                continue
+            try:
+                row.append(convert(value))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(url, None, f"item {index}: cannot convert {source!r} "
+                                            f"from {value!r}: {exc}") from None
+        rows.append(tuple(row))
+    return rows
 
 
-def _mapped(resource: str, field_map: Mapping[str, str], item: Mapping, name: str,
-            required: bool = True):
-    key = field_map.get(name, name)
-    if key not in item or item[key] is None:
-        if required:
-            raise MappingError(resource, key)
-        return None
-    return item[key]
+def _iso_date(value) -> dt.date:
+    return dt.date.fromisoformat(str(value))
 
 
 def fetch_remote(
@@ -449,53 +469,33 @@ def fetch_remote(
         session = requests.Session()
     start, end = date_range
     range_key = f"{start.isoformat()}_{end.isoformat()}"
+    params = {"start": start.isoformat(), "end": end.isoformat()}
 
-    scores_map = spec.field_map.get("scores", DEFAULT_FIELD_MAP["scores"])
-    payload = _fetch_resource(
-        spec, session, "scores", f"all_{range_key}", spec.endpoints["scores"],
-        {"start": start.isoformat(), "end": end.isoformat()},
+    rows = _fetch_rows(
+        spec, session, "scores", f"all_{range_key}", spec.endpoints["scores"], params,
+        [("protocol_id", str, True), ("score", float, True), ("name", str, False),
+         ("chain", str, False), ("tvl", float, False)],
     )
-    records = []
-    for item in payload:
-        pid = str(_mapped("scores", scores_map, item, "protocol_id"))
-        score = float(_mapped("scores", scores_map, item, "score"))
-        name = _mapped("scores", scores_map, item, "name", required=False) or ""
-        chain = _mapped("scores", scores_map, item, "chain", required=False) or ""
-        tvl = _mapped("scores", scores_map, item, "tvl", required=False)
-        records.append(
-            ProtocolRecord(pid, score, name=str(name), chain=str(chain),
-                           tvl=None if tvl is None else float(tvl))
-        )
-    universe = validate_universe(records)
+    universe = validate_universe(
+        ProtocolRecord(pid, score, name=name or "", chain=chain or "", tvl=tvl)
+        for pid, score, name, chain, tvl in rows
+    )
 
-    yields_map = spec.field_map.get("yields", DEFAULT_FIELD_MAP["yields"])
     series: dict[str, DatedSeries] = {}
     for pid in sorted(ids):
-        path = spec.endpoints["yields"].format(protocol_id=pid)
-        payload = _fetch_resource(
-            spec, session, "yields", f"{pid}_{range_key}", path,
-            {"start": start.isoformat(), "end": end.isoformat()},
+        pairs = _fetch_rows(
+            spec, session, "yields", f"{pid}_{range_key}",
+            spec.endpoints["yields"].format(protocol_id=pid), params,
+            [("date", _iso_date, True), ("apy", float, True)],
         )
-        pairs = []
-        for item in payload:
-            date = dt.date.fromisoformat(str(_mapped("yields", yields_map, item, "date")))
-            apy = float(_mapped("yields", yields_map, item, "apy"))
-            pairs.append((date, apy))
         if pairs:
             series[pid] = DatedSeries.from_pairs(pairs)
 
     fx = None
     if "fx" in spec.endpoints:
-        fx_map = spec.field_map.get("fx", DEFAULT_FIELD_MAP["fx"])
-        payload = _fetch_resource(
-            spec, session, "fx", f"all_{range_key}", spec.endpoints["fx"],
-            {"start": start.isoformat(), "end": end.isoformat()},
-        )
-        pairs = []
-        for item in payload:
-            date = dt.date.fromisoformat(str(_mapped("fx", fx_map, item, "date")))
-            rate = float(_mapped("fx", fx_map, item, "rate"))
-            pairs.append((date, rate))
-        fx = DatedSeries.from_pairs(pairs)
+        fx = DatedSeries.from_pairs(_fetch_rows(
+            spec, session, "fx", f"all_{range_key}", spec.endpoints["fx"], params,
+            [("date", _iso_date, True), ("rate", float, True)],
+        ))
 
     return DataBundle(universe, YieldPanel(series=series, fx=fx))

@@ -36,8 +36,6 @@ def _month_groups(ledger: BacktestLedger):
 
 def monthly_performance(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Compounded return per calendar month, keyed by the month's last row date."""
-    if not ledger.rows:
-        raise EmptyLedger("cannot report on an empty ledger")
     out = []
     for group in _month_groups(ledger):
         growth = 1.0
@@ -49,8 +47,6 @@ def monthly_performance(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
 
 def monthly_avg_risk(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Arithmetic mean of the daily portfolio risk per calendar month."""
-    if not ledger.rows:
-        raise EmptyLedger("cannot report on an empty ledger")
     out = []
     for group in _month_groups(ledger):
         risks = [row.portfolio_risk for row in group]
@@ -240,7 +236,7 @@ def emit_outputs(
     plot-ready JSON into `out_dir`; byte content is deterministic for fixed
     inputs.  Returns the written paths.
     """
-    if not ledgers or any(not l.rows for l in ledgers):
+    if not ledgers:
         raise EmptyLedger("refusing to emit outputs for empty ledgers")
     if not reports or any(not r.rows for r in reports):
         raise EmptyLedger("refusing to emit outputs for an empty report")

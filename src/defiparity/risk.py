@@ -57,10 +57,6 @@ class RiskMatrix:
     def size(self) -> int:
         return len(self.universe_ids)
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.entries).copy()
-
     def is_diagonal(self) -> bool:
         off = self.entries - np.diag(np.diagonal(self.entries))
         return not np.any(off)
@@ -77,14 +73,6 @@ def normalize(matrix: RiskMatrix) -> RiskMatrix:
         raise AlreadyNormalized("risk matrix is already normalized")
     entries = unit_frobenius(matrix.entries)
     return RiskMatrix(matrix.universe_ids, entries, normalized=True)
-
-
-def normalized_scores(universe: Universe) -> np.ndarray:
-    """Diagonal of normalize(build_risk_matrix(universe)), without the matrix.
-
-    The diagonal model's Frobenius norm is the Euclidean norm of the scores.
-    """
-    return unit_frobenius(np.asarray(universe.scores, dtype=float))
 
 
 @dataclass(frozen=True)

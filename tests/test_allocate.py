@@ -329,9 +329,6 @@ class TestOptions:
             {"max_iterations": 0},
             {"tolerance": 0.0},
             {"tolerance": -1.0},
-            {"initial_step": 0.0},
-            {"backtracking_factor": 1.0},
-            {"backtracking_factor": 0.0},
         ],
     )
     def test_invalid_options(self, kwargs):

@@ -152,6 +152,32 @@ class TestBacktestCommand:
         ])
         assert code == 2
 
+    def fx_run(self, tmp_path, start, end):
+        return main([
+            "backtest",
+            "--scores", str(tmp_path / "scores.csv"),
+            "--yields", str(tmp_path / "yields.csv"),
+            "--fx", str(tmp_path / "fx.csv"),
+            "--method", "ew,erc",
+            "--start", start.isoformat(),
+            "--end", end.isoformat(),
+            "--out", str(tmp_path / "out"),
+        ])
+
+    def test_fx_run_builds_one_panel(self, tmp_path, capsys, panel_builds):
+        assert self.fx_run(tmp_path, *write_inputs(tmp_path)) == 0
+        assert len(panel_builds) == 1
+        assert panel_builds[0].fx is not None
+
+    def test_yields_error_reported_before_fx_error(self, tmp_path, capsys):
+        start, end = write_inputs(tmp_path)
+        (tmp_path / "yields.csv").write_text("date,protocol_id,apy\n2021-12-01,aave,abc\n")
+        (tmp_path / "fx.csv").write_text("date,rate\n2021-12-01,0\n")
+        assert self.fx_run(tmp_path, start, end) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'yields.csv'}:2: cannot parse apy" in err
+        assert "fx.csv" not in err
+
     def test_date_outside_data_exits_2(self, tmp_path, capsys):
         start, end = write_inputs(tmp_path)
         code = main([
@@ -254,6 +280,7 @@ def yield_api():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 

@@ -49,8 +49,7 @@ class TestLoadScores:
                      "b,Beta,ChainY,0.8,\n")
         universe = load_scores(path)
         assert universe.ids == ("a", "b")
-        assert universe.get("a").tvl == 1000.0
-        assert universe.get("b").tvl is None
+        assert [p.tvl for p in universe] == [1000.0, None]
 
     def test_empty_body(self, tmp_path):
         path = write(tmp_path / "scores.csv", "protocol_id,name,chain,score,tvl\n")
@@ -65,6 +64,17 @@ class TestLoadScores:
             load_scores(path)
         assert exc.value.protocol_id == "a"
         assert ":2" in str(exc.value)
+
+    @pytest.mark.parametrize("pid", ["a;b", "a b"])
+    def test_malformed_id_reports_line(self, tmp_path, pid):
+        path = write(tmp_path / "scores.csv",
+                     "protocol_id,name,chain,score,tvl\n"
+                     "ok,Okay,ChainX,0.5,\n"
+                     f"{pid},Alpha,ChainX,0.5,\n")
+        with pytest.raises(ParseError) as exc:
+            load_scores(path)
+        assert exc.value.line == 3
+        assert str(exc.value).startswith(f"{path}:3: protocol_id must be a single token")
 
     def test_bad_float_reports_line(self, tmp_path):
         path = write(tmp_path / "scores.csv",
@@ -214,6 +224,12 @@ class TestRoundTrip:
             assert (tmp_path / "one" / name).read_bytes() == \
                 (tmp_path / "two" / name).read_bytes()
 
+    def test_fx_bundle_builds_one_panel(self, tmp_path, panel_builds):
+        save_bundle(sample_bundle(), tmp_path)
+        panel_builds.clear()
+        assert load_bundle(tmp_path).panel.fx is not None
+        assert len(panel_builds) == 1
+
     def test_series_id_must_exist_in_universe(self):
         universe = validate_universe([ProtocolRecord("a", 1.0)])
         panel = YieldPanel(series={
@@ -356,6 +372,31 @@ class TestFetchRemote:
         with pytest.raises(MappingError) as exc:
             fetch_remote(spec, bundle.universe.ids, RANGE, session=session)
         assert exc.value.field == "apy"
+
+    @pytest.mark.parametrize("route, index, field, value", [
+        ("/scores", 1, "score", "abc"),
+        ("/yields/curve", 2, "date", "2022-13-01"),
+    ])
+    def test_unconvertible_value_names_url_and_item(self, tmp_path, route, index,
+                                                    field, value):
+        bundle = sample_bundle()
+        routes = stub_routes(bundle)
+        routes[route][index][field] = value
+        spec = make_spec(tmp_path)
+        with pytest.raises(ParseError) as exc:
+            fetch_remote(spec, bundle.universe.ids, RANGE, session=StubSession(routes))
+        message = str(exc.value)
+        assert message.startswith(f"https://yields.example{route}: item {index}: ")
+        assert repr(field) in message and repr(value) in message
+
+    @pytest.mark.parametrize("payload", [{"date": "2022-01-01", "rate": 1.0}, ["x"]])
+    def test_payload_not_a_list_of_objects(self, tmp_path, payload):
+        bundle = sample_bundle()
+        routes = {**stub_routes(bundle), "/fx": payload}
+        with pytest.raises(ParseError) as exc:
+            fetch_remote(make_spec(tmp_path), bundle.universe.ids, RANGE,
+                         session=StubSession(routes))
+        assert str(exc.value).startswith("https://yields.example/fx: ")
 
     def test_field_map_renames(self, tmp_path):
         bundle = sample_bundle(with_fx=False)

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="monthly perf/risk/ratio tables from ledgers")
     p.add_argument("--ledger", required=True,
                    help="directory holding ledger_<method>.csv files")
-    p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
+    p.add_argument("--format", choices=report.MONTHLY_FORMATS, default="csv")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("fetch", help="fetch a data bundle from a remote API")
@@ -145,31 +145,7 @@ def cmd_report(args) -> int:
     if not ledger_paths:
         raise FileNotFoundError(f"no ledger_*.csv files under {base}")
     reports = [report.monthly_report(report.read_ledger_csv(p)) for p in ledger_paths]
-    reports.sort(key=lambda r: r.method)
-    if args.format == "json":
-        print(json.dumps(
-            {
-                r.method: [
-                    {
-                        "month_end": row.month_end.isoformat(),
-                        "perf": row.perf,
-                        "avg_risk": row.avg_risk,
-                        "ratio": row.ratio,
-                    }
-                    for row in r.rows
-                ]
-                for r in reports
-            },
-            sort_keys=True,
-        ))
-    elif args.format == "table":
-        print(report.render_report_table(reports))
-    else:
-        print("method,month_end,perf,avg_risk,ratio")
-        for r in reports:
-            for row in r.rows:
-                print(f"{r.method},{row.month_end.isoformat()},"
-                      f"{row.perf!r},{row.avg_risk!r},{row.ratio!r}")
+    sys.stdout.write(report.format_monthly(reports, args.format))
     return EXIT_OK
 
 
@@ -203,7 +179,7 @@ def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date
         endpoints=endpoints,
         cache_dir=cache_dir,
         cache_ttl=cache_ttl,
-        field_map={**ingest.DEFAULT_FIELD_MAP, **field_map},
+        field_map=field_map,
     )
     return spec, ids, (start, end)
 

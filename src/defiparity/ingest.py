@@ -288,36 +288,22 @@ def load_bundle(in_dir) -> DataBundle:
 
 # --- remote fetch with on-disk cache ------------------------------------------
 
-DEFAULT_FIELD_MAP: dict[str, dict[str, str]] = {
-    "scores": {
-        "protocol_id": "protocol_id",
-        "name": "name",
-        "chain": "chain",
-        "score": "score",
-        "tvl": "tvl",
-    },
-    "yields": {"date": "date", "apy": "apy"},
-    "fx": {"date": "date", "rate": "rate"},
-}
-
-
 @dataclass(frozen=True)
 class FetchSpec:
     """Where to fetch each resource and how to cache and map the payloads.
 
     `endpoints` maps resource names ("scores", "yields", "fx") to path
     templates; the yields template may contain ``{protocol_id}``.
-    `field_map` renames payload keys to our field names per resource, so
-    provider-specific schemas stay in configuration.
+    `field_map` maps our field names to payload keys per resource, so
+    provider-specific schemas stay in configuration; a field it does not
+    name is read under its own name.
     """
 
     base_url: str
     endpoints: Mapping[str, str]
     cache_dir: Path
     cache_ttl: float = 3600.0
-    field_map: Mapping[str, Mapping[str, str]] = field(
-        default_factory=lambda: DEFAULT_FIELD_MAP
-    )
+    field_map: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
     max_retries: int = 3
     retry_backoff: float = 0.25
     timeout: float = 10.0
@@ -408,12 +394,13 @@ def _http_get(spec: FetchSpec, session, url: str, params: dict):
 
 
 def _fetch_rows(spec: FetchSpec, session, resource: str, key: str, path: str,
-                params: dict, fields) -> list[tuple]:
-    """One resource's payload items, each as a tuple of converted fields.
+                params: dict, fields, build=lambda *values: values) -> list:
+    """One resource's payload items, each built by `build` from its fields.
 
     `fields` lists (our field name, converter, required); a missing
-    optional field is None.  A value the converter rejects raises a
-    ParseError naming the request URL and the item's index.
+    optional field is None, and a JSON boolean is never accepted.  A value
+    the converter or `build` rejects raises a ParseError naming the request
+    URL and the item's index (a NonPositiveScore keeps its type).
     """
     url = spec.base_url.rstrip("/") + "/" + path.lstrip("/")
     request = json.dumps([url, params], sort_keys=True).encode("utf-8")
@@ -424,7 +411,7 @@ def _fetch_rows(spec: FetchSpec, session, resource: str, key: str, path: str,
         _cache_write(spec, resource, key, payload, url)
     if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
         raise ParseError(url, None, "payload must be a JSON list of objects")
-    field_map = spec.field_map.get(resource, DEFAULT_FIELD_MAP[resource])
+    field_map = spec.field_map.get(resource, {})
     rows = []
     for index, item in enumerate(payload):
         row = []
@@ -437,11 +424,18 @@ def _fetch_rows(spec: FetchSpec, session, resource: str, key: str, path: str,
                 row.append(None)
                 continue
             try:
+                if isinstance(value, bool):
+                    raise TypeError("JSON booleans are not accepted")
                 row.append(convert(value))
             except (TypeError, ValueError) as exc:
                 raise ParseError(url, None, f"item {index}: cannot convert {source!r} "
                                             f"from {value!r}: {exc}") from None
-        rows.append(tuple(row))
+        try:
+            rows.append(build(*row))
+        except NonPositiveScore as exc:
+            raise NonPositiveScore(exc.protocol_id, f"{url} item {index}") from None
+        except ValueError as exc:
+            raise ParseError(url, None, f"item {index}: {exc}") from None
     return rows
 
 
@@ -471,15 +465,13 @@ def fetch_remote(
     range_key = f"{start.isoformat()}_{end.isoformat()}"
     params = {"start": start.isoformat(), "end": end.isoformat()}
 
-    rows = _fetch_rows(
+    universe = validate_universe(_fetch_rows(
         spec, session, "scores", f"all_{range_key}", spec.endpoints["scores"], params,
         [("protocol_id", str, True), ("score", float, True), ("name", str, False),
          ("chain", str, False), ("tvl", float, False)],
-    )
-    universe = validate_universe(
-        ProtocolRecord(pid, score, name=name or "", chain=chain or "", tvl=tvl)
-        for pid, score, name, chain, tvl in rows
-    )
+        lambda pid, score, name, chain, tvl: ProtocolRecord(
+            pid, score, name=name or "", chain=chain or "", tvl=tvl),
+    ))
 
     series: dict[str, DatedSeries] = {}
     for pid in sorted(ids):

@@ -15,9 +15,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backtest import BacktestLedger, BacktestRow, compare_backtests
+from .backtest import BacktestLedger, BacktestRow, ComparisonTable, compare_backtests
 from .domain import WeightVector
 from .errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
+from .ingest import _read_rows
 
 RATIO_TOL = 1e-9
 
@@ -111,23 +112,50 @@ def monthly_report(ledger: BacktestLedger) -> MonthlyReport:
 
 
 def render_report_table(reports: list[MonthlyReport]) -> str:
-    """Human-readable table: perf as 4dp percent, risk and ratio at 4dp."""
-    lines = []
-    header = f"{'month_end':<12}" + "".join(
+    """Human-readable table: perf as 4dp percent, risk and ratio at 4dp.
+    The reports must cover the same month ends (MonthMisalignment otherwise).
+    """
+    months = [row.month_end for row in reports[0].rows]
+    for report in reports[1:]:
+        if [row.month_end for row in report.rows] != months:
+            raise MonthMisalignment(f"reports {reports[0].method!r} and "
+                                    f"{report.method!r} cover different month ends")
+    lines = [f"{'month_end':<12}" + "".join(
         f"{r.method + ' perf':>14}{r.method + ' risk':>12}{r.method + ' p/r':>12}"
         for r in reports
-    )
-    lines.append(header)
-    months = [row.month_end for row in reports[0].rows]
-    for i, month_end in enumerate(months):
-        cells = [f"{month_end.isoformat():<12}"]
-        for report in reports:
-            row = report.rows[i]
-            cells.append(
-                f"{row.perf * 100:>13.4f}%{row.avg_risk:>12.4f}{row.ratio:>12.4f}"
-            )
-        lines.append("".join(cells))
+    )]
+    for rows in zip(*(report.rows for report in reports)):
+        lines.append(f"{rows[0].month_end.isoformat():<12}" + "".join(
+            f"{row.perf * 100:>13.4f}%{row.avg_risk:>12.4f}{row.ratio:>12.4f}"
+            for row in rows
+        ))
     return "\n".join(lines)
+
+
+MONTHLY_FORMATS = ("csv", "json", "table")
+
+
+def format_monthly(reports: list[MonthlyReport], fmt: str) -> str:
+    """The monthly tables, by method, as newline-terminated text in `fmt`,
+    one of MONTHLY_FORMATS; `csv` is the content of ``monthly_report.csv``.
+    """
+    reports = sorted(reports, key=lambda r: r.method)
+    if fmt == "table":
+        return render_report_table(reports) + "\n"
+    if fmt == "json":
+        return json.dumps({r.method: [
+            {"month_end": row.month_end.isoformat(), "perf": row.perf,
+             "avg_risk": row.avg_risk, "ratio": row.ratio} for row in r.rows
+        ] for r in reports}, sort_keys=True) + "\n"
+    if fmt != "csv":
+        raise ValueError(f"unknown report format {fmt!r}; choose from {MONTHLY_FORMATS}")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["method", "month_end", "perf", "avg_risk", "ratio"]]
+        + [[r.method, row.month_end.isoformat(), repr(row.perf), repr(row.avg_risk),
+            repr(row.ratio)] for r in reports for row in r.rows]
+    )
+    return buf.getvalue()
 
 
 # --- file emission -------------------------------------------------------------
@@ -169,8 +197,7 @@ def _write_ledger_csv(ledger: BacktestLedger, path: Path) -> None:
         fh.writelines(lines)
 
 
-def _write_comparison_csv(ledgers: list[BacktestLedger], path: Path) -> None:
-    table = compare_backtests(ledgers)
+def _write_comparison_csv(table: ComparisonTable, path: Path) -> None:
     has_usd = {
         m: any(v is not None for v in table.values_usd[m]) for m in table.methods
     }
@@ -201,30 +228,15 @@ def _write_comparison_csv(ledgers: list[BacktestLedger], path: Path) -> None:
 
 
 def _write_monthly_csv(reports: list[MonthlyReport], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "month_end", "perf", "avg_risk", "ratio"])
-        for report in reports:
-            for row in report.rows:
-                writer.writerow([
-                    report.method,
-                    row.month_end.isoformat(),
-                    repr(row.perf),
-                    repr(row.avg_risk),
-                    repr(row.ratio),
-                ])
+    path.write_text(format_monthly(reports, "csv"), encoding="utf-8", newline="")
 
 
-def _plot_data(ledgers: list[BacktestLedger]) -> dict:
-    methods = {}
-    for ledger in ledgers:
-        methods[ledger.method] = {
-            "dates": [r.date.isoformat() for r in ledger.rows],
-            "value_stable": list(ledger.values_stable),
-            "value_usd": [r.value_usd for r in ledger.rows],
-            "portfolio_risk": list(ledger.risks),
-        }
-    return {"methods": methods}
+def _plot_data(table: ComparisonTable) -> dict:
+    dates = [d.isoformat() for d in table.dates]
+    return {"methods": {m: {
+        "dates": dates, "value_stable": list(table.values_stable[m]),
+        "value_usd": list(table.values_usd[m]), "portfolio_risk": list(table.risks[m]),
+    } for m in table.methods}}
 
 
 def emit_outputs(
@@ -248,14 +260,15 @@ def emit_outputs(
         path = out / f"ledger_{ledger.method}.csv"
         _write_ledger_csv(ledger, path)
         written.append(path)
+    table = compare_backtests(ordered)
     path = out / "comparison.csv"
-    _write_comparison_csv(ordered, path)
+    _write_comparison_csv(table, path)
     written.append(path)
     path = out / "monthly_report.csv"
-    _write_monthly_csv(sorted(reports, key=lambda r: r.method), path)
+    _write_monthly_csv(reports, path)
     written.append(path)
     path = out / "plot_data.json"
-    payload = json.dumps(_plot_data(ordered), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(_plot_data(table), sort_keys=True, separators=(",", ":"))
     path.write_text(payload + "\n", encoding="utf-8")
     written.append(path)
     return written
@@ -265,31 +278,30 @@ def emit_outputs(
 
 
 def read_ledger_csv(path) -> BacktestLedger:
-    """Rebuild a ledger from a CSV written by emit_outputs."""
-    name = Path(path).stem
-    method = name.removeprefix("ledger_")
+    """Rebuild a ledger from a CSV written by emit_outputs.  Rows get the
+    input loaders' checks; a ParseError names the `path:line` of a row that
+    does not parse, or the file when the rows break a ledger invariant.
+    """
+    method = Path(path).stem.removeprefix("ledger_")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != LEDGER_FIELDS:
-            raise ParseError(path, 1, f"unexpected ledger header {reader.fieldnames!r}")
-        for record in reader:
-            date = dt.date.fromisoformat(record["date"])
-            active_ids = tuple(record["active_ids"].split(";"))
-            weights = WeightVector(
-                active_ids,
-                tuple(float(v) for v in record["weights"].split(";")),
-            )
+    for lineno, (date, ret, stable, usd, risk, ids, weights) in _read_rows(path, LEDGER_FIELDS):
+        try:
+            active_ids = tuple(ids.split(";"))
             rows.append(BacktestRow(
-                date=date,
+                date=dt.date.fromisoformat(date),
                 active_ids=active_ids,
-                weights=weights,
-                daily_return=float(record["daily_return"]),
-                value_stable=float(record["value_stable"]),
-                value_usd=float(record["value_usd"]) if record["value_usd"] else None,
-                portfolio_risk=float(record["portfolio_risk"]),
+                weights=WeightVector(active_ids, tuple(map(float, weights.split(";")))),
+                daily_return=float(ret),
+                value_stable=float(stable),
+                value_usd=float(usd) if usd else None,
+                portfolio_risk=float(risk),
             ))
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     if not rows:
         raise EmptyLedger(f"ledger file {path} has no rows")
-    initial = rows[0].value_stable / (1.0 + rows[0].daily_return)
-    return BacktestLedger(method, initial, tuple(rows))
+    try:
+        initial = rows[0].value_stable / (1.0 + rows[0].daily_return)
+        return BacktestLedger(method, initial, tuple(rows))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(path, None, str(exc)) from None

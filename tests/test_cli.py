@@ -192,6 +192,16 @@ class TestBacktestCommand:
         assert code == 2
 
 
+def _cell(index, value):
+    """An edit of a ledger line that sets one cell; the ids cell of these
+    ledgers is never quoted, so the line splits on every comma."""
+    def edit(line):
+        cells = line.split(",")
+        cells[index] = value
+        return ",".join(cells)
+    return edit
+
+
 class TestReportCommand:
     def run_backtest_cli(self, tmp_path):
         start, end = write_inputs(tmp_path)
@@ -235,8 +245,81 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "%" in out and "2021-12-31" in out
 
+    def test_csv_stdout_equals_monthly_report_csv(self, tmp_path, capsys):
+        out_dir = self.run_backtest_cli(tmp_path)
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(out_dir), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (out_dir / "monthly_report.csv").read_text()
+
     def test_missing_dir_exits_4(self, tmp_path, capsys):
         assert main(["report", "--ledger", str(tmp_path / "absent")]) == 4
+
+    def report_after_edit(self, tmp_path, capsys, index, edit):
+        """Exit code and stderr of `report` once `edit` has replaced line
+        `index` of the EW ledger (a None result drops it); the ledger's path."""
+        out_dir = self.run_backtest_cli(tmp_path)
+        path = out_dir / "ledger_ew.csv"
+        lines = path.read_text().splitlines()
+        edited = edit(lines[index])
+        if edited is None:
+            del lines[index]
+        else:
+            lines[index] = edited
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["report", "--ledger", str(out_dir)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err, path
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda line: ",".join(line.split(",")[:4]), id="short-row"),
+        pytest.param(lambda line: line + ",x", id="extra-field"),
+        pytest.param(_cell(1, "abc"), id="bad-float"),
+        pytest.param(_cell(0, "2021-13-05"), id="bad-date"),
+        pytest.param(_cell(6, "0.5;0.6"), id="weights-not-summing-to-1"),
+        pytest.param(_cell(6, "1.0"), id="weights-of-another-set"),
+    ])
+    def test_malformed_ledger_row_exits_2_naming_line(self, tmp_path, capsys, edit):
+        code, err, path = self.report_after_edit(tmp_path, capsys, 4, edit)
+        assert code == 2
+        assert err.startswith(f"error: {path}:5: ")
+
+    def test_missing_day_exits_2_naming_file(self, tmp_path, capsys):
+        code, err, path = self.report_after_edit(tmp_path, capsys, 4, lambda line: None)
+        assert code == 2
+        assert err == f"error: {path}: ledger must hold one row per consecutive day\n"
+
+    def test_total_loss_on_first_day_exits_2(self, tmp_path, capsys):
+        code, err, path = self.report_after_edit(tmp_path, capsys, 1, _cell(1, "-1.0"))
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("erc_end", ["2022-03-31", "2022-01-31"])
+    def test_table_needs_the_same_months(self, tmp_path, capsys, erc_end):
+        # EW covers Dec-Feb; ERC covers Jan-Mar, or January alone
+        write_inputs(tmp_path, days=121)
+        for method, start, end in (("ew", "2021-12-01", "2022-02-28"),
+                                   ("erc", "2022-01-01", erc_end)):
+            assert main([
+                "backtest", "--scores", str(tmp_path / "scores.csv"),
+                "--yields", str(tmp_path / "yields.csv"), "--method", method,
+                "--start", start, "--end", end, "--out", str(tmp_path / method),
+            ]) == 0
+        ledgers = tmp_path / "ledgers"
+        ledgers.mkdir()
+        for method in ("ew", "erc"):
+            name = f"ledger_{method}.csv"
+            (ledgers / name).write_bytes((tmp_path / method / name).read_bytes())
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(ledgers), "--format", "table"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: reports 'erc' and 'ew' cover different month ends\n"
+        )
+        # the per-method formats carry each report's own months
+        assert main(["report", "--ledger", str(ledgers), "--format", "json"]) == 0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -335,6 +418,20 @@ class TestFetchCommand:
         for name in ("scores.csv", "yields.csv", "fx.csv"):
             assert (tmp_path / "b1" / name).read_bytes() == \
                 (tmp_path / "b2" / name).read_bytes()
+
+    def test_fields_section_renames_one_field(self, tmp_path, capsys, yield_api):
+        # the INI maps only protocol_id; every other field keeps its own name
+        for item in _Handler.payloads["/v1/scores"]:
+            item["slug"] = item.pop("protocol_id")
+        config = self.write_config(tmp_path, yield_api)
+        config.write_text(config.read_text() + "\n[fields.scores]\nprotocol_id = slug\n")
+        out_dir = tmp_path / "bundle"
+        assert main(["fetch", "--config", str(config), "--out", str(out_dir)]) == 0
+        assert (out_dir / "scores.csv").read_text() == (
+            "protocol_id,name,chain,score,tvl\n"
+            "aave,Aave,Ethereum,1.0,500.0\n"
+            "curve,Curve,Ethereum,4.0,\n"
+        )
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "fetch.ini"

@@ -389,6 +389,44 @@ class TestFetchRemote:
         assert message.startswith(f"https://yields.example{route}: item {index}: ")
         assert repr(field) in message and repr(value) in message
 
+    def test_malformed_id_names_url_and_item(self, tmp_path):
+        bundle = sample_bundle()
+        routes = stub_routes(bundle)
+        routes["/scores"][1]["protocol_id"] = "a b"
+        with pytest.raises(ParseError) as exc:
+            fetch_remote(make_spec(tmp_path), bundle.universe.ids, RANGE,
+                         session=StubSession(routes))
+        message = str(exc.value)
+        assert message.startswith("https://yields.example/scores: item 1: ")
+        assert "'a b'" in message
+
+    def test_nonpositive_score_names_url_and_item(self, tmp_path):
+        bundle = sample_bundle()
+        routes = stub_routes(bundle)
+        routes["/scores"][1]["score"] = -1.0
+        with pytest.raises(NonPositiveScore) as exc:
+            fetch_remote(make_spec(tmp_path), bundle.universe.ids, RANGE,
+                         session=StubSession(routes))
+        assert exc.value.protocol_id == "curve"
+        assert "(https://yields.example/scores item 1)" in str(exc.value)
+
+    @pytest.mark.parametrize("route, index, field, value", [
+        ("/scores", 0, "score", True),
+        ("/scores", 0, "tvl", True),
+        ("/yields/curve", 3, "apy", False),
+        ("/fx", 1, "rate", True),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, route, index, field, value):
+        bundle = sample_bundle()
+        routes = stub_routes(bundle)
+        routes[route][index][field] = value
+        with pytest.raises(ParseError) as exc:
+            fetch_remote(make_spec(tmp_path), bundle.universe.ids, RANGE,
+                         session=StubSession(routes))
+        message = str(exc.value)
+        assert message.startswith(f"https://yields.example{route}: item {index}: ")
+        assert repr(field) in message and repr(value) in message
+
     @pytest.mark.parametrize("payload", [{"date": "2022-01-01", "rate": 1.0}, ["x"]])
     def test_payload_not_a_list_of_objects(self, tmp_path, payload):
         bundle = sample_bundle()

@@ -1,13 +1,17 @@
 import datetime as dt
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defiparity.backtest import BacktestConfig, YieldPanel, run_backtest
 from defiparity.domain import DatedSeries, ProtocolRecord, validate_universe
 from defiparity.errors import EmptyLedger, MonthMisalignment, ZeroRisk
 from defiparity.report import (
     emit_outputs,
+    format_monthly,
     monthly_avg_risk,
     monthly_performance,
     monthly_report,
@@ -248,3 +252,65 @@ class TestRenderTable:
         assert "1.4400%" in text
         assert "0.6673" in text
         assert "0.0216" in text
+
+    def test_reports_must_cover_the_same_months(self):
+        dec, jan, feb = dt.date(2021, 12, 31), dt.date(2022, 1, 31), dt.date(2022, 2, 28)
+        ew = perf_risk_ratio([(dec, 0.01), (jan, 0.02)], [(dec, 0.5), (jan, 0.5)], "ew")
+        erc = perf_risk_ratio([(jan, 0.01), (feb, 0.02)], [(jan, 0.5), (feb, 0.5)], "erc")
+        with pytest.raises(MonthMisalignment):
+            render_report_table([ew, erc])
+        with pytest.raises(MonthMisalignment):
+            render_report_table([ew, perf_risk_ratio([(dec, 0.01)], [(dec, 0.5)], "tvl")])
+
+    def test_unknown_format_rejected(self):
+        month = dt.date(2021, 12, 31)
+        report = perf_risk_ratio([(month, 0.01)], [(month, 0.5)], method="ew")
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            format_monthly([report], "xml")
+
+
+@st.composite
+def engine_ledgers(draw):
+    """The three ledgers of one run over a random panel: ids that hold the
+    CSV delimiter and quote character, late entrants, gaps, FX on or off."""
+    ids = draw(st.lists(st.text(alphabet='ab,"', min_size=1, max_size=3),
+                        min_size=1, max_size=5, unique=True))
+    days = draw(st.integers(1, 70))
+    start = D0 + dt.timedelta(days=draw(st.integers(0, 40)))
+    apys = st.floats(-0.5, 3.0)
+    records, series = [], {}
+    for i, pid in enumerate(ids):
+        records.append(ProtocolRecord(pid, draw(st.floats(0.05, 20.0)),
+                                      tvl=draw(st.floats(1.0, 1e9))))
+        # the first protocol is observed every day, so no day is empty
+        late = 0 if i == 0 else draw(st.integers(0, days - 1))
+        seen = [True] * days if i == 0 else draw(
+            st.lists(st.booleans(), min_size=days - late, max_size=days - late))
+        series[pid] = DatedSeries.from_pairs(
+            (start + dt.timedelta(days=late + k), draw(apys))
+            for k, observed in enumerate(seen) if observed
+        )
+        if not series[pid].entries:
+            del series[pid]
+    fx = None
+    if draw(st.booleans()):
+        fx = DatedSeries.from_pairs(
+            (start + dt.timedelta(days=k), draw(st.floats(0.5, 2.0))) for k in range(days)
+        )
+    universe = validate_universe(records)
+    panel = YieldPanel(series=series, fx=fx)
+    end = start + dt.timedelta(days=days - 1)
+    return [run_backtest(BacktestConfig(start, end, method, max_gap_fill_days=2),
+                         universe, panel)
+            for method in ("ew", "tvl", "erc")]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(engine_ledgers())
+def test_ledger_csv_round_trip(ledgers):
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(ledgers, [monthly_report(l) for l in ledgers], out)
+        for ledger in ledgers:
+            reloaded = read_ledger_csv(f"{out}/ledger_{ledger.method}.csv")
+            assert reloaded.method == ledger.method
+            assert reloaded.rows == ledger.rows

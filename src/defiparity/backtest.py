@@ -72,13 +72,15 @@ class YieldPanel:
     def __post_init__(self):
         object.__setattr__(self, "series", dict(self.series))
         for pid, s in self.series.items():
-            for date, apy in s.entries:
-                if not (math.isfinite(apy) and apy > -1.0):
-                    raise InvalidApy(f"APY must be > -1: {apy!r} for {pid!r} on {date}")
+            ok = (s.levels > -1.0) & (s.levels < math.inf)
+            if not ok.all():
+                date, apy = s.entries[int(ok.argmin())]  # Python objects, plain reprs
+                raise InvalidApy(f"APY must be > -1: {apy!r} for {pid!r} on {date}")
         if self.fx is not None:
-            for date, rate in self.fx.entries:
-                if not (math.isfinite(rate) and rate > 0.0):
-                    raise NonPositiveRate(f"FX rate must be > 0: {rate!r} on {date}")
+            ok = (self.fx.levels > 0.0) & (self.fx.levels < math.inf)
+            if not ok.all():
+                date, rate = self.fx.entries[int(ok.argmin())]
+                raise NonPositiveRate(f"FX rate must be > 0: {rate!r} on {date}")
 
     def _window(self, universe_ids: tuple[str, ...], config: "BacktestConfig") -> "_Window":
         """The window `config` asks for, compiled once and kept for the next
@@ -126,18 +128,17 @@ def active_universe(
 def _forward_fill(series: DatedSeries, days: np.ndarray, gap: int):
     """Vector form of `series.fill_forward(day, gap)` over consecutive day ordinals.
 
-    Returns (found, index, values): `found[i]` says whether day i has a
-    value, which is then `values[index[i]]`; None when no observation lies
-    within days[0] - gap .. days[-1].
+    Returns (found, index, levels): `found[i]` says whether day i has a
+    value, which is then `levels[index[i]]`, `levels` being the observations
+    dated days[0] - gap .. days[-1]; None when there are none.
     """
-    ordinals, values = series.observed_between(
-        dt.date.fromordinal(max(1, int(days[0]) - gap)), dt.date.fromordinal(int(days[-1])))
-    if not ordinals:
+    lo, hi = np.searchsorted(series.ordinals, (days[0] - gap, days[-1] + 1)).tolist()
+    if lo == hi:
         return None
-    ordinals = np.asarray(ordinals)
+    ordinals = series.ordinals[lo:hi]
     index = np.searchsorted(ordinals, days, side="right") - 1
     found = (index >= 0) & (days - ordinals[index] <= gap)
-    return found, index, values
+    return found, index, series.levels[lo:hi]
 
 
 class _Window:
@@ -162,7 +163,7 @@ class _Window:
             filled = None if series is None else _forward_fill(series, days, gap)
             if filled is not None:
                 found, index, apys = filled
-                rates = np.array([daily_rate(apy, convention) for apy in apys])
+                rates = np.array([daily_rate(apy, convention) for apy in apys.tolist()])
                 active[:, j] = found
                 self.rates[:, j] = np.where(found, rates[index], 0.0)
 
@@ -179,7 +180,7 @@ class _Window:
             if not found.all():
                 stops.append((int((~found).argmax()), 1, MissingFx))
             else:
-                self.fx = np.asarray(filled[2])[filled[1]]
+                self.fx = filled[2][filled[1]]
         self.stop = None
         if stops:
             day, _, error = min(stops)
@@ -213,6 +214,11 @@ class BacktestRow:
     value_usd: float | None
     portfolio_risk: float
 
+    def __post_init__(self):
+        figures = (self.daily_return, self.value_stable, self.value_usd or 0.0, self.portfolio_risk)
+        if not (all(map(math.isfinite, figures)) and self.portfolio_risk >= 0):
+            raise ValueError(f"ledger figures must be finite, risk >= 0 (on {self.date})")
+
 
 @dataclass(frozen=True)
 class BacktestLedger:
@@ -229,7 +235,7 @@ class BacktestLedger:
                 if row.date != prev.date + _ONE_DAY:
                     raise ValueError("ledger must hold one row per consecutive day")
                 expected = prev.value_stable * (1.0 + row.daily_return)
-                if abs(row.value_stable - expected) > 1e-12 * abs(expected):
+                if not abs(row.value_stable - expected) <= 1e-12 * abs(expected):
                     raise ValueError(f"accrual identity violated on {row.date}")
             if not row.value_stable > 0:
                 raise ValueError(f"portfolio value must stay > 0 (on {row.date})")

@@ -7,12 +7,12 @@ matrices/vectors without re-checking.
 
 from __future__ import annotations
 
-import bisect
 import datetime as dt
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     DuplicateId,
@@ -122,50 +122,49 @@ class WeightVector:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatedSeries:
-    """Daily observations keyed by UTC calendar day, strictly increasing."""
+    """Daily observations on strictly increasing UTC days, held as two read-only
+    arrays: `ordinals` (`date.toordinal()`, int64) and `levels` (float64).
+    `entries`, `dates` and `values` are tuple views of Python objects."""
 
-    entries: tuple[tuple[dt.date, float], ...]
+    ordinals: np.ndarray
+    levels: np.ndarray
 
     def __post_init__(self):
-        prev = None
-        for date, _ in self.entries:
-            if not isinstance(date, dt.date) or isinstance(date, dt.datetime):
-                raise TypeError("series dates must be datetime.date (whole UTC days)")
-            if prev is not None and date <= prev:
-                if date == prev:
-                    raise DuplicateObservation(f"duplicate observation on {date}")
-                raise ValueError("series dates must be strictly increasing")
-            prev = date
+        for name, dtype in (("ordinals", np.int64), ("levels", np.float64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if self.ordinals.ndim != 1 or self.ordinals.shape != self.levels.shape:
+            raise ValueError("series needs one level per day ordinal")
+        rises = np.diff(self.ordinals) > 0
+        if not rises.all():
+            i = int(rises.argmin())
+            if self.ordinals[i] == self.ordinals[i + 1]:
+                raise DuplicateObservation(f"duplicate observation on {self.dates[i]}")
+            raise ValueError("series dates must be strictly increasing")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[dt.date, float]]) -> "DatedSeries":
         """Sort unordered (date, value) pairs; duplicate dates are rejected."""
-        return cls(tuple((d, float(v)) for d, v in sorted(pairs, key=lambda e: e[0])))
+        pairs = sorted(pairs, key=lambda e: e[0])
+        if not all(isinstance(d, dt.date) and not isinstance(d, dt.datetime)
+                   for d, _ in pairs):
+            raise TypeError("series dates must be datetime.date (whole UTC days)")
+        return cls([d.toordinal() for d, _ in pairs], [float(v) for _, v in pairs])
 
-    @cached_property
-    def _dates(self) -> list[dt.date]:
-        return [d for d, _ in self.entries]
-
-    @cached_property
-    def _by_date(self) -> dict[dt.date, float]:
-        return {d: v for d, v in self.entries}
+    @property
+    def entries(self) -> tuple[tuple[dt.date, float], ...]:
+        return tuple(zip(self.dates, self.values))
 
     @property
     def dates(self) -> tuple[dt.date, ...]:
-        return tuple(self._dates)
+        return tuple(map(dt.date.fromordinal, self.ordinals.tolist()))
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.entries)
-
-    def observed_between(self, first: dt.date, last: dt.date) -> tuple[list[int], list[float]]:
-        """Day ordinals and values of the observations dated first..last."""
-        lo = bisect.bisect_left(self._dates, first)
-        hi = bisect.bisect_right(self._dates, last)
-        return ([d.toordinal() for d in self._dates[lo:hi]],
-                [v for _, v in self.entries[lo:hi]])
+        return tuple(self.levels.tolist())
 
     def fill_forward(self, date: dt.date, max_gap_days: int = 0) -> float | None:
         """Value on `date`, or the last value at most `max_gap_days` old.
@@ -173,16 +172,15 @@ class DatedSeries:
         Returns None before the first observation or when the gap to the
         last observation exceeds the window.
         """
-        exact = self._by_date.get(date)
-        if exact is not None:
-            return exact
-        idx = bisect.bisect_right(self._dates, date) - 1
-        if idx < 0:
+        day = date.toordinal()
+        i = int(np.searchsorted(self.ordinals, day, side="right")) - 1
+        if i < 0 or day - self.ordinals[i] > max_gap_days:
             return None
-        last_date = self._dates[idx]
-        if (date - last_date).days > max_gap_days:
-            return None
-        return self.entries[idx][1]
+        return float(self.levels[i])
+
+    def __eq__(self, other):
+        return (isinstance(other, DatedSeries) and np.array_equal(self.ordinals, other.ordinals)
+                and np.array_equal(self.levels, other.levels))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ordinals)

@@ -203,16 +203,12 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     packed = np.array(keys, dtype=np.int64)
     by_key = np.argsort(packed)
     packed = packed[by_key]
-    values = np.array(apys, dtype=float)[by_key].tolist()
+    values = np.array(apys, dtype=float)[by_key]
     del keys, apys
     bounds = np.searchsorted(packed, np.arange(len(order) + 1) << _DAY_BITS).tolist()
-    date_of = {day: dt.date.fromordinal(day) for day in day_of.values()}
-    dates = list(map(date_of.__getitem__, (packed & ((1 << _DAY_BITS) - 1)).tolist()))
-    series = {
-        pid: DatedSeries(tuple(zip(dates[lo:hi], values[lo:hi])))
-        for pid, lo, hi in zip(order, bounds, bounds[1:])
-        if lo < hi
-    }
+    days = packed & ((1 << _DAY_BITS) - 1)
+    series = {pid: DatedSeries(days[lo:hi], values[lo:hi])
+              for pid, lo, hi in zip(order, bounds, bounds[1:]) if lo < hi}
     return YieldPanel(series=series, fx=None if fx_path is None else load_fx(fx_path))
 
 

@@ -1,17 +1,20 @@
 """The per-day backtest loop the score-vector engine replaced, kept as an oracle.
 
-Every day it resolves the active set with one `fill_forward` per protocol,
-builds and normalizes the dense risk matrix over that set, runs the
-general-path weighting (`solve_erc` for ERC), reports risk through
-`portfolio_risk_report`, and calls `fill_forward` again for each active
-protocol to accrue.  It shares no code with `run_backtest` beyond the
+Every day it resolves the active set with one `reference_fill_forward` per
+protocol, builds and normalizes the dense risk matrix over that set, runs
+the general-path weighting (`solve_erc` for ERC), reports risk through
+`portfolio_risk_report`, and calls `reference_fill_forward` again for each
+active protocol to accrue.  It shares no code with `run_backtest` beyond the
 public value types and the general allocation path; on a diagonal matrix
 `solve_erc` takes the same closed form, which the allocation tests check
-against the iterative solver.
+against the iterative solver.  Forward fills bisect the series' (date,
+value) entries, so they share nothing with the engine's `searchsorted` over
+the series arrays either.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 
 from defiparity.allocate import equal_weights, solve_erc, tvl_weights
@@ -22,11 +25,23 @@ from defiparity.backtest import (
     YieldPanel,
     daily_rate,
 )
-from defiparity.domain import Universe
+from defiparity.domain import DatedSeries, Universe
 from defiparity.errors import MissingFx, NoActiveProtocols
 from defiparity.risk import build_risk_matrix, normalize, portfolio_risk_report
 
 _ONE_DAY = dt.timedelta(days=1)
+
+
+def reference_fill_forward(series: DatedSeries, date: dt.date,
+                           max_gap_days: int) -> float | None:
+    """The value on `date`, or the last value at most `max_gap_days` old;
+    None before the first observation or beyond the gap."""
+    entries = series.entries
+    dates = [d for d, _ in entries]
+    idx = bisect.bisect_right(dates, date) - 1
+    if idx < 0 or (date - dates[idx]).days > max_gap_days:
+        return None
+    return entries[idx][1]
 
 
 def reference_active_universe(panel: YieldPanel, universe: Universe,
@@ -36,7 +51,7 @@ def reference_active_universe(panel: YieldPanel, universe: Universe,
         series = panel.series.get(record.protocol_id)
         if series is None:
             continue
-        if series.fill_forward(date, max_gap_fill_days) is not None:
+        if reference_fill_forward(series, date, max_gap_fill_days) is not None:
             active.append(record)
     if not active:
         raise NoActiveProtocols(date)
@@ -70,13 +85,13 @@ def reference_backtest(config: BacktestConfig, universe: Universe,
 
         day_return = 0.0
         for pid, w in zip(weights.universe_ids, weights.values):
-            apy = panel.series[pid].fill_forward(date, config.max_gap_fill_days)
+            apy = reference_fill_forward(panel.series[pid], date, config.max_gap_fill_days)
             day_return += w * daily_rate(apy, config.apy_convention)
         value = value * (1.0 + day_return)
 
         value_usd = None
         if panel.fx is not None:
-            rate = panel.fx.fill_forward(date, config.max_gap_fill_days)
+            rate = reference_fill_forward(panel.fx, date, config.max_gap_fill_days)
             if rate is None:
                 raise MissingFx(date)
             value_usd = value * rate

@@ -105,6 +105,23 @@ class TestPanelValidation:
         with pytest.raises(NonPositiveRate):
             YieldPanel(series={}, fx=fx)
 
+    @pytest.mark.parametrize("bad,shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (-1.5, "-1.5"), (-1.0, "-1.0"),
+    ])
+    def test_messages_name_the_first_bad_entry(self, bad, shown):
+        apys = DatedSeries.from_pairs(
+            [(day(0), 0.05), (day(1), -0.5), (day(2), bad), (day(3), 0.04), (day(4), -2.0)])
+        with pytest.raises(InvalidApy) as exc:
+            YieldPanel(series={"a": constant_series(0.05, 0, 4), "b": apys,
+                               "c": constant_series(-3.0, 0, 4)})
+        assert str(exc.value) == f"APY must be > -1: {shown} for 'b' on 2022-01-03"
+
+        fx = DatedSeries.from_pairs(
+            [(day(0), 1.0), (day(1), 0.5), (day(2), bad), (day(3), 1.0), (day(4), 0.0)])
+        with pytest.raises(NonPositiveRate) as exc:
+            YieldPanel(series={"a": constant_series(0.05, 0, 4)}, fx=fx)
+        assert str(exc.value) == f"FX rate must be > 0: {shown} on 2022-01-03"
+
 
 class TestConfigValidation:
     def test_start_after_end(self):

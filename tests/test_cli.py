@@ -279,6 +279,10 @@ class TestReportCommand:
         pytest.param(_cell(0, "2021-13-05"), id="bad-date"),
         pytest.param(_cell(6, "0.5;0.6"), id="weights-not-summing-to-1"),
         pytest.param(_cell(6, "1.0"), id="weights-of-another-set"),
+        pytest.param(_cell(4, "nan"), id="nan-risk"),
+        pytest.param(_cell(4, "-0.1"), id="negative-risk"),
+        pytest.param(_cell(3, "inf"), id="inf-usd"),
+        pytest.param(_cell(1, "nan"), id="nan-return"),
     ])
     def test_malformed_ledger_row_exits_2_naming_line(self, tmp_path, capsys, edit):
         code, err, path = self.report_after_edit(tmp_path, capsys, 4, edit)

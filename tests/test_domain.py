@@ -1,6 +1,9 @@
 import datetime as dt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defiparity.domain import (
     DatedSeries,
@@ -10,6 +13,7 @@ from defiparity.domain import (
     validate_universe,
 )
 from defiparity.errors import DuplicateId, DuplicateObservation, EmptyUniverse, NonPositiveScore
+from reference_engine import reference_fill_forward
 
 
 def test_validate_universe_sorts_by_id():
@@ -105,14 +109,46 @@ class TestWeightVector:
 
 class TestDatedSeries:
     def test_strictly_increasing_enforced(self):
-        d = dt.date(2022, 1, 1)
-        with pytest.raises(ValueError):
-            DatedSeries(((d, 1.0), (d - dt.timedelta(days=1), 2.0)))
+        d = dt.date(2022, 1, 1).toordinal()
+        with pytest.raises(ValueError, match="strictly increasing") as exc:
+            DatedSeries([d, d - 1], [1.0, 2.0])
+        assert not isinstance(exc.value, DuplicateObservation)
+        # the first bad step decides, so a later repeat does not change the error
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DatedSeries([d, d - 1, d + 5, d + 5], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DuplicateObservation, match="on 2022-01-02"):
+            DatedSeries([d, d + 1, d + 1, d], [1.0, 2.0, 3.0, 4.0])
 
     def test_duplicate_dates_rejected(self):
         d = dt.date(2022, 1, 1)
         with pytest.raises(DuplicateObservation):
             DatedSeries.from_pairs([(d, 1.0), (d, 2.0)])
+
+    def test_from_pairs_entries_are_sorted_python_objects(self):
+        d = dt.date(2022, 1, 1)
+        pairs = [(d + dt.timedelta(days=k), v) for k, v in ((3, 0.5), (0, -0.25), (1, 2.0))]
+        s = DatedSeries.from_pairs(pairs)
+        assert s.entries == tuple(sorted(pairs))
+        for date, value in s.entries:
+            assert type(date) is dt.date and type(value) is float
+        assert s == DatedSeries(s.ordinals, s.levels)
+        assert s != DatedSeries(s.ordinals, s.levels + 1.0)
+
+    def test_arrays_are_read_only_copies(self):
+        ordinals = np.array([738000, 738001])
+        levels = np.array([0.1, 0.2])
+        s = DatedSeries(ordinals, levels)
+        ordinals[0] = 1
+        levels[0] = 9.0
+        assert s.dates == (dt.date.fromordinal(738000), dt.date.fromordinal(738001))
+        assert s.values == (0.1, 0.2)
+        assert (s.ordinals.dtype, s.levels.dtype) == (np.int64, np.float64)
+        with pytest.raises(ValueError):
+            s.levels[0] = 1.0
+
+    def test_one_level_per_ordinal(self):
+        with pytest.raises(ValueError):
+            DatedSeries([738000, 738001], [0.1])
 
     def test_from_pairs_sorts(self):
         d = dt.date(2022, 1, 1)
@@ -133,5 +169,35 @@ class TestDatedSeries:
         assert s.fill_forward(d, max_gap_days=0) == 0.05
 
     def test_datetime_rejected(self):
-        with pytest.raises(TypeError):
-            DatedSeries(((dt.datetime(2022, 1, 1, 12, 0), 1.0),))
+        with pytest.raises(TypeError, match="datetime.date"):
+            DatedSeries.from_pairs([(dt.datetime(2022, 1, 1, 12, 0), 1.0)])
+        with pytest.raises(TypeError, match="datetime.date"):
+            DatedSeries.from_pairs([(dt.datetime(2022, 1, 3), 1.0),
+                                    (dt.datetime(2022, 1, 1), 2.0)])
+
+
+@st.composite
+def series_and_gap(draw):
+    """A random series (steps of 1-7 days, so gaps inside and beyond the
+    fill window), a fill window of 0-5 days and the days to look up, from
+    before the first observation to past the last one's window."""
+    first = dt.date(2021, 12, 1) + dt.timedelta(days=draw(st.integers(0, 60)))
+    steps = draw(st.lists(st.integers(1, 7), max_size=25))
+    days = [first]
+    for step in steps:
+        days.append(days[-1] + dt.timedelta(days=step))
+    values = draw(st.lists(st.floats(-0.99, 5.0), min_size=len(days), max_size=len(days)))
+    gap = draw(st.integers(0, 5))
+    lookups = [first + dt.timedelta(days=k)
+               for k in range(-3, (days[-1] - first).days + gap + 3)]
+    return DatedSeries.from_pairs(zip(days, values)), gap, lookups
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(series_and_gap())
+def test_fill_forward_matches_reference(case):
+    series, gap, lookups = case
+    for date in lookups:
+        got = series.fill_forward(date, gap)
+        want = reference_fill_forward(series, date, gap)
+        assert got == want and type(got) is type(want), (date, gap)

@@ -12,6 +12,7 @@ divided by 100.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import hashlib
@@ -20,6 +21,7 @@ import math
 import os
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +31,7 @@ import numpy as np
 from .backtest import YieldPanel
 from .domain import DatedSeries, ProtocolRecord, Universe, validate_universe
 from .errors import (
+    DefiParityError,
     DuplicateId,
     DuplicateObservation,
     InvalidApy,
@@ -144,67 +147,79 @@ def load_scores(path) -> Universe:
 _DAY_BITS = 22
 
 
+def _checked_yield_row(row, path, lineno: int, index, day_of) -> tuple[int, float]:
+    """A non-blank yields row's packed key and APY, after every row check."""
+    if len(row) != len(YIELDS_HEADER):
+        raise _field_count_error(path, lineno, len(YIELDS_HEADER), len(row))
+    date_text, pid, apy_text = (cell.strip() for cell in row)
+    day = day_of.get(date_text)
+    if day is None:
+        day = day_of[date_text] = _parse_date(date_text, path, lineno).toordinal()
+    if pid not in index:
+        raise UnknownProtocol(pid, f"{path}:{lineno}")
+    apy = _parse_float(apy_text, path, lineno, "apy", percent_ok=True)
+    if apy <= -1.0:
+        raise InvalidApy(f"{path}:{lineno}: APY must be > -1, got {apy_text!r}")
+    return index[pid] | day, apy
+
+
+def _sorted_keys(keys: array, blanks: list[int], path, order: list[str]):
+    """The stable key order of the rows read so far, and the sorted keys.  The
+    first repeat in file order raises; `blanks` (the row count at each blank
+    line skipped) gives its line number."""
+    packed = np.frombuffer(keys, dtype=np.int64)
+    by_key = np.argsort(packed, kind="stable")
+    packed = packed[by_key]
+    repeats = by_key[1:][packed[1:] == packed[:-1]]
+    if repeats.size:
+        i = int(repeats.min())
+        k, day = divmod(keys[i], 1 << _DAY_BITS)
+        raise DuplicateObservation(
+            f"{path}:{2 + i + bisect.bisect_right(blanks, i)}: duplicate observation "
+            f"for {order[k]!r} on {dt.date.fromordinal(day)}"
+        ) from None
+    return by_key, packed
+
+
 def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     """Read the long-format yields CSV into per-protocol series.
 
     Rows must name a protocol in `ids`; the same (protocol, date) pair may
-    appear only once.  Rows are checked in file order and stream into flat
-    columns (packed protocol/day key, APY); each protocol's series is then
-    one slice of the columns sorted by key.  The FX CSV at `fx_path`, if
-    given, is read after the yields rows and becomes the panel's overlay.
+    appear only once.  A plain row (known raw date and id, APY in (-1, inf))
+    goes straight into typed columns (packed protocol/day key, APY); others
+    are skipped if blank or take the checked parse.  Repeats are found on the
+    sorted keys, each series is one slice of them, and the FX CSV at
+    `fx_path`, if given, is read last and becomes the panel's overlay.
     """
     order = sorted(set(ids))
     # cells are looked up raw and stripped only on a miss; an id with outer
     # whitespace can never equal a stripped cell, so it gets no entry
-    index = {pid: k for k, pid in enumerate(order) if pid == pid.strip()}
-    day_of: dict[str, int] = {}  # raw date text -> ordinal, parsed once per string
-    seen: set[int] = set()
-    keys: list[int] = []
-    apys: list[float] = []
-    width = len(YIELDS_HEADER)
+    index = {pid: k << _DAY_BITS for k, pid in enumerate(order) if pid == pid.strip()}
+    day_of: dict[str, int] = {}  # date text -> ordinal, parsed once per string
+    keys, apys, blanks = array("q"), array("d"), []
+    add_key, add_apy, inf = keys.append, apys.append, math.inf
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(_checked_reader(fh, path, YIELDS_HEADER), start=2):
-            if len(row) != width:
-                if _blank(row):
-                    continue
-                raise _field_count_error(path, lineno, width, len(row))
-            date_text, pid, apy_text = row
-            day = day_of.get(date_text)
-            if day is None:
-                if _blank(row):
-                    continue
-                day = _parse_date(date_text.strip(), path, lineno).toordinal()
-                day_of[date_text] = day
-            k = index.get(pid)
-            if k is None:
-                pid = pid.strip()
-                k = index.get(pid)
-                if k is None:
-                    raise UnknownProtocol(pid, f"{path}:{lineno}")
-            try:
-                apy = float(apy_text)  # float() itself ignores outer whitespace
-            except ValueError:
-                apy = _parse_float(apy_text.strip(), path, lineno, "apy", percent_ok=True)
-            if not -1.0 < apy < math.inf:
-                apy_text = apy_text.strip()
-                if not math.isfinite(apy):
-                    raise ParseError(path, lineno, f"apy must be finite, got {apy_text!r}")
-                raise InvalidApy(f"{path}:{lineno}: APY must be > -1, got {apy_text!r}")
-            key = k << _DAY_BITS | day
-            if key in seen:
-                raise DuplicateObservation(
-                    f"{path}:{lineno}: duplicate observation for {order[k]!r} "
-                    f"on {dt.date.fromordinal(day)}"
-                )
-            seen.add(key)
-            keys.append(key)
-            apys.append(apy)
-    del seen  # the row-time structures go before the series are built
-    packed = np.array(keys, dtype=np.int64)
-    by_key = np.argsort(packed)
-    packed = packed[by_key]
-    values = np.array(apys, dtype=float)[by_key]
-    del keys, apys
+        try:
+            for row in _checked_reader(fh, path, YIELDS_HEADER):
+                try:
+                    date_text, pid, apy_text = row
+                    key, apy = index[pid] | day_of[date_text], float(apy_text)
+                except (KeyError, ValueError):
+                    apy = math.nan  # not a plain row
+                if not -1.0 < apy < inf:
+                    if _blank(row):
+                        blanks.append(len(keys))
+                        continue
+                    lineno = 2 + len(keys) + len(blanks)
+                    key, apy = _checked_yield_row(row, path, lineno, index, day_of)
+                add_key(key)
+                add_apy(apy)
+        except (DefiParityError, ValueError, csv.Error):
+            _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
+            raise
+    by_key, packed = _sorted_keys(keys, blanks, path, order)
+    values = np.frombuffer(apys, dtype=np.float64)[by_key]
+    del keys, apys, by_key
     bounds = np.searchsorted(packed, np.arange(len(order) + 1) << _DAY_BITS).tolist()
     days = packed & ((1 << _DAY_BITS) - 1)
     series = {pid: DatedSeries(days[lo:hi], values[lo:hi])

@@ -135,6 +135,55 @@ class TestLoadYields:
         with pytest.raises(DuplicateObservation):
             load_yields(path, ["a"])
 
+    def duplicate_line(self, path) -> str:
+        with pytest.raises(DuplicateObservation) as exc:
+            load_yields(path, ["a", "b"])
+        return str(exc.value).removeprefix(f"{path}:").split(":")[0]
+
+    def test_triple_names_second_occurrence(self, tmp_path):
+        path = write(tmp_path / "yields.csv",
+                     "date,protocol_id,apy\n"
+                     "2022-01-01,a,0.05\n"
+                     "2022-01-01,a,0.06\n"
+                     "2022-01-01,a,0.07\n")
+        assert self.duplicate_line(path) == "3"
+
+    def test_non_adjacent_duplicate_names_later_row(self, tmp_path):
+        path = write(tmp_path / "yields.csv",
+                     "date,protocol_id,apy\n"
+                     "2022-01-02,b,0.02\n"
+                     "2022-01-01,a,0.05\n"
+                     "2022-01-03,b,0.03\n"
+                     "2022-01-02,b,0.04\n"
+                     "2022-01-01,a,0.06\n")
+        assert self.duplicate_line(path) == "5"
+
+    @pytest.mark.parametrize("later", [
+        "2022-01-03,zz,0.01",
+        "2022-01-03,a,abc",
+        "2022-01-03,a," + "1" * 200_000,  # over csv's field size limit: csv.Error
+    ])
+    def test_duplicate_beats_later_bad_row(self, tmp_path, later):
+        path = write(tmp_path / "yields.csv",
+                     "date,protocol_id,apy\n"
+                     "2022-01-01,a,0.05\n"
+                     "2022-01-02,b,0.02\n"
+                     "2022-01-01,a,0.06\n"
+                     f"{later}\n")
+        assert self.duplicate_line(path) == "4"
+
+    def test_blank_lines_before_duplicate(self, tmp_path):
+        path = write(tmp_path / "yields.csv",
+                     "date,protocol_id,apy\n"
+                     "\n"
+                     "2022-01-01,a,0.05\n"
+                     ",,\n"
+                     " , ,\t\n"
+                     "2022-01-02,a,0.06\n"
+                     "\n"
+                     "2022-01-01,a,0.07\n")
+        assert self.duplicate_line(path) == "8"
+
     def test_unknown_protocol(self, tmp_path):
         path = write(tmp_path / "yields.csv",
                      "date,protocol_id,apy\n2022-01-01,zz,0.05\n")

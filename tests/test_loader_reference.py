@@ -7,17 +7,23 @@ rows the earlier line wins.  The one known difference: the reference checks
 every row's field count before it parses any row, so when the later bad row
 has the wrong field count it names that row instead.
 
+The same three checks run again on files of bare cells (no padding, no
+`%`), most of whose rows the loader reads without its checked parse, so its
+fast path and its sort-time duplicate check meet the reference too.
+
 Dates are plain YYYY-MM-DD, which `date.fromisoformat` reads the same way
 on every supported Python version.
 """
 
 import datetime as dt
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defiparity import ingest
 from defiparity.errors import (
     DuplicateObservation,
     InvalidApy,
@@ -52,14 +58,14 @@ def apy_texts(draw):
 
 
 @st.composite
-def valid_rows(draw):
+def valid_rows(draw, apys=apy_texts()):
     """Data rows as (date, id, apy) text, each (id, date) at most once."""
     cells = set()
     for pid in draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True)):
         days = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
         cells.update((pid, day) for day in days)
     rows = [
-        [(START + dt.timedelta(days=day)).isoformat(), pid, draw(apy_texts())]
+        [(START + dt.timedelta(days=day)).isoformat(), pid, draw(apys)]
         for pid, day in sorted(cells)
     ]
     return draw(st.permutations(rows))
@@ -162,3 +168,72 @@ def test_bad_header_same_error(tmp_path, text):
     got, want = outcome(load_yields, path), outcome(reference_load_yields, path)
     assert isinstance(got, ParseError) and got.line == 1
     assert str(got) == str(want)
+
+
+# --- bare cells: rows the loader reads without its checked parse ------------
+
+plain_apys = st.integers(-9_999, 5_000).flatmap(  # APY in (-1, 0.5], no `%`
+    lambda k: st.sampled_from([str(k / 10_000), f"{k / 10_000:.6f}", f"{k}e-4"]))
+
+
+def write_plain(path, rows, draw):
+    """Write `rows` with bare cells between blank lines; returns each row's line."""
+    lines, where = ["date,protocol_id,apy"], []
+    for row in rows:
+        while draw(st.integers(0, 9)) == 9:
+            lines.append(draw(st.sampled_from(["", ",,"])))
+        lines.append(",".join(row))
+        where.append(len(lines))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return where
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys), data=st.data())
+def test_plain_valid_files_load_equal(tmp_path_factory, rows, data):
+    path = tmp_path_factory.mktemp("plain") / "yields.csv"
+    write_plain(path, rows, data.draw)
+    with mock.patch.object(ingest, "_checked_yield_row",
+                           wraps=ingest._checked_yield_row) as spy:
+        got = load_yields(path, IDS)
+    assert got == reference_load_yields(path, IDS)
+    # only the first row of each date text needs the checked parse
+    assert spy.call_count == len({row[0] for row in rows})
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 2), data=st.data())
+def test_plain_one_bad_row_same_error(tmp_path_factory, kind, rows, data):
+    i = data.draw(st.integers(1 if kind == "duplicate" else 0, len(rows) - 1))
+    rows = [list(r) for r in rows]
+    corrupt(rows, i, kind)
+    path = tmp_path_factory.mktemp("plain_bad") / "yields.csv"
+    where = write_plain(path, rows, data.draw)
+    got, want = outcome(load_yields, path), outcome(reference_load_yields, path)
+    assert type(got) is CORRUPTIONS[kind]
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert line_of(got) == where[i]
+
+
+@pytest.mark.parametrize("first", sorted(CORRUPTIONS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 3), data=st.data())
+def test_plain_two_bad_rows_earlier_line_wins(tmp_path_factory, first, rows, data):
+    i = data.draw(st.integers(1, len(rows) - 2))
+    j = data.draw(st.integers(i + 1, len(rows) - 1))
+    second = data.draw(st.sampled_from(sorted(CORRUPTIONS)))
+    rows = [list(r) for r in rows]
+    corrupt(rows, i, first)
+    corrupt(rows, j, second)
+    path = tmp_path_factory.mktemp("plain_bad2") / "yields.csv"
+    where = write_plain(path, rows, data.draw)
+    got, want = outcome(load_yields, path), outcome(reference_load_yields, path)
+    assert type(got) is CORRUPTIONS[first]
+    assert line_of(got) == where[i]
+    if second == "field_count" and first != "field_count":
+        assert line_of(want) == where[j]
+    else:
+        assert type(got) is type(want)
+        assert str(got) == str(want)

@@ -194,7 +194,7 @@ class _Window:
                            for i in range(days.size)]
         firsts = np.unique(self.set_of_day, return_index=True)[1].tolist()
         self.set_cols = [np.flatnonzero(active[d]) for d in firsts]
-        self.set_ids = [tuple(ids[j] for j in cols.tolist()) for cols in self.set_cols]
+        self.set_ids = [tuple(map(ids.__getitem__, cols.tolist())) for cols in self.set_cols]
         # the sets the loop weighs before it stops: weights come before the
         # FX lookup on a day, and an empty day has no weights
         self.sets_priced = len(firsts)
@@ -262,16 +262,13 @@ class BacktestLedger:
         return tuple(r.portfolio_risk for r in self.rows)
 
 
-def _weights_and_risk(method: str, ids: tuple[str, ...], scores: np.ndarray,
-                      tvls: np.ndarray) -> tuple[WeightVector, float]:
-    normalized = unit_frobenius(scores)
+def _set_weights(method: str, ids: tuple[str, ...], normalized: np.ndarray,
+                 tvls: np.ndarray) -> WeightVector:
     if method == "erc":
-        weights = closed_form_weights(ids, normalized)
-    elif method == "ew":
-        weights = uniform_weights(ids)
-    else:
-        weights = tvl_share_weights(ids, tvls)
-    return weights, float(np.dot(weights.values, normalized))
+        return closed_form_weights(ids, normalized)
+    if method == "ew":
+        return uniform_weights(ids)
+    return tvl_share_weights(ids, tvls)
 
 
 def run_backtest(
@@ -297,11 +294,12 @@ def run_backtest(
     dense = np.zeros((window.sets_priced, len(universe)), order="F")
     for s in range(window.sets_priced):
         cols = window.set_cols[s]
-        w, risk = _weights_and_risk(config.method, window.set_ids[s],
-                                    scores[cols], tvls[cols])
+        normalized = unit_frobenius(scores[cols])
+        w = _set_weights(config.method, window.set_ids[s], normalized, tvls[cols])
+        values = np.array(w.values)  # converted once, for the risk and the dense row
         weights.append(w)
-        risks.append(risk)
-        dense[s, cols] = w.values
+        risks.append(float(np.dot(values, normalized)))
+        dense[s, cols] = values
     if window.stop is not None:
         day, error = window.stop
         raise error(window.dates[day])

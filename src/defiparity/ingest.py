@@ -70,11 +70,18 @@ def _checked_reader(fh, path, expected_header: list[str]):
         header = next(reader)
     except StopIteration:
         raise ParseError(path, 1, "file is empty; a header row is required")
+    except csv.Error as exc:
+        raise _csv_error(path, reader, exc) from None
     if [h.strip() for h in header] != expected_header:
         raise ParseError(
             path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
         )
     return reader
+
+
+def _csv_error(path, reader, exc: csv.Error) -> ParseError:
+    """A row the csv module rejects (an over-long field, a NUL byte), at its line."""
+    return ParseError(path, reader.line_num, f"unreadable CSV: {exc}")
 
 
 def _blank(row: list[str]) -> bool:
@@ -89,12 +96,16 @@ def _read_rows(path, expected_header: list[str]):
     """Yield (line number, stripped cells) for each non-blank row, in file order."""
     width = len(expected_header)
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(_checked_reader(fh, path, expected_header), start=2):
-            if _blank(row):
-                continue
-            if len(row) != width:
-                raise _field_count_error(path, lineno, width, len(row))
-            yield lineno, [cell.strip() for cell in row]
+        reader = _checked_reader(fh, path, expected_header)
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if _blank(row):
+                    continue
+                if len(row) != width:
+                    raise _field_count_error(path, lineno, width, len(row))
+                yield lineno, [cell.strip() for cell in row]
+        except csv.Error as exc:
+            raise _csv_error(path, reader, exc) from None
 
 
 def _parse_float(text: str, path, lineno: int, name: str, percent_ok: bool = False) -> float:
@@ -199,8 +210,9 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     keys, apys, blanks = array("q"), array("d"), []
     add_key, add_apy, inf = keys.append, apys.append, math.inf
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = _checked_reader(fh, path, YIELDS_HEADER)
         try:
-            for row in _checked_reader(fh, path, YIELDS_HEADER):
+            for row in reader:
                 try:
                     date_text, pid, apy_text = row
                     key, apy = index[pid] | day_of[date_text], float(apy_text)
@@ -214,8 +226,10 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
                     key, apy = _checked_yield_row(row, path, lineno, index, day_of)
                 add_key(key)
                 add_apy(apy)
-        except (DefiParityError, ValueError, csv.Error):
+        except (DefiParityError, ValueError, csv.Error) as exc:
             _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
+            if isinstance(exc, csv.Error):
+                raise _csv_error(path, reader, exc) from None
             raise
     by_key, packed = _sorted_keys(keys, blanks, path, order)
     values = np.frombuffer(apys, dtype=np.float64)[by_key]

@@ -173,11 +173,11 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _write_ledger_csv(ledger: BacktestLedger, path: Path) -> None:
-    # lines are built by hand: dates and float reprs never need quoting, and
-    # the id and weight cells are formatted once per distinct active set
-    # (the engine shares one active_ids tuple and one WeightVector per set)
-    ids_cells: dict[tuple[str, ...], str] = {}
+def _write_ledger_csv(ledger: BacktestLedger, path: Path,
+                      ids_cells: dict[tuple[str, ...], str]) -> None:
+    # lines are built by hand: dates and float reprs never need quoting.  Id
+    # cells are kept in `ids_cells` across one run's ledgers, weights cells per
+    # WeightVector; values that all compare equal are ~1/n (never +-0.0): one repr
     weight_cells: dict[int, str] = {}  # keyed by id(); the ledger keeps them alive
     lines = [",".join(LEDGER_FIELDS) + "\n"]
     for row in ledger.rows:
@@ -186,7 +186,9 @@ def _write_ledger_csv(ledger: BacktestLedger, path: Path) -> None:
             ids_cell = ids_cells[row.active_ids] = _csv_cell(";".join(row.active_ids))
         weights_cell = weight_cells.get(id(row.weights))
         if weights_cell is None:
-            weights_cell = ";".join(map(repr, row.weights.values))
+            values = row.weights.values
+            same = values.count(values[0]) == len(values)
+            weights_cell = ";".join([repr(values[0])] * len(values) if same else map(repr, values))
             weight_cells[id(row.weights)] = weights_cell
         usd = "" if row.value_usd is None else repr(row.value_usd)
         lines.append(
@@ -256,9 +258,10 @@ def emit_outputs(
     out.mkdir(parents=True, exist_ok=True)
     ordered = sorted(ledgers, key=lambda l: l.method)
     written = []
+    ids_cells: dict[tuple[str, ...], str] = {}
     for ledger in ordered:
         path = out / f"ledger_{ledger.method}.csv"
-        _write_ledger_csv(ledger, path)
+        _write_ledger_csv(ledger, path, ids_cells)
         written.append(path)
     table = compare_backtests(ordered)
     path = out / "comparison.csv"

@@ -16,6 +16,7 @@ SCORES_CSV = (
     "aave,Aave,Ethereum,1.0,500\n"
     "curve,Curve,Ethereum,4.0,300\n"
 )
+LONG_CELL = "9" * 200_000  # beyond the csv module's field size limit (131 072)
 
 
 def write_inputs(tmp_path, days=75, third_protocol=False):
@@ -178,6 +179,30 @@ class TestBacktestCommand:
         assert f"{tmp_path / 'yields.csv'}:2: cannot parse apy" in err
         assert "fx.csv" not in err
 
+    @pytest.mark.parametrize("name, index", [
+        ("scores.csv", 0), ("scores.csv", 2), ("yields.csv", 4), ("fx.csv", 3),
+    ])
+    def test_overlong_cell_exits_2_naming_line(self, tmp_path, capsys, name, index):
+        start, end = write_inputs(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[index] = lines[index].rsplit(",", 1)[0] + "," + LONG_CELL
+        path.write_text("\n".join(lines) + "\n")
+        assert self.fx_run(tmp_path, start, end) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:{index + 1}: unreadable CSV: field larger than field limit")
+
+    def test_overlong_yields_cell_after_a_repeat_reports_the_repeat(self, tmp_path, capsys):
+        start, end = write_inputs(tmp_path)
+        path = tmp_path / "yields.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[1]
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + LONG_CELL
+        path.write_text("\n".join(lines) + "\n")
+        assert self.fx_run(tmp_path, start, end) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:4: duplicate observation for 'aave'")
+
     def test_date_outside_data_exits_2(self, tmp_path, capsys):
         start, end = write_inputs(tmp_path)
         code = main([
@@ -283,6 +308,7 @@ class TestReportCommand:
         pytest.param(_cell(4, "-0.1"), id="negative-risk"),
         pytest.param(_cell(3, "inf"), id="inf-usd"),
         pytest.param(_cell(1, "nan"), id="nan-return"),
+        pytest.param(_cell(6, LONG_CELL), id="overlong-cell"),
     ])
     def test_malformed_ledger_row_exits_2_naming_line(self, tmp_path, capsys, edit):
         code, err, path = self.report_after_edit(tmp_path, capsys, 4, edit)

@@ -10,6 +10,7 @@ from defiparity.backtest import BacktestConfig, YieldPanel, run_backtest
 from defiparity.domain import DatedSeries, ProtocolRecord, validate_universe
 from defiparity.errors import EmptyLedger, MonthMisalignment, ZeroRisk
 from defiparity.report import (
+    _csv_cell,
     emit_outputs,
     format_monthly,
     monthly_avg_risk,
@@ -314,3 +315,49 @@ def test_ledger_csv_round_trip(ledgers):
             reloaded = read_ledger_csv(f"{out}/ledger_{ledger.method}.csv")
             assert reloaded.method == ledger.method
             assert reloaded.rows == ledger.rows
+
+
+@st.composite
+def equal_or_zero_tvl_ledgers(draw):
+    """The three ledgers of one run in which every protocol has one score and
+    one TVL, or in which protocols with TVL 0 and -0 sit beside ones with a
+    positive TVL; protocols enter on random days."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        scores = [draw(st.floats(0.05, 20.0))] * n
+        tvls = [draw(st.floats(1.0, 1e9))] * n
+    else:
+        scores = draw(st.lists(st.floats(0.05, 20.0), min_size=n + 2, max_size=n + 2))
+        tvls = draw(st.lists(st.floats(1.0, 1e9), min_size=n, max_size=n)) + [0.0, -0.0]
+    # "p0", the first id, is observed every day and has a positive TVL
+    ids = [f"p{i}" for i in range(len(tvls))]
+    days = draw(st.integers(1, 40))
+    series = {}
+    for i, pid in enumerate(ids):
+        late = 0 if i == 0 else draw(st.integers(0, days - 1))
+        series[pid] = DatedSeries.from_pairs(
+            (D0 + dt.timedelta(days=k), draw(st.floats(-0.5, 3.0))) for k in range(late, days)
+        )
+    universe = validate_universe(
+        ProtocolRecord(pid, score, tvl=tvl) for pid, score, tvl in zip(ids, scores, tvls))
+    end = D0 + dt.timedelta(days=days - 1)
+    return [run_backtest(BacktestConfig(D0, end, method), universe, YieldPanel(series))
+            for method in ("ew", "tvl", "erc")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(engine_ledgers(), equal_or_zero_tvl_ledgers()))
+def test_ledger_cells_equal_plain_formatting(ledgers):
+    """Whatever the writer caches or shortcuts, each id cell is the quoted
+    joined ids and each weights cell the joined reprs of the row's weights."""
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(ledgers, [monthly_report(l) for l in ledgers], out)
+        for ledger in ledgers:
+            with open(f"{out}/ledger_{ledger.method}.csv", newline="") as fh:
+                lines = fh.read().splitlines()[1:]
+            # the five cells before the ids never hold a comma, the weights none
+            written = [line.split(",", 5)[5].rsplit(",", 1) for line in lines]
+            assert written == [
+                [_csv_cell(";".join(row.active_ids)), ";".join(map(repr, row.weights.values))]
+                for row in ledger.rows
+            ]

@@ -108,12 +108,18 @@ class WeightVector:
             raise ValueError("weight vector length must equal universe size")
         if not self.values:
             raise ValueError("weight vector must not be empty")
-        total = math.fsum(self.values)
+        try:
+            total = math.fsum(self.values)
+        except OverflowError:  # finite weights whose partial sums overflow
+            total = math.inf
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
-        for w in self.values:
-            if not math.isfinite(w) or w < -WEIGHT_SUM_TOL or w > 1.0 + WEIGHT_SUM_TOL:
-                raise ValueError(f"weight {w!r} outside [0, 1]")
+        # C-level passes; the Python walk runs only to name the first bad weight
+        if not (all(map(math.isfinite, self.values)) and min(self.values) >= -WEIGHT_SUM_TOL
+                and max(self.values) <= 1.0 + WEIGHT_SUM_TOL):
+            for w in self.values:
+                if not math.isfinite(w) or w < -WEIGHT_SUM_TOL or w > 1.0 + WEIGHT_SUM_TOL:
+                    raise ValueError(f"weight {w!r} outside [0, 1]")
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.universe_ids, self.values))

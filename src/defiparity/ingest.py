@@ -192,20 +192,70 @@ def _sorted_keys(keys: array, blanks: list[int], path, order: list[str]):
     return by_key, packed
 
 
-def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
-    """Read the long-format yields CSV into per-protocol series.
+# the columnar pass reads a yields file in runs of whole lines of about this size
+_RUN_BYTES = 1 << 16
+_PLAIN_HEADER = (",".join(YIELDS_HEADER) + "\n").encode()
+_PLAIN_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
 
-    Rows must name a protocol in `ids`; the same (protocol, date) pair may
-    appear only once.  A plain row (known raw date and id, APY in (-1, inf))
-    goes straight into typed columns (packed protocol/day key, APY); others
-    are skipped if blank or take the checked parse.  Repeats are found on the
-    sorted keys, each series is one slice of them, and the FX CSV at
-    `fx_path`, if given, is read last and becomes the panel's overlay.
+
+def _plain_yield_columns(path, index):
+    """The packed keys and APYs of a plain yields file, in file order, and its
+    (empty) list of blank lines; or None.
+
+    A plain file is the exact header and then rows of three bare cells, each
+    line ending in `\n`: a known raw id, a date `date.fromisoformat` reads and
+    an APY `float` reads into (-1, inf).  Each run of whole lines is checked
+    and split a column at a time.  On anything else (a quote, CR or NUL, a
+    blank line or cell, a padded date or id, a wrong field count, a line
+    longer than a run, a byte that is not UTF-8) it returns None, and the
+    row loop reads the file with every check and message.
     """
-    order = sorted(set(ids))
-    # cells are looked up raw and stripped only on a miss; an id with outer
-    # whitespace can never equal a stripped cell, so it gets no entry
-    index = {pid: k << _DAY_BITS for k, pid in enumerate(order) if pid == pid.strip()}
+    day_of: dict[str, int] = {}
+    keys, apys = array("q"), array("d")
+    with open(path, "rb") as fh:
+        if fh.readline(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+            return None
+        tail = b""
+        while block := fh.read(_RUN_BYTES):
+            run = tail + block
+            end = run.rfind(b"\n") + 1
+            if not end:
+                return None
+            run, tail = run[:end], run[end:]
+            if b'"' in run or b"\r" in run or b"\0" in run:
+                return None
+            codes = np.frombuffer(run, dtype=np.uint8)
+            separators = codes[(codes == ord(",")) | (codes == ord("\n"))]
+            if separators.size % 3 or not (separators.reshape(-1, 3)
+                                           == _PLAIN_SEPARATORS).all():
+                return None
+            try:
+                cells = run.decode("utf-8").replace("\n", ",").split(",")
+                dates, ids, values = cells[0:-1:3], cells[1::3], cells[2::3]
+                for text in set(dates).difference(day_of):
+                    day_of[text] = dt.date.fromisoformat(text).toordinal()
+                n = len(ids)
+                run_keys = np.fromiter(map(index.__getitem__, ids), np.int64, n)
+                run_keys |= np.fromiter(map(day_of.__getitem__, dates), np.int64, n)
+                run_apys = np.fromiter(map(float, values), np.float64, n)
+            except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError
+                return None
+            if not ((-1.0 < run_apys) & (run_apys < math.inf)).all():
+                return None
+            keys.frombytes(run_keys.tobytes())
+            apys.frombytes(run_apys.tobytes())
+    return None if tail else (keys, apys, [])
+
+
+def _yield_rows(path, index, order):
+    """The packed keys and APYs of every non-blank yields row in file order,
+    and the row count at each blank line skipped; raises the first bad row's
+    error, or a repeat read before it.
+
+    A plain row (known raw date and id, APY in (-1, inf)) costs two lookups
+    and one `float`; any other row is skipped if blank or takes the checked
+    parse.
+    """
     day_of: dict[str, int] = {}  # date text -> ordinal, parsed once per string
     keys, apys, blanks = array("q"), array("d"), []
     add_key, add_apy, inf = keys.append, apys.append, math.inf
@@ -231,6 +281,24 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
             if isinstance(exc, csv.Error):
                 raise _csv_error(path, reader, exc) from None
             raise
+    return keys, apys, blanks
+
+
+def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
+    """Read the long-format yields CSV into per-protocol series.
+
+    Rows must name a protocol in `ids`; the same (protocol, date) pair may
+    appear only once.  A plain file is read a column at a time; any other
+    goes through the row loop, which raises every row error.  Both give
+    typed columns (packed protocol/day key, APY) in file order.  Repeats are
+    found on the sorted keys, each series is one slice of them, and the FX
+    CSV at `fx_path`, if given, is read last and becomes the panel's overlay.
+    """
+    order = sorted(set(ids))
+    # cells are looked up raw and stripped only on a miss; an id with outer
+    # whitespace can never equal a stripped cell, so it gets no entry
+    index = {pid: k << _DAY_BITS for k, pid in enumerate(order) if pid == pid.strip()}
+    keys, apys, blanks = _plain_yield_columns(path, index) or _yield_rows(path, index, order)
     by_key, packed = _sorted_keys(keys, blanks, path, order)
     values = np.frombuffer(apys, dtype=np.float64)[by_key]
     del keys, apys, by_key

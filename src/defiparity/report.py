@@ -287,13 +287,18 @@ def read_ledger_csv(path) -> BacktestLedger:
     """
     method = Path(path).stem.removeprefix("ledger_")
     rows = []
+    cells = vector = None  # the last parsed (ids, weights) text and its vector
     for lineno, (date, ret, stable, usd, risk, ids, weights) in _read_rows(path, LEDGER_FIELDS):
         try:
-            active_ids = tuple(ids.split(";"))
+            day = dt.date.fromisoformat(date)
+            if (ids, weights) != cells:  # equal text parses to equal floats
+                vector = WeightVector(tuple(ids.split(";")),
+                                      tuple(map(float, weights.split(";"))))
+                cells = ids, weights
             rows.append(BacktestRow(
-                date=dt.date.fromisoformat(date),
-                active_ids=active_ids,
-                weights=WeightVector(active_ids, tuple(map(float, weights.split(";")))),
+                date=day,
+                active_ids=vector.universe_ids,
+                weights=vector,
                 daily_return=float(ret),
                 value_stable=float(stable),
                 value_usd=float(usd) if usd else None,

@@ -315,6 +315,11 @@ class TestReportCommand:
         assert code == 2
         assert err.startswith(f"error: {path}:5: ")
 
+    def test_weights_overflowing_fsum_named_as_a_bad_sum(self, tmp_path, capsys):
+        code, err, path = self.report_after_edit(tmp_path, capsys, 4, _cell(6, "1e308;1e308"))
+        assert code == 2
+        assert err == f"error: {path}:5: weights must sum to 1 (got inf)\n"
+
     def test_missing_day_exits_2_naming_file(self, tmp_path, capsys):
         code, err, path = self.report_after_edit(tmp_path, capsys, 4, lambda line: None)
         assert code == 2

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ class TestWeightVector:
 
     def test_tiny_drift_tolerated(self):
         WeightVector(("a", "b"), (0.5 + 1e-12, 0.5 - 1e-12))
+
+    def test_sum_overflowing_fsum_rejected_as_a_sum(self):
+        with pytest.raises(ValueError, match=r"^weights must sum to 1 \(got inf\)$"):
+            WeightVector(("a", "b"), (1e308, 1e308))
+
+    @pytest.mark.parametrize("values, first_bad", [
+        ((1.5, -0.5), "1.5"),
+        ((-0.5, 1.5), "-0.5"),
+        ((0.5, math.nan, 0.5), "nan"),
+        ((1.0, 0.0, 1.0, -1.0), "-1.0"),
+    ])
+    def test_first_weight_outside_bounds_named(self, values, first_bad):
+        ids = tuple("abcd"[:len(values)])
+        with pytest.raises(ValueError, match=rf"^weight {first_bad} outside \[0, 1\]$"):
+            WeightVector(ids, values)
 
 
 class TestDatedSeries:

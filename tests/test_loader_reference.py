@@ -11,11 +11,18 @@ The same three checks run again on files of bare cells (no padding, no
 `%`), most of whose rows the loader reads without its checked parse, so its
 fast path and its sort-time duplicate check meet the reference too.
 
+The last section checks the columnar pass: plain files, of one row, of
+several 64 KB runs or cut into runs of a few lines, never reach the row
+loop; a file with one irregular feature (a blank line, CRLF, a quote, `%`,
+padding, no final newline, a byte that is not UTF-8, a 2-field line beside
+a 4-field one) loads or fails exactly as the reference does.
+
 Dates are plain YYYY-MM-DD, which `date.fromisoformat` reads the same way
 on every supported Python version.
 """
 
 import datetime as dt
+import random
 import re
 from unittest import mock
 
@@ -25,6 +32,7 @@ from hypothesis import strategies as st
 
 from defiparity import ingest
 from defiparity.errors import (
+    DefiParityError,
     DuplicateObservation,
     InvalidApy,
     ParseError,
@@ -192,13 +200,15 @@ def write_plain(path, rows, draw):
 @given(rows=valid_rows(plain_apys), data=st.data())
 def test_plain_valid_files_load_equal(tmp_path_factory, rows, data):
     path = tmp_path_factory.mktemp("plain") / "yields.csv"
-    write_plain(path, rows, data.draw)
+    where = write_plain(path, rows, data.draw)
     with mock.patch.object(ingest, "_checked_yield_row",
                            wraps=ingest._checked_yield_row) as spy:
         got = load_yields(path, IDS)
     assert got == reference_load_yields(path, IDS)
-    # only the first row of each date text needs the checked parse
-    assert spy.call_count == len({row[0] for row in rows})
+    # a file without blank lines is read a column at a time, with no checked
+    # parse; in the row loop only the first row of each date text needs one
+    has_blank = where != list(range(2, len(rows) + 2))
+    assert spy.call_count == (len({row[0] for row in rows}) if has_blank else 0)
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
@@ -237,3 +247,199 @@ def test_plain_two_bad_rows_earlier_line_wins(tmp_path_factory, first, rows, dat
     else:
         assert type(got) is type(want)
         assert str(got) == str(want)
+
+
+# --- the columnar pass: a plain file a column at a time, any other by row ---
+
+HEADER = "date,protocol_id,apy"
+PLAIN_APY_FORMATS = (lambda k: str(k / 10_000), lambda k: f"{k / 10_000:.6f}",
+                     lambda k: f"{k}e-4")
+
+
+def row_loop_spy():
+    return mock.patch.object(ingest, "_yield_rows", wraps=ingest._yield_rows)
+
+
+def short_runs(run_bytes):
+    """Runs of `run_bytes`, so that a file of a few lines spans several."""
+    return mock.patch.object(ingest, "_RUN_BYTES", run_bytes)
+
+
+def write_bare(path, rows):
+    """Write `rows` as bare cells, one `\n`-ended line each."""
+    path.write_text("".join(f"{line}\n" for line in [HEADER, *map(",".join, rows)]),
+                    encoding="utf-8")
+
+
+def assert_same_outcome(path):
+    """`load_yields` and the reference give equal panels, or the same error."""
+    def outcome_of(loader):
+        try:
+            return loader(path, IDS)
+        except (DefiParityError, ValueError) as exc:  # UnicodeDecodeError too
+            return exc
+
+    got, want = outcome_of(load_yields), outcome_of(reference_load_yields)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+
+
+def big_rows(seed, shuffled):
+    """About 10 000 rows of bare cells (several 64 KB runs), each (id, day) once."""
+    rng = random.Random(seed)
+    rows = [[(START + dt.timedelta(days=day)).isoformat(), pid,
+             rng.choice(PLAIN_APY_FORMATS)(rng.randint(-9_999, 5_000))]
+            for day in range(3_000) for pid in IDS if rng.random() < 0.85]
+    if shuffled:
+        rng.shuffle(rows)
+    return rows
+
+
+def first_row_after(rows, offset):
+    """The index of the first row whose line starts `offset` bytes or more
+    past the header, or len(rows)."""
+    start = 0
+    for i, row in enumerate(rows):
+        if start >= offset:
+            return i
+        start += len(",".join(row)) + 1
+    return len(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys), run_bytes=st.integers(32, 160))
+def test_plain_file_never_reaches_the_row_loop(tmp_path_factory, rows, run_bytes):
+    path = tmp_path_factory.mktemp("columns") / "yields.csv"
+    write_bare(path, rows)
+    with short_runs(run_bytes), row_loop_spy() as rows_read, mock.patch.object(
+            ingest, "_checked_yield_row") as checked:
+        got = load_yields(path, IDS)
+    assert not rows_read.called and not checked.called
+    assert got == reference_load_yields(path, IDS)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys))
+def test_single_row_file_loads_equal(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("single") / "yields.csv"
+    write_bare(path, rows[:1])
+    with row_loop_spy() as rows_read:
+        got = load_yields(path, IDS)
+    assert not rows_read.called
+    assert got == reference_load_yields(path, IDS)
+    assert sum(len(s) for s in got.series.values()) == 1
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
+def test_large_plain_files_load_equal(tmp_path_factory, seed, shuffled):
+    path = tmp_path_factory.mktemp("large") / "yields.csv"
+    write_bare(path, big_rows(seed, shuffled))
+    assert path.stat().st_size > 3 * ingest._RUN_BYTES
+    with row_loop_spy() as rows_read:
+        got = load_yields(path, IDS)
+    assert not rows_read.called
+    assert got == reference_load_yields(path, IDS)
+
+
+def non_utf8(rows, i):
+    """Row i's id gains a byte that is not UTF-8."""
+    return {i: f"{rows[i][0]},{rows[i][1]}\udcff,{rows[i][2]}"}
+
+
+def duplicate_of(rows, i, j):
+    """Row i repeats row j's id and date."""
+    return {i: f"{rows[j][0]},{rows[j][1]},0.01"}
+
+
+def file_bytes(rows, lines=None, newline="\n", end="\n"):
+    """The file of `rows` as bare cells, with the lines in `lines` (row
+    index -> text) instead of theirs; `\udcff` stands for the byte 0xff."""
+    lines = lines or {}
+    text = newline.join([HEADER, *(lines.get(i, ",".join(row)) for i, row in enumerate(rows))])
+    return (text + end).encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("kind", ["non_utf8", "duplicate"])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_large_file_with_a_late_irregular_row(tmp_path_factory, kind, seed, data):
+    """A bad byte, or a repeat of a row of the first run, in a later run."""
+    rows = big_rows(seed, shuffled=True)
+    later = first_row_after(rows, ingest._RUN_BYTES)
+    assert later < len(rows) // 2
+    i = data.draw(st.integers(later, len(rows) - 1))
+    if kind == "non_utf8":
+        lines = non_utf8(rows, i)
+    else:
+        lines = duplicate_of(rows, i, data.draw(st.integers(0, later // 2)))
+    path = tmp_path_factory.mktemp("late") / "yields.csv"
+    path.write_bytes(file_bytes(rows, lines))
+    assert_same_outcome(path)
+
+
+# kind -> whether the file it makes has to go through the row loop
+IRREGULAR = {
+    "blank_line": True,
+    "trailing_blank_line": True,
+    "crlf": True,
+    "quoted_id": True,
+    "percent": True,
+    "padded_date_or_id": True,
+    "no_final_newline": True,
+    "non_utf8_later_run": True,
+    "two_then_four_fields": True,
+    "four_then_two_fields": True,
+    "duplicate_across_runs": False,  # found on the sorted keys either way
+    "padded_apy": False,  # `float` reads it, as the row loop's plain rows do
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IRREGULAR))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 8),
+       run_bytes=st.integers(32, 64), data=st.data())
+def test_one_irregular_feature_same_outcome(tmp_path_factory, kind, rows, run_bytes, data):
+    """A file of bare cells but for one feature loads as the reference loads
+    it, or fails with the same error at the same line.  Two adjacent lines
+    of 2 and 4 fields that split into valid cells if the line ends are taken
+    for commas are rejected at the first of them."""
+    later = first_row_after(rows, run_bytes)  # rows from here start in a later run
+    i = data.draw(st.integers(0, len(rows) - 2))
+    date, pid, apy = rows[i]
+    pad = data.draw(st.sampled_from([" ", "\t"]))
+    kw = {}
+    if kind == "blank_line":
+        kw["lines"] = {i: f"\n{date},{pid},{apy}"}
+    elif kind == "trailing_blank_line":
+        kw["end"] = "\n\n"
+    elif kind == "crlf":
+        kw["newline"] = kw["end"] = "\r\n"
+    elif kind == "quoted_id":
+        kw["lines"] = {i: f'{date},"{pid}",{apy}'}
+    elif kind == "percent":
+        kw["lines"] = {i: f"{date},{pid},{data.draw(st.integers(-99, 50))}%"}
+    elif kind == "padded_date_or_id":
+        kw["lines"] = {i: data.draw(st.sampled_from(
+            [f"{pad}{date},{pid},{apy}", f"{date},{pid}{pad},{apy}"]))}
+    elif kind == "padded_apy":
+        kw["lines"] = {i: f"{date},{pid},{pad}{apy}{pad}"}
+    elif kind == "no_final_newline":
+        kw["end"] = ""
+    elif kind == "non_utf8_later_run":
+        kw["lines"] = non_utf8(rows, data.draw(st.integers(later, len(rows) - 1)))
+    elif kind == "duplicate_across_runs":
+        j = data.draw(st.integers(0, later - 2))  # ends before the first run does
+        kw["lines"] = duplicate_of(rows, data.draw(st.integers(later, len(rows) - 1)), j)
+    elif kind == "two_then_four_fields":
+        kw["lines"] = {i: f"{date},{pid}", i + 1: ",".join([apy, *rows[i + 1]])}
+    else:
+        kw["lines"] = {i: ",".join([*rows[i], rows[i + 1][0]]),
+                       i + 1: ",".join(rows[i + 1][1:])}
+    path = tmp_path_factory.mktemp("irregular") / "yields.csv"
+    path.write_bytes(file_bytes(rows, **kw))
+    with short_runs(run_bytes), row_loop_spy() as rows_read:
+        assert_same_outcome(path)
+    assert rows_read.called is IRREGULAR[kind]

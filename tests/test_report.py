@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import math
 import tempfile
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defiparity.backtest import BacktestConfig, YieldPanel, run_backtest
-from defiparity.domain import DatedSeries, ProtocolRecord, validate_universe
-from defiparity.errors import EmptyLedger, MonthMisalignment, ZeroRisk
+from defiparity.backtest import BacktestConfig, BacktestRow, YieldPanel, run_backtest
+from defiparity.domain import DatedSeries, ProtocolRecord, WeightVector, validate_universe
+from defiparity.errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
 from defiparity.report import (
     _csv_cell,
     emit_outputs,
@@ -361,3 +362,61 @@ def test_ledger_cells_equal_plain_formatting(ledgers):
                 [_csv_cell(";".join(row.active_ids)), ";".join(map(repr, row.weights.values))]
                 for row in ledger.rows
             ]
+
+
+def each_row_parsed(path) -> tuple[BacktestRow, ...]:
+    """The rows of a ledger CSV, each parsed on its own."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))[1:]
+    return tuple(
+        BacktestRow(dt.date.fromisoformat(day), tuple(ids.split(";")),
+                    WeightVector(tuple(ids.split(";")), tuple(map(float, weights.split(";")))),
+                    float(ret), float(stable), float(usd) if usd else None, float(risk))
+        for day, ret, stable, usd, risk, ids, weights in lines
+    )
+
+
+def late_entrant_ledger_lines(tmp_path):
+    """The ERC ledger lines of a 12-day run in which "c" enters on day 5, and
+    the ledger's path: rows 0 and 5 start an active set, the rest repeat the
+    row before."""
+    universe = validate_universe([
+        ProtocolRecord("a", 1.0), ProtocolRecord("b", 4.0), ProtocolRecord("c", 2.0),
+    ])
+    series = {pid: DatedSeries.from_pairs(
+        (D0 + dt.timedelta(days=i), 0.01 * (k + 1)) for i in range(first, 12))
+        for k, (pid, first) in enumerate([("a", 0), ("b", 0), ("c", 5)])}
+    ledger = run_backtest(BacktestConfig(D0, D0 + dt.timedelta(days=11), "erc"),
+                          universe, YieldPanel(series=series))
+    emit_outputs([ledger], [monthly_report(ledger)], tmp_path)
+    path = tmp_path / "ledger_erc.csv"
+    return path, path.read_text().splitlines()
+
+
+def with_weights(line, weights):
+    return line.rsplit(",", 1)[0] + "," + weights
+
+
+def test_repeated_weight_cells_read_like_each_row_parsed(tmp_path):
+    path, lines = late_entrant_ledger_lines(tmp_path)
+    # line 9 keeps its ids but takes other valid weights; line 10 repeats them
+    for i in (9, 10):
+        lines[i] = with_weights(lines[i], "0.5;0.25;0.25")
+    path.write_text("\n".join(lines) + "\n")
+    cells = [line.split(",", 5)[5] for line in lines[1:]]
+    # rows 0, 5, 8 and 10 differ from the row before (row 10 returns to an
+    # earlier text); the other 8 repeat it
+    assert [i for i in range(12) if i == 0 or cells[i] != cells[i - 1]] == [0, 5, 8, 10]
+    assert read_ledger_csv(path).rows == each_row_parsed(path)
+
+
+@pytest.mark.parametrize("index", [2, 7, 12])
+def test_bad_weight_after_a_repeated_row_reported_at_its_line(tmp_path, index):
+    # each of these rows has the previous row's ids, and weights of its own
+    path, lines = late_entrant_ledger_lines(tmp_path)
+    lines[index] = with_weights(lines[index], ";".join(["0.6"] * (3 if index > 6 else 2)))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_ledger_csv(path)
+    assert exc.value.line == index + 1
+    assert "weights must sum to 1" in str(exc.value)

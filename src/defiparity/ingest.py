@@ -13,9 +13,11 @@ divided by 100.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime as dt
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -63,25 +65,63 @@ class DataBundle:
 # --- CSV loading --------------------------------------------------------------
 
 
-def _checked_reader(fh, path, expected_header: list[str]):
-    """A csv reader over `fh`, past a header row that must equal `expected_header`."""
-    reader = csv.reader(fh)
+@contextlib.contextmanager
+def _utf8_text(path):
+    """`path` open as UTF-8 text with untranslated line ends; a byte that is
+    not UTF-8 raises a ParseError at the first line that holds one."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(path, 1, "file is empty; a header row is required")
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()  # split where the text reader splits
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, lineno, f"not UTF-8: byte {raw[exc.start]:#04x} "
+                                               f"at byte {exc.start + 1} ({exc.reason})") from None
+        raise
+
+
+def _csv_error(path, lineno: int, exc: csv.Error) -> ParseError:
+    """A row the csv module rejects (an over-long field, a NUL byte), at its line."""
+    return ParseError(path, lineno, f"unreadable CSV: {exc}")
+
+
+def _split_rows(fh, path):
+    """The rows `csv.reader(fh)` gives, with a csv.Error raised as a ParseError
+    at its line.  A plain line (no quote or NUL, no CR but one before its
+    final `\n`, no longer than the csv field size limit) is split on commas
+    here; the first other line and the rest of `fh` go to one csv.reader."""
+    limit, lines = csv.field_size_limit(), 0
+    for line in fh:
+        body = line
+        if line.endswith("\n"):  # else the last line, or one ended by a lone CR
+            body = line[:-2] if line.endswith("\r\n") else line[:-1]
+        if '"' in body or "\r" in body or "\0" in body or len(body) > limit:
+            break
+        lines += 1
+        yield body.split(",") if body else []
+    else:
+        return
+    reader = csv.reader(itertools.chain((line,), fh))
+    try:
+        yield from reader
     except csv.Error as exc:
-        raise _csv_error(path, reader, exc) from None
+        raise _csv_error(path, lines + reader.line_num, exc) from None
+
+
+def _checked_rows(rows, path, expected_header: list[str]):
+    """`rows` past a header row that must equal `expected_header`."""
+    header = next(rows, None)
+    if header is None:
+        raise ParseError(path, 1, "file is empty; a header row is required")
     if [h.strip() for h in header] != expected_header:
         raise ParseError(
             path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
         )
-    return reader
-
-
-def _csv_error(path, reader, exc: csv.Error) -> ParseError:
-    """A row the csv module rejects (an over-long field, a NUL byte), at its line."""
-    return ParseError(path, reader.line_num, f"unreadable CSV: {exc}")
+    return rows
 
 
 def _blank(row: list[str]) -> bool:
@@ -95,17 +135,14 @@ def _field_count_error(path, lineno: int, expected: int, got: int) -> ParseError
 def _read_rows(path, expected_header: list[str]):
     """Yield (line number, stripped cells) for each non-blank row, in file order."""
     width = len(expected_header)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _checked_reader(fh, path, expected_header)
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if _blank(row):
-                    continue
-                if len(row) != width:
-                    raise _field_count_error(path, lineno, width, len(row))
-                yield lineno, [cell.strip() for cell in row]
-        except csv.Error as exc:
-            raise _csv_error(path, reader, exc) from None
+    with _utf8_text(path) as fh:
+        rows = _checked_rows(_split_rows(fh, path), path, expected_header)
+        for lineno, row in enumerate(rows, start=2):
+            if _blank(row):
+                continue
+            if len(row) != width:
+                raise _field_count_error(path, lineno, width, len(row))
+            yield lineno, [cell.strip() for cell in row]
 
 
 def _parse_float(text: str, path, lineno: int, name: str, percent_ok: bool = False) -> float:
@@ -203,17 +240,18 @@ def _plain_yield_columns(path, index):
     (empty) list of blank lines; or None.
 
     A plain file is the exact header and then rows of three bare cells, each
-    line ending in `\n`: a known raw id, a date `date.fromisoformat` reads and
-    an APY `float` reads into (-1, inf).  Each run of whole lines is checked
-    and split a column at a time.  On anything else (a quote, CR or NUL, a
-    blank line or cell, a padded date or id, a wrong field count, a line
-    longer than a run, a byte that is not UTF-8) it returns None, and the
-    row loop reads the file with every check and message.
+    line ending in `\n` or `\r\n`: a known raw id, a date `date.fromisoformat`
+    reads and an APY `float` reads into (-1, inf).  Each run of whole lines is
+    checked and split a column at a time.  On anything else (a quote, a CR
+    not before `\n`, a NUL, a blank line or cell, a padded date or id, a
+    wrong field count, a line longer than a run, a byte that is not UTF-8)
+    it returns None, and the row loop reads the file with every check and
+    message.
     """
     day_of: dict[str, int] = {}
     keys, apys = array("q"), array("d")
     with open(path, "rb") as fh:
-        if fh.readline(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+        if fh.readline(len(_PLAIN_HEADER) + 1).replace(b"\r\n", b"\n") != _PLAIN_HEADER:
             return None
         tail = b""
         while block := fh.read(_RUN_BYTES):
@@ -222,6 +260,8 @@ def _plain_yield_columns(path, index):
             if not end:
                 return None
             run, tail = run[:end], run[end:]
+            if b"\r" in run:  # CRLF line ends are read as LF
+                run = run.replace(b"\r\n", b"\n")
             if b'"' in run or b"\r" in run or b"\0" in run:
                 return None
             codes = np.frombuffer(run, dtype=np.uint8)
@@ -259,10 +299,10 @@ def _yield_rows(path, index, order):
     day_of: dict[str, int] = {}  # date text -> ordinal, parsed once per string
     keys, apys, blanks = array("q"), array("d"), []
     add_key, add_apy, inf = keys.append, apys.append, math.inf
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _checked_reader(fh, path, YIELDS_HEADER)
+    with _utf8_text(path) as fh:
+        reader = csv.reader(fh)  # short lines: faster than splitting them here
         try:
-            for row in reader:
+            for row in _checked_rows(reader, path, YIELDS_HEADER):
                 try:
                     date_text, pid, apy_text = row
                     key, apy = index[pid] | day_of[date_text], float(apy_text)
@@ -276,10 +316,10 @@ def _yield_rows(path, index, order):
                     key, apy = _checked_yield_row(row, path, lineno, index, day_of)
                 add_key(key)
                 add_apy(apy)
-        except (DefiParityError, ValueError, csv.Error) as exc:
+        except (DefiParityError, ValueError, csv.Error) as exc:  # UnicodeDecodeError too
             _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
             if isinstance(exc, csv.Error):
-                raise _csv_error(path, reader, exc) from None
+                raise _csv_error(path, reader.line_num, exc) from None
             raise
     return keys, apys, blanks
 

@@ -292,8 +292,13 @@ def read_ledger_csv(path) -> BacktestLedger:
         try:
             day = dt.date.fromisoformat(date)
             if (ids, weights) != cells:  # equal text parses to equal floats
-                vector = WeightVector(tuple(ids.split(";")),
-                                      tuple(map(float, weights.split(";"))))
+                universe_ids = tuple(ids.split(";"))
+                n, first = len(universe_ids), weights.partition(";")[0]
+                if weights == ";".join([first] * n):  # one weight, repeated
+                    values = (float(first),) * n
+                else:
+                    values = tuple(map(float, weights.split(";")))
+                vector = WeightVector(universe_ids, values)
                 cells = ids, weights
             rows.append(BacktestRow(
                 date=day,

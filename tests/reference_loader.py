@@ -1,8 +1,9 @@
 """The per-row yields loader the columnar one replaced, kept as an oracle.
 
-It reads the whole file into a list of `(lineno, cells)` rows, checking the
-field count of every row before it parses any, then parses each row into a
-per-protocol dict of date -> APY.  It shares no parsing code with
+It reads the whole file into a list of `(lineno, cells)` rows with one
+`csv.reader`, checking the field count of every row before it parses any,
+then parses each row into a per-protocol dict of date -> APY.  That row
+reader is also the oracle for `defiparity.ingest._read_rows`.  It shares no parsing code with
 `defiparity.ingest`, only the public value types and errors.
 """
 
@@ -20,25 +21,29 @@ YIELDS_HEADER = ["date", "protocol_id", "apy"]
 
 
 def _read_rows(path, expected_header):
+    """Every non-blank row past the header as (line number, stripped cells),
+    all read by one csv.reader; a csv.Error is a ParseError at its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "file is empty; a header row is required")
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(path, 1, "file is empty; a header row is required")
+            if [h.strip() for h in header] != expected_header:
                 raise ParseError(
-                    path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
+                    path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
                 )
-            rows.append((lineno, [cell.strip() for cell in row]))
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(
+                        path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
+                    )
+                rows.append((lineno, [cell.strip() for cell in row]))
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"unreadable CSV: {exc}") from None
     return rows
 
 

@@ -3,6 +3,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defiparity.backtest import (
     BacktestConfig,
@@ -379,3 +381,64 @@ class TestCompare:
         b = run_backtest(BacktestConfig(day(20), day(29), "erc"), universe, panel)
         with pytest.raises(DateRangeMismatch):
             compare_backtests([a, b])
+
+
+@st.composite
+def relabelled_panels(draw):
+    """A universe and panel of protocols p0..p{n-1} with late entrants and
+    gaps, and a permutation: protocol i is relabelled p{perm[i]}, so the
+    canonical (sorted) id order permutes."""
+    n = draw(st.integers(2, 6))
+    days = draw(st.integers(1, 45))
+    scores = draw(st.lists(st.one_of(st.sampled_from([1.0, 3.0]), st.floats(0.05, 20.0)),
+                           min_size=n, max_size=n))
+    # sevenths are inexact, so a sum in another order would round differently
+    tvls = draw(st.lists(st.integers(10**6, 10**10).map(lambda k: k / 7),
+                         min_size=n, max_size=n))
+    observations = []
+    for i in range(n):
+        # p0 is observed every day, so every day has an active protocol
+        late = 0 if i == 0 else draw(st.integers(0, days - 1))
+        seen = [True] * days if i == 0 else draw(
+            st.lists(st.booleans(), min_size=days - late, max_size=days - late))
+        apys = st.integers(10, 5_000).map(lambda k: k / 1e4)  # positive: no cancellation
+        observations.append([(day(late + k), draw(apys)) for k, s in enumerate(seen) if s])
+    fx = None
+    if draw(st.booleans()):
+        fx = DatedSeries.from_pairs(
+            (day(k), draw(st.integers(9_900, 10_100)) / 1e4) for k in range(days))
+    perm = draw(st.permutations(range(n)))
+
+    def build(labels):
+        universe = validate_universe(ProtocolRecord(label, score, tvl=tvl)
+                                     for label, score, tvl in zip(labels, scores, tvls))
+        series = {label: DatedSeries.from_pairs(obs)
+                  for label, obs in zip(labels, observations) if obs}
+        return universe, YieldPanel(series=series, fx=fx)
+
+    return build([f"p{i}" for i in range(n)]), build([f"p{k}" for k in perm]), perm, days
+
+
+def _rel_close(a, b) -> bool:
+    return a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(relabelled_panels(), st.sampled_from(["erc", "ew", "tvl"]))
+def test_run_backtest_is_invariant_under_permutation(case, method):
+    """Relabelling the protocols permutes each day's weights exactly, since
+    every sum behind a weight runs over sorted values; returns, values and
+    risks are sums in universe order, equal to within rounding."""
+    (universe, panel), (relabelled, relabelled_panel), perm, days = case
+    config = BacktestConfig(day(0), day(days - 1), method, max_gap_fill_days=2)
+    base = run_backtest(config, universe, panel)
+    moved = run_backtest(config, relabelled, relabelled_panel)
+    original = {f"p{k}": f"p{i}" for i, k in enumerate(perm)}
+    for a, b in zip(base.rows, moved.rows, strict=True):
+        assert a.date == b.date
+        assert a.weights.as_dict() == {original[pid]: w for pid, w in b.weights.as_dict().items()}
+        assert _rel_close(a.daily_return, b.daily_return)
+        assert _rel_close(a.value_stable, b.value_stable)
+        assert (a.value_usd is None) is (b.value_usd is None)
+        assert a.value_usd is None or _rel_close(a.value_usd, b.value_usd)
+        assert _rel_close(a.portfolio_risk, b.portfolio_risk)

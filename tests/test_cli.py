@@ -192,6 +192,21 @@ class TestBacktestCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {path}:{index + 1}: unreadable CSV: field larger than field limit")
 
+    @pytest.mark.parametrize("name, index", [
+        ("scores.csv", 0), ("scores.csv", 2), ("yields.csv", 40), ("fx.csv", 10),
+    ])
+    def test_non_utf8_byte_exits_2_naming_line(self, tmp_path, capsys, name, index):
+        start, end = write_inputs(tmp_path)
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[index] = lines[index].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"\n".join(lines))
+        assert self.fx_run(tmp_path, start, end) == 2
+        column = lines[index].index(b"\xff") + 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{index + 1}: not UTF-8: byte 0xff at byte {column} "
+            "(invalid start byte)\n")
+
     def test_overlong_yields_cell_after_a_repeat_reports_the_repeat(self, tmp_path, capsys):
         start, end = write_inputs(tmp_path)
         path = tmp_path / "yields.csv"
@@ -314,6 +329,19 @@ class TestReportCommand:
         code, err, path = self.report_after_edit(tmp_path, capsys, 4, edit)
         assert code == 2
         assert err.startswith(f"error: {path}:5: ")
+
+    def test_non_utf8_byte_exits_2_naming_line(self, tmp_path, capsys):
+        out_dir = self.run_backtest_cli(tmp_path)
+        path = out_dir / "ledger_ew.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b";", b";\xc3", 1)  # a lead byte with no continuation
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(out_dir)]) == 2
+        column = lines[4].index(b"\xc3") + 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:5: not UTF-8: byte 0xc3 at byte {column} "
+            "(invalid continuation byte)\n")
 
     def test_weights_overflowing_fsum_named_as_a_bad_sum(self, tmp_path, capsys):
         code, err, path = self.report_after_edit(tmp_path, capsys, 4, _cell(6, "1e308;1e308"))

@@ -12,10 +12,13 @@ The same three checks run again on files of bare cells (no padding, no
 fast path and its sort-time duplicate check meet the reference too.
 
 The last section checks the columnar pass: plain files, of one row, of
-several 64 KB runs or cut into runs of a few lines, never reach the row
-loop; a file with one irregular feature (a blank line, CRLF, a quote, `%`,
-padding, no final newline, a byte that is not UTF-8, a 2-field line beside
-a 4-field one) loads or fails exactly as the reference does.
+several 64 KB runs or cut into runs of a few lines, with `\n` or `\r\n`
+line ends, never reach the row loop; a file with one irregular feature (a
+blank line, CRLF, a quote, `%`, padding, no final newline, a 2-field line
+beside a 4-field one) loads or fails exactly as the reference does.  A byte
+that is not UTF-8 is the one declared difference: the reference lets
+`UnicodeDecodeError` out, and `load_yields` raises a ParseError naming the
+line that holds the byte.
 
 Dates are plain YYYY-MM-DD, which `date.fromisoformat` reads the same way
 on every supported Python version.
@@ -271,8 +274,10 @@ def write_bare(path, rows):
                     encoding="utf-8")
 
 
-def assert_same_outcome(path):
-    """`load_yields` and the reference give equal panels, or the same error."""
+def assert_same_outcome(path, undecodable_line=None):
+    """`load_yields` and the reference give equal panels, or the same error.
+    Where the reference cannot decode the file, `load_yields` raises a
+    ParseError naming `undecodable_line`, the line with the bad byte."""
     def outcome_of(loader):
         try:
             return loader(path, IDS)
@@ -280,7 +285,10 @@ def assert_same_outcome(path):
             return exc
 
     got, want = outcome_of(load_yields), outcome_of(reference_load_yields)
-    if isinstance(want, Exception):
+    if isinstance(want, UnicodeDecodeError):
+        assert type(got) is ParseError and got.line == undecodable_line
+        assert str(got).startswith(f"{path}:{undecodable_line}: not UTF-8: byte 0xff")
+    elif isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
     else:
         assert got == want
@@ -344,6 +352,23 @@ def test_large_plain_files_load_equal(tmp_path_factory, seed, shuffled):
     assert got == reference_load_yields(path, IDS)
 
 
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_crlf_and_lf_files_load_bit_equal(tmp_path_factory, seed):
+    rows = big_rows(seed, shuffled=True)
+    lf, crlf = (tmp_path_factory.mktemp("ends") / name for name in ("lf.csv", "crlf.csv"))
+    lf.write_bytes(file_bytes(rows))
+    crlf.write_bytes(file_bytes(rows, newline="\r\n", end="\r\n"))
+    assert crlf.stat().st_size > 3 * ingest._RUN_BYTES
+    with row_loop_spy() as rows_read:
+        got, want = load_yields(crlf, IDS), load_yields(lf, IDS)
+    assert not rows_read.called
+    assert list(got.series) == list(want.series)
+    for pid, series in want.series.items():
+        assert got.series[pid].ordinals.tobytes() == series.ordinals.tobytes()
+        assert got.series[pid].levels.tobytes() == series.levels.tobytes()
+
+
 def non_utf8(rows, i):
     """Row i's id gains a byte that is not UTF-8."""
     return {i: f"{rows[i][0]},{rows[i][1]}\udcff,{rows[i][2]}"}
@@ -377,14 +402,14 @@ def test_large_file_with_a_late_irregular_row(tmp_path_factory, kind, seed, data
         lines = duplicate_of(rows, i, data.draw(st.integers(0, later // 2)))
     path = tmp_path_factory.mktemp("late") / "yields.csv"
     path.write_bytes(file_bytes(rows, lines))
-    assert_same_outcome(path)
+    assert_same_outcome(path, undecodable_line=i + 2)
 
 
 # kind -> whether the file it makes has to go through the row loop
 IRREGULAR = {
     "blank_line": True,
     "trailing_blank_line": True,
-    "crlf": True,
+    "crlf": False,  # each `\r\n` is read as `\n`
     "quoted_id": True,
     "percent": True,
     "padded_date_or_id": True,
@@ -410,7 +435,7 @@ def test_one_irregular_feature_same_outcome(tmp_path_factory, kind, rows, run_by
     i = data.draw(st.integers(0, len(rows) - 2))
     date, pid, apy = rows[i]
     pad = data.draw(st.sampled_from([" ", "\t"]))
-    kw = {}
+    kw, bad_row = {}, None
     if kind == "blank_line":
         kw["lines"] = {i: f"\n{date},{pid},{apy}"}
     elif kind == "trailing_blank_line":
@@ -429,7 +454,8 @@ def test_one_irregular_feature_same_outcome(tmp_path_factory, kind, rows, run_by
     elif kind == "no_final_newline":
         kw["end"] = ""
     elif kind == "non_utf8_later_run":
-        kw["lines"] = non_utf8(rows, data.draw(st.integers(later, len(rows) - 1)))
+        bad_row = data.draw(st.integers(later, len(rows) - 1))
+        kw["lines"] = non_utf8(rows, bad_row)
     elif kind == "duplicate_across_runs":
         j = data.draw(st.integers(0, later - 2))  # ends before the first run does
         kw["lines"] = duplicate_of(rows, data.draw(st.integers(later, len(rows) - 1)), j)
@@ -441,5 +467,5 @@ def test_one_irregular_feature_same_outcome(tmp_path_factory, kind, rows, run_by
     path = tmp_path_factory.mktemp("irregular") / "yields.csv"
     path.write_bytes(file_bytes(rows, **kw))
     with short_runs(run_bytes), row_loop_spy() as rows_read:
-        assert_same_outcome(path)
+        assert_same_outcome(path, None if bad_row is None else bad_row + 2)
     assert rows_read.called is IRREGULAR[kind]

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import math
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -420,3 +421,67 @@ def test_bad_weight_after_a_repeated_row_reported_at_its_line(tmp_path, index):
         read_ledger_csv(path)
     assert exc.value.line == index + 1
     assert "weights must sum to 1" in str(exc.value)
+
+
+def with_cells(line, ids, weights):
+    return ",".join(line.split(",")[:5] + [ids, weights])
+
+
+def each_token_parsed_error(ids, weights):
+    """The error of a row whose weights cell is split and each token parsed."""
+    try:
+        WeightVector(tuple(ids.split(";")), tuple(map(float, weights.split(";"))))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("ids, weights", [
+    ("a;b", "0.5;0.5"),
+    ("a;b", "0.5;0.50"),  # equal values, unequal text
+    ("a", "1.0"),
+    ("a", "1"),
+    ("a;b", "-0.0;-0.0"),
+    ("a;b", "0.5;0.5;0.5"),
+    ("a;b;c", "0.5;0.5"),
+    ("a;b", "0.5"),
+    ("a;b", "x;x"),
+    ("a;b", ";"),
+    ("a", ""),
+])
+def test_repeated_weight_cells_read_like_each_token_parsed(tmp_path, ids, weights):
+    """A weights cell that repeats one token is parsed with one `float`; it
+    gives the rows, or the error at the line, that parsing each token gives."""
+    path, lines = late_entrant_ledger_lines(tmp_path)
+    lines[3] = with_cells(lines[3], ids, weights)
+    path.write_text("\n".join(lines) + "\n")
+    message = each_token_parsed_error(ids, weights)
+    if message is None:
+        assert read_ledger_csv(path).rows == each_row_parsed(path)
+    else:
+        with pytest.raises(ParseError) as exc:
+            read_ledger_csv(path)
+        assert str(exc.value) == f"{path}:4: {message}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(equal_or_zero_tvl_ledgers())
+def test_emitted_ledgers_are_read_without_the_csv_module(ledgers):
+    """Ids without a comma or quote are written bare, so every ledger line
+    is plain and no csv.reader is built to read it back."""
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(ledgers, [monthly_report(l) for l in ledgers], out)
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            for ledger in ledgers:
+                assert read_ledger_csv(f"{out}/ledger_{ledger.method}.csv").rows == ledger.rows
+    assert not reader.called
+
+
+def test_quoted_ids_cell_hands_the_rest_to_the_csv_module(tmp_path):
+    path, lines = late_entrant_ledger_lines(tmp_path)
+    lines[3] = with_cells(lines[3], '"a;b"', lines[3].rsplit(",", 1)[1])
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        rows = read_ledger_csv(path).rows
+    assert reader.call_count == 1
+    assert rows == each_row_parsed(path)

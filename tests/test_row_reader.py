@@ -1,0 +1,111 @@
+"""`ingest._read_rows` against the csv-only row reader of the reference loader.
+
+`_read_rows` splits a plain line on commas itself and hands the first other
+line, with the rest of the file, to one `csv.reader`.  Each file here is a
+prefix of plain lines, then one feature, then more plain lines; both readers
+must give the same rows, or the same error type, message and line.  The
+features that need the csv module (a quote, a lone CR, a NUL, a line longer
+than the field size limit) must build a reader; no other may.
+"""
+
+import csv
+from contextlib import contextmanager
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defiparity import ingest
+from defiparity.errors import ParseError
+from reference_loader import _read_rows as reference_read_rows
+
+HEADER = ["a", "b", "c"]
+NEEDS_CSV = {"quoted_comma", "quoted_newline", "quoted_header", "lone_cr", "nul", "long_field"}
+FEATURES = sorted(NEEDS_CSV | {
+    "crlf", "blank", "whitespace", "field_count", "no_final_newline", "bad_header", "empty",
+})
+
+cells = st.text(alphabet="xyz09.;-é \t", max_size=6)
+plain_lines = st.lists(cells, min_size=3, max_size=3).map(",".join)
+
+
+@st.composite
+def files(draw):
+    """(feature, file text, csv field size limit or None for the default)."""
+    feature = draw(st.sampled_from(FEATURES))
+    if feature == "empty":
+        return feature, "", None
+    header, middle, newline, end, limit = "a,b,c", [], "\n", "\n", None
+    x, y, z = draw(plain_lines).split(",")
+    if feature == "quoted_comma":
+        middle = [f'{x},"{y},{z}",{x}']
+    elif feature == "quoted_newline":
+        middle = [f'{x},"{y}\n{z}",{x}']
+    elif feature == "quoted_header":
+        header = draw(st.sampled_from(['"a",b,c', 'a,"b",c', 'a,b," c "']))
+    elif feature == "lone_cr":
+        middle = [f"{x},{y},{z}\r{draw(plain_lines)}"]
+    elif feature == "nul":
+        middle = [f"{x},{y}\0,{z}"]
+    elif feature == "long_field":
+        limit = draw(st.integers(12, 24))
+        middle = [f"{x},{'w' * draw(st.integers(limit - 1, limit + 1))},{z}"]
+    elif feature == "crlf":
+        newline = end = "\r\n"
+    elif feature == "blank":
+        middle = [""] * draw(st.integers(1, 3))
+    elif feature == "whitespace":
+        middle = [draw(st.sampled_from([" ", "\t", " , ,\t", ",,"]))]
+    elif feature == "field_count":
+        middle = [draw(st.sampled_from([f"{x},{y}", f"{x},{y},{z},{x}", x]))]
+    elif feature == "no_final_newline":
+        end = ""
+    else:
+        header = draw(st.sampled_from(["", "a,b", "a,b,d", "a,b,c,", "b,a,c"]))
+    lines = [header, *draw(st.lists(plain_lines, max_size=6)), *middle,
+             *draw(st.lists(plain_lines, max_size=4))]
+    return feature, newline.join(lines) + end, limit
+
+
+@contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+def outcome(read_rows, path):
+    try:
+        return list(read_rows(path, HEADER))
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(files())
+def test_rows_and_errors_equal_the_csv_reader(tmp_path_factory, case):
+    feature, text, limit = case
+    path = tmp_path_factory.mktemp("rows") / "file.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with field_size_limit(limit):
+        want = outcome(reference_read_rows, path)
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            got = outcome(ingest._read_rows, path)
+    assert got == want
+    assert reader.called is (feature in NEEDS_CSV)
+
+
+def test_hand_off_error_names_the_physical_line(tmp_path):
+    # the quoted newline makes row 3 span lines 3 and 4; the NUL is on line 5
+    path = tmp_path / "file.csv"
+    path.write_text('a,b,c\nx,y,z\nx,"y\nz",w\nx,y,z\nx,\0,z\n', encoding="utf-8")
+    got = outcome(ingest._read_rows, path)
+    assert got == outcome(reference_read_rows, path)
+    if isinstance(got, tuple):  # csv rejects NUL bytes before Python 3.11
+        assert got[2] == 5
+    else:
+        assert [lineno for lineno, _ in got] == [2, 3, 4, 5]

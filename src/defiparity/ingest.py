@@ -8,15 +8,23 @@ File formats (headers required):
 
 APY values are fractions (0.05 = 5%); a trailing ``%`` is accepted and
 divided by 100.
+
+Every CSV (the ledgers `report` reads too) is opened once, in binary mode,
+and read in runs of whole lines, each decoded only as its rows are reached.
+One row reader splits plain lines on commas and hands the first other line
+and the rest of the file to one `csv.reader`.  A yields file is read a
+column at a time up to its first run that is not all plain rows, and by the
+row reader from there.  So rows are checked in file order, and the first
+bad row or byte in the file is the error raised.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import csv
 import datetime as dt
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -64,85 +72,98 @@ class DataBundle:
 
 # --- CSV loading --------------------------------------------------------------
 
+# every CSV is read as bytes in runs of whole lines of about this size
+_RUN_BYTES = 1 << 16
 
-@contextlib.contextmanager
-def _utf8_text(path):
-    """`path` open as UTF-8 text with untranslated line ends; a byte that is
-    not UTF-8 raises a ParseError at the first line that holds one."""
+
+def _runs(fh):
+    """The rest of the binary file `fh` in runs of whole lines: `_RUN_BYTES`
+    and the rest of the line they end in (the last run ends with the file)."""
+    while run := fh.read(_RUN_BYTES) + fh.readline():
+        yield run
+
+
+def _decoded(runs):
+    """Each run decoded as UTF-8.  Of a run that is not UTF-8, the lines
+    before the one that holds the first bad byte are handed on; then that
+    line, decoded alone and without its end, raises its UnicodeDecodeError."""
+    for run in runs:
+        try:
+            text = run.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the bad line starts after the last `\n` or CR before the byte
+            start = max(run.rfind(b"\n", 0, exc.start), run.rfind(b"\r", 0, exc.start)) + 1
+            yield run[:start].decode("utf-8")
+            text = run[start:].splitlines()[0].decode("utf-8")  # raises: it holds the byte
+        yield text
+
+
+def _split_rows(runs, path, lines=0):
+    """The rows `csv.reader` gives for the text of `runs`, which follows
+    `lines` lines already read, with a csv.Error or a byte that is not UTF-8
+    raised as a ParseError at its line.  A plain line (no quote or NUL, no CR
+    but one before its final `\n`, no longer than the csv field size limit)
+    is split on commas here; the first other line and the rest of the text
+    go to one csv.reader, a line at a time as a text file gives them."""
+    limit, reader = csv.field_size_limit(), None
+    texts = _decoded(runs)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines()  # split where the text reader splits
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(path, lineno, f"not UTF-8: byte {raw[exc.start]:#04x} "
-                                               f"at byte {exc.start + 1} ({exc.reason})") from None
-        raise
-
-
-def _csv_error(path, lineno: int, exc: csv.Error) -> ParseError:
-    """A row the csv module rejects (an over-long field, a NUL byte), at its line."""
-    return ParseError(path, lineno, f"unreadable CSV: {exc}")
-
-
-def _split_rows(fh, path):
-    """The rows `csv.reader(fh)` gives, with a csv.Error raised as a ParseError
-    at its line.  A plain line (no quote or NUL, no CR but one before its
-    final `\n`, no longer than the csv field size limit) is split on commas
-    here; the first other line and the rest of `fh` go to one csv.reader."""
-    limit, lines = csv.field_size_limit(), 0
-    for line in fh:
-        body = line
-        if line.endswith("\n"):  # else the last line, or one ended by a lone CR
-            body = line[:-2] if line.endswith("\r\n") else line[:-1]
-        if '"' in body or "\r" in body or "\0" in body or len(body) > limit:
-            break
-        lines += 1
-        yield body.split(",") if body else []
-    else:
-        return
-    reader = csv.reader(itertools.chain((line,), fh))
-    try:
+        for text in texts:
+            split = text.split("\n")
+            # the last item is a line only if the text does not end in `\n`;
+            # a CR that ends it then reads as the end of the file's last line
+            for k in range(len(split) - (not split[-1])):
+                line = split[k]
+                body = line[:-1] if line.endswith("\r") else line
+                if '"' in body or "\r" in body or "\0" in body or len(body) > limit:
+                    break
+                lines += 1
+                yield body.split(",") if body else []
+            else:
+                continue
+            break  # at the first line that is not plain
+        else:
+            return
+        rest = itertools.chain(("\n".join(split[k:]),), texts)
+        reader = csv.reader(line for text in rest for line in io.StringIO(text, newline=""))
         yield from reader
-    except csv.Error as exc:
-        raise _csv_error(path, lines + reader.line_num, exc) from None
+    except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
+        raise ParseError(path, lines + reader.line_num, f"unreadable CSV: {exc}") from None
+    except UnicodeDecodeError as exc:  # of the line after the last one read
+        lines += reader.line_num if reader else 0
+        raise ParseError(path, lines + 1, f"not UTF-8: byte {exc.object[exc.start]:#04x} "
+                                          f"at byte {exc.start + 1} ({exc.reason})") from None
 
 
-def _checked_rows(rows, path, expected_header: list[str]):
-    """`rows` past a header row that must equal `expected_header`."""
-    header = next(rows, None)
-    if header is None:
-        raise ParseError(path, 1, "file is empty; a header row is required")
-    if [h.strip() for h in header] != expected_header:
-        raise ParseError(
-            path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
-        )
-    return rows
-
-
-def _blank(row: list[str]) -> bool:
-    return all(not cell.strip() for cell in row)
-
-
-def _field_count_error(path, lineno: int, expected: int, got: int) -> ParseError:
-    return ParseError(path, lineno, f"expected {expected} fields, got {got}")
+def _rows(runs, path, expected_header: list[str], lines=0):
+    """Yield (line number, stripped cells) for each non-blank row of `runs`,
+    in file order.  The first line is a header that must equal
+    `expected_header`, unless `lines` lines, the header among them, were read
+    before `runs`."""
+    width = len(expected_header)
+    rows = _split_rows(runs, path, lines)
+    if not lines:
+        header = next(rows, None)
+        if header is None:
+            raise ParseError(path, 1, "file is empty; a header row is required")
+        if [h.strip() for h in header] != expected_header:
+            raise ParseError(
+                path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
+            )
+        lines = 1
+    for lineno, row in enumerate(rows, start=lines + 1):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        if len(cells) != width:
+            raise ParseError(path, lineno, f"expected {width} fields, got {len(cells)}")
+        yield lineno, cells
 
 
 def _read_rows(path, expected_header: list[str]):
     """Yield (line number, stripped cells) for each non-blank row, in file order."""
-    width = len(expected_header)
-    with _utf8_text(path) as fh:
-        rows = _checked_rows(_split_rows(fh, path), path, expected_header)
-        for lineno, row in enumerate(rows, start=2):
-            if _blank(row):
-                continue
-            if len(row) != width:
-                raise _field_count_error(path, lineno, width, len(row))
-            yield lineno, [cell.strip() for cell in row]
+    with open(path, "rb") as fh:
+        yield from _rows(_runs(fh), path, expected_header)
 
 
 def _parse_float(text: str, path, lineno: int, name: str, percent_ok: bool = False) -> float:
@@ -193,13 +214,13 @@ def load_scores(path) -> Universe:
 # load_yields packs a (protocol, day) pair into one int: the protocol's index
 # above the day ordinal, which stays below 2**22 (date.max is 3_652_059)
 _DAY_BITS = 22
+_PLAIN_HEADER = (",".join(YIELDS_HEADER) + "\n").encode()
+_PLAIN_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
 
 
 def _checked_yield_row(row, path, lineno: int, index, day_of) -> tuple[int, float]:
-    """A non-blank yields row's packed key and APY, after every row check."""
-    if len(row) != len(YIELDS_HEADER):
-        raise _field_count_error(path, lineno, len(YIELDS_HEADER), len(row))
-    date_text, pid, apy_text = (cell.strip() for cell in row)
+    """A yields row's packed key and APY, after every row check."""
+    date_text, pid, apy_text = row
     day = day_of.get(date_text)
     if day is None:
         day = day_of[date_text] = _parse_date(date_text, path, lineno).toordinal()
@@ -229,116 +250,94 @@ def _sorted_keys(keys: array, blanks: list[int], path, order: list[str]):
     return by_key, packed
 
 
-# the columnar pass reads a yields file in runs of whole lines of about this size
-_RUN_BYTES = 1 << 16
-_PLAIN_HEADER = (",".join(YIELDS_HEADER) + "\n").encode()
-_PLAIN_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
+def _plain_rows(run, index, day_of, keys, apys) -> bool:
+    """Whether every line of `run` is a plain yields row; if so, their packed
+    keys and APYs are appended to `keys` and `apys` in file order.
 
-
-def _plain_yield_columns(path, index):
-    """The packed keys and APYs of a plain yields file, in file order, and its
-    (empty) list of blank lines; or None.
-
-    A plain file is the exact header and then rows of three bare cells, each
-    line ending in `\n` or `\r\n`: a known raw id, a date `date.fromisoformat`
-    reads and an APY `float` reads into (-1, inf).  Each run of whole lines is
-    checked and split a column at a time.  On anything else (a quote, a CR
-    not before `\n`, a NUL, a blank line or cell, a padded date or id, a
-    wrong field count, a line longer than a run, a byte that is not UTF-8)
-    it returns None, and the row loop reads the file with every check and
-    message.
+    A plain row is three bare cells ending in `\n` or `\r\n`: a known raw
+    id, a date `date.fromisoformat` reads and an APY `float` reads into
+    (-1, inf).  The run is checked and split a column at a time.  A quote, a
+    CR not before `\n`, a NUL, a blank line or cell, a padded date or id, a
+    wrong field count, a missing final `\n`, a byte that is not UTF-8 or a
+    run longer than the csv field size limit make it not plain.
     """
-    day_of: dict[str, int] = {}
-    keys, apys = array("q"), array("d")
-    with open(path, "rb") as fh:
-        if fh.readline(len(_PLAIN_HEADER) + 1).replace(b"\r\n", b"\n") != _PLAIN_HEADER:
-            return None
-        tail = b""
-        while block := fh.read(_RUN_BYTES):
-            run = tail + block
-            end = run.rfind(b"\n") + 1
-            if not end:
-                return None
-            run, tail = run[:end], run[end:]
-            if b"\r" in run:  # CRLF line ends are read as LF
-                run = run.replace(b"\r\n", b"\n")
-            if b'"' in run or b"\r" in run or b"\0" in run:
-                return None
-            codes = np.frombuffer(run, dtype=np.uint8)
-            separators = codes[(codes == ord(",")) | (codes == ord("\n"))]
-            if separators.size % 3 or not (separators.reshape(-1, 3)
-                                           == _PLAIN_SEPARATORS).all():
-                return None
-            try:
-                cells = run.decode("utf-8").replace("\n", ",").split(",")
-                dates, ids, values = cells[0:-1:3], cells[1::3], cells[2::3]
-                for text in set(dates).difference(day_of):
-                    day_of[text] = dt.date.fromisoformat(text).toordinal()
-                n = len(ids)
-                run_keys = np.fromiter(map(index.__getitem__, ids), np.int64, n)
-                run_keys |= np.fromiter(map(day_of.__getitem__, dates), np.int64, n)
-                run_apys = np.fromiter(map(float, values), np.float64, n)
-            except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError
-                return None
-            if not ((-1.0 < run_apys) & (run_apys < math.inf)).all():
-                return None
-            keys.frombytes(run_keys.tobytes())
-            apys.frombytes(run_apys.tobytes())
-    return None if tail else (keys, apys, [])
-
-
-def _yield_rows(path, index, order):
-    """The packed keys and APYs of every non-blank yields row in file order,
-    and the row count at each blank line skipped; raises the first bad row's
-    error, or a repeat read before it.
-
-    A plain row (known raw date and id, APY in (-1, inf)) costs two lookups
-    and one `float`; any other row is skipped if blank or takes the checked
-    parse.
-    """
-    day_of: dict[str, int] = {}  # date text -> ordinal, parsed once per string
-    keys, apys, blanks = array("q"), array("d"), []
-    add_key, add_apy, inf = keys.append, apys.append, math.inf
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh)  # short lines: faster than splitting them here
-        try:
-            for row in _checked_rows(reader, path, YIELDS_HEADER):
-                try:
-                    date_text, pid, apy_text = row
-                    key, apy = index[pid] | day_of[date_text], float(apy_text)
-                except (KeyError, ValueError):
-                    apy = math.nan  # not a plain row
-                if not -1.0 < apy < inf:
-                    if _blank(row):
-                        blanks.append(len(keys))
-                        continue
-                    lineno = 2 + len(keys) + len(blanks)
-                    key, apy = _checked_yield_row(row, path, lineno, index, day_of)
-                add_key(key)
-                add_apy(apy)
-        except (DefiParityError, ValueError, csv.Error) as exc:  # UnicodeDecodeError too
-            _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
-            if isinstance(exc, csv.Error):
-                raise _csv_error(path, reader.line_num, exc) from None
-            raise
-    return keys, apys, blanks
+    if len(run) > csv.field_size_limit():  # it may hold a field csv rejects
+        return False
+    if b"\r" in run:  # CRLF line ends are read as LF
+        run = run.replace(b"\r\n", b"\n")
+    if b'"' in run or b"\r" in run or b"\0" in run:
+        return False
+    codes = np.frombuffer(run, dtype=np.uint8)
+    separators = codes[(codes == ord(",")) | (codes == ord("\n"))]
+    if separators.size % 3 or not (separators.reshape(-1, 3)
+                                   == _PLAIN_SEPARATORS).all():
+        return False
+    try:
+        cells = run.decode("utf-8").replace("\n", ",").split(",")
+        dates, ids, values = cells[0:-1:3], cells[1::3], cells[2::3]
+        for text in set(dates).difference(day_of):
+            day_of[text] = dt.date.fromisoformat(text).toordinal()
+        n = len(ids)
+        run_keys = np.fromiter(map(index.__getitem__, ids), np.int64, n)
+        run_keys |= np.fromiter(map(day_of.__getitem__, dates), np.int64, n)
+        run_apys = np.fromiter(map(float, values), np.float64, n)
+    except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError
+        return False
+    if not ((-1.0 < run_apys) & (run_apys < math.inf)).all():
+        return False
+    keys.frombytes(run_keys.tobytes())
+    apys.frombytes(run_apys.tobytes())
+    return True
 
 
 def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     """Read the long-format yields CSV into per-protocol series.
 
     Rows must name a protocol in `ids`; the same (protocol, date) pair may
-    appear only once.  A plain file is read a column at a time; any other
-    goes through the row loop, which raises every row error.  Both give
-    typed columns (packed protocol/day key, APY) in file order.  Repeats are
-    found on the sorted keys, each series is one slice of them, and the FX
-    CSV at `fx_path`, if given, is read last and becomes the panel's overlay.
+    appear only once.  One pass reads runs of plain rows a column at a time,
+    then, from the first run that is not, rows through `_rows`: a plain row
+    (known date text and id, APY in (-1, inf)) costs two lookups and one
+    `float`, any other the checked parse.  Both give typed columns (packed
+    protocol/day key, APY) in file order.  Repeats are found on the sorted
+    keys, each series is one slice of them, and the FX CSV at `fx_path`, if
+    given, is read last and becomes the panel's overlay.
     """
     order = sorted(set(ids))
-    # cells are looked up raw and stripped only on a miss; an id with outer
-    # whitespace can never equal a stripped cell, so it gets no entry
+    # the row path strips cells, so an id with outer whitespace could only
+    # match a padded cell in the columnar pass; it gets no entry
     index = {pid: k << _DAY_BITS for k, pid in enumerate(order) if pid == pid.strip()}
-    keys, apys, blanks = _plain_yield_columns(path, index) or _yield_rows(path, index, order)
+    day_of: dict[str, int] = {}  # date text -> ordinal, parsed once per string
+    keys, apys, blanks = array("q"), array("d"), []  # blanks: row count at each blank line
+    lines = 0  # the lines read a column at a time, the header among them
+    with open(path, "rb") as fh:
+        run = fh.readline()  # the header
+        runs = _runs(fh)
+        if run.replace(b"\r\n", b"\n") == _PLAIN_HEADER:
+            for run in runs:
+                if not _plain_rows(run, index, day_of, keys, apys):
+                    break
+            else:
+                run = None  # every run was plain
+            lines = 1 + len(keys)
+        rows = () if run is None else _rows(itertools.chain((run,), runs), path,
+                                            YIELDS_HEADER, lines)
+        add_key, add_apy, inf = keys.append, apys.append, math.inf
+        try:
+            for lineno, row in rows:
+                if skipped := lineno - 2 - len(keys) - len(blanks):
+                    blanks += [len(keys)] * skipped
+                date_text, pid, apy_text = row
+                try:
+                    key, apy = index[pid] | day_of[date_text], float(apy_text)
+                except (KeyError, ValueError):
+                    apy = math.nan  # not a plain row
+                if not -1.0 < apy < inf:
+                    key, apy = _checked_yield_row(row, path, lineno, index, day_of)
+                add_key(key)
+                add_apy(apy)
+        except DefiParityError:
+            _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
+            raise
     by_key, packed = _sorted_keys(keys, blanks, path, order)
     values = np.frombuffer(apys, dtype=np.float64)[by_key]
     del keys, apys, by_key

@@ -44,6 +44,16 @@ def write_inputs(tmp_path, days=75, third_protocol=False):
     return start, end
 
 
+def _cell(index, value):
+    """An edit of a line that sets one cell; no cell these tests edit is
+    quoted (ledger ids cells included), so the line splits on every comma."""
+    def edit(line):
+        cells = line.split(",")
+        cells[index] = value
+        return ",".join(cells)
+    return edit
+
+
 class TestAllocateCommand:
     def test_table_output(self, tmp_path, capsys):
         write_inputs(tmp_path)
@@ -192,18 +202,41 @@ class TestBacktestCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {path}:{index + 1}: unreadable CSV: field larger than field limit")
 
-    @pytest.mark.parametrize("name, index", [
-        ("scores.csv", 0), ("scores.csv", 2), ("yields.csv", 40), ("fx.csv", 10),
+    @pytest.mark.parametrize("name, index, earlier", [
+        pytest.param("scores.csv", 0, None, id="scores.csv-0"),
+        pytest.param("scores.csv", 2, None, id="scores.csv-2"),
+        pytest.param("yields.csv", 40, None, id="yields.csv-40"),
+        pytest.param("fx.csv", 10, None, id="fx.csv-10"),
+        # (line index, edit, error): a bad row before the bad byte, in the
+        # same 8 KB, is the error reported
+        pytest.param("scores.csv", 2, (1, _cell(3, "abc"), "cannot parse score from 'abc'"),
+                     id="scores-bad-score"),
+        pytest.param("yields.csv", 40, (2, _cell(2, "abc"), "cannot parse apy from 'abc'"),
+                     id="yields-bad-apy"),
+        pytest.param("yields.csv", 40, (2, _cell(0, "2021-13-01"),
+                                        "cannot parse date from '2021-13-01'"),
+                     id="yields-bad-date"),
+        pytest.param("yields.csv", 40, (3, _cell(0, "2021-12-01"),  # line 2's aave row
+                                        "duplicate observation for 'aave' on 2021-12-01"),
+                     id="yields-repeat"),
+        pytest.param("fx.csv", 10, (2, _cell(1, "abc"), "cannot parse rate from 'abc'"),
+                     id="fx-bad-rate"),
+        pytest.param("fx.csv", 10, (3, _cell(0, "2021-12-02"),  # line 3's date
+                                    "duplicate observation on 2021-12-02"), id="fx-repeat"),
     ])
-    def test_non_utf8_byte_exits_2_naming_line(self, tmp_path, capsys, name, index):
+    def test_non_utf8_byte_exits_2_naming_line(self, tmp_path, capsys, name, index, earlier):
         start, end = write_inputs(tmp_path)
         path = tmp_path / name
         lines = path.read_bytes().split(b"\n")
+        if earlier:
+            row, edit, message = earlier
+            lines[row] = edit(lines[row].decode()).encode()
         lines[index] = lines[index].replace(b",", b"\xff,", 1)
         path.write_bytes(b"\n".join(lines))
         assert self.fx_run(tmp_path, start, end) == 2
         column = lines[index].index(b"\xff") + 1
         assert capsys.readouterr().err == (
+            f"error: {path}:{row + 1}: {message}\n" if earlier else
             f"error: {path}:{index + 1}: not UTF-8: byte 0xff at byte {column} "
             "(invalid start byte)\n")
 
@@ -230,16 +263,6 @@ class TestBacktestCommand:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 2
-
-
-def _cell(index, value):
-    """An edit of a ledger line that sets one cell; the ids cell of these
-    ledgers is never quoted, so the line splits on every comma."""
-    def edit(line):
-        cells = line.split(",")
-        cells[index] = value
-        return ",".join(cells)
-    return edit
 
 
 class TestReportCommand:
@@ -330,18 +353,29 @@ class TestReportCommand:
         assert code == 2
         assert err.startswith(f"error: {path}:5: ")
 
-    def test_non_utf8_byte_exits_2_naming_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("earlier", [
+        pytest.param(None, id="byte-only"),
+        # a bad row on line 3, before the bad byte, is the error reported
+        pytest.param(_cell(1, "abc"), id="bad-float-first"),
+        pytest.param(_cell(0, "2021-13-05"), id="bad-date-first"),
+    ])
+    def test_non_utf8_byte_exits_2_naming_line(self, tmp_path, capsys, earlier):
         out_dir = self.run_backtest_cli(tmp_path)
         path = out_dir / "ledger_ew.csv"
         lines = path.read_bytes().split(b"\n")
+        if earlier:
+            lines[2] = earlier(lines[2].decode()).encode()
         lines[4] = lines[4].replace(b";", b";\xc3", 1)  # a lead byte with no continuation
         path.write_bytes(b"\n".join(lines))
         capsys.readouterr()
         assert main(["report", "--ledger", str(out_dir)]) == 2
         column = lines[4].index(b"\xc3") + 1
-        assert capsys.readouterr().err == (
-            f"error: {path}:5: not UTF-8: byte 0xc3 at byte {column} "
-            "(invalid continuation byte)\n")
+        err = capsys.readouterr().err
+        if earlier:
+            assert err.startswith(f"error: {path}:3: ") and "not UTF-8" not in err
+        else:
+            assert err == (f"error: {path}:5: not UTF-8: byte 0xc3 at byte {column} "
+                           "(invalid continuation byte)\n")
 
     def test_weights_overflowing_fsum_named_as_a_bad_sum(self, tmp_path, capsys):
         code, err, path = self.report_after_edit(tmp_path, capsys, 4, _cell(6, "1e308;1e308"))

@@ -260,7 +260,8 @@ PLAIN_APY_FORMATS = (lambda k: str(k / 10_000), lambda k: f"{k / 10_000:.6f}",
 
 
 def row_loop_spy():
-    return mock.patch.object(ingest, "_yield_rows", wraps=ingest._yield_rows)
+    """A spy on the row path, which `load_yields` enters at most once."""
+    return mock.patch.object(ingest, "_rows", wraps=ingest._rows)
 
 
 def short_runs(run_bytes):
@@ -403,6 +404,31 @@ def test_large_file_with_a_late_irregular_row(tmp_path_factory, kind, seed, data
     path = tmp_path_factory.mktemp("late") / "yields.csv"
     path.write_bytes(file_bytes(rows, lines))
     assert_same_outcome(path, undecodable_line=i + 2)
+
+
+@pytest.mark.parametrize("kind", ["quoted_id", "blank_line"])
+def test_late_irregular_line_file_is_read_once(tmp_path, kind):
+    """Past three runs of plain rows comes the file's one irregular line.
+    The file is opened once; the plain runs are read a column at a time, so
+    none of their rows takes the checked parse, and the rest by row."""
+    rows = big_rows(11, shuffled=True)
+    # a run is _RUN_BYTES and the rest of the line it ends in
+    i = first_row_after(rows, 3 * ingest._RUN_BYTES + 1_000)
+    assert i < len(rows)
+    date, pid, apy = rows[i]
+    line = f'{date},"{pid}",{apy}' if kind == "quoted_id" else f"\n{date},{pid},{apy}"
+    path = tmp_path / "yields.csv"
+    path.write_bytes(file_bytes(rows, {i: line}))
+    data = path.read_bytes()
+    plain_lines = data.count(b"\n", 0, data.rfind(b"\n", 0, 3 * ingest._RUN_BYTES) + 1)
+    with mock.patch.object(ingest, "open", wraps=open, create=True) as opens, \
+            mock.patch.object(ingest, "_checked_yield_row",
+                              wraps=ingest._checked_yield_row) as checked:
+        got = load_yields(path, IDS)
+    assert opens.call_count == 1
+    assert checked.called
+    assert min(call.args[2] for call in checked.call_args_list) > plain_lines
+    assert got == reference_load_yields(path, IDS)
 
 
 # kind -> whether the file it makes has to go through the row loop

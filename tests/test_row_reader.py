@@ -5,7 +5,10 @@ line, with the rest of the file, to one `csv.reader`.  Each file here is a
 prefix of plain lines, then one feature, then more plain lines; both readers
 must give the same rows, or the same error type, message and line.  The
 features that need the csv module (a quote, a lone CR, a NUL, a line longer
-than the field size limit) must build a reader; no other may.
+than the field size limit) must build a reader; no other may.  Where the
+reference cannot decode a byte that is not UTF-8, `_read_rows` must raise a
+ParseError at the line `bytes.splitlines` puts the byte on, a lone CR ending
+a line, with the message of that line decoded alone.
 """
 
 import csv
@@ -20,18 +23,23 @@ from defiparity.errors import ParseError
 from reference_loader import _read_rows as reference_read_rows
 
 HEADER = ["a", "b", "c"]
-NEEDS_CSV = {"quoted_comma", "quoted_newline", "quoted_header", "lone_cr", "nul", "long_field"}
+NEEDS_CSV = {"quoted_comma", "quoted_newline", "quoted_header", "lone_cr", "nul", "long_field",
+             "non_utf8_after_lone_cr"}
 FEATURES = sorted(NEEDS_CSV | {
     "crlf", "blank", "whitespace", "field_count", "no_final_newline", "bad_header", "empty",
+    "non_utf8",
 })
 
-cells = st.text(alphabet="xyz09.;-é \t", max_size=6)
+# \v, \f, \x1c, \x85 and \u2028 end a line for str.splitlines, not for csv
+cells = st.text(alphabet="xyz09.;-é \t\v\f\x1c\x85\u2028", max_size=6)
 plain_lines = st.lists(cells, min_size=3, max_size=3).map(",".join)
 
 
 @st.composite
 def files(draw):
-    """(feature, file text, csv field size limit or None for the default)."""
+    """(feature, file text, csv field size limit or None for the default);
+    a lone surrogate in the text, such as `\\udcff`, stands for a byte
+    that is not UTF-8 (0xff)."""
     feature = draw(st.sampled_from(FEATURES))
     if feature == "empty":
         return feature, "", None
@@ -45,6 +53,14 @@ def files(draw):
         header = draw(st.sampled_from(['"a",b,c', 'a,"b",c', 'a,b," c "']))
     elif feature == "lone_cr":
         middle = [f"{x},{y},{z}\r{draw(plain_lines)}"]
+    elif feature in ("non_utf8", "non_utf8_after_lone_cr"):
+        # a stray continuation byte, or a lead byte without its continuation,
+        # inside a cell or ending the line
+        bad = draw(st.sampled_from(["\udcff", "\udc80", "\udcc3"]))
+        middle = [draw(st.sampled_from([f"{x},{y}{bad},{z}", f"{x},{y},{z}{bad}"]))]
+        if feature == "non_utf8_after_lone_cr":
+            middle[:0] = [f"{x},{y},{z}\r{draw(plain_lines)}",
+                          *draw(st.lists(plain_lines, max_size=2))]
     elif feature == "nul":
         middle = [f"{x},{y}\0,{z}"]
     elif feature == "long_field":
@@ -83,6 +99,14 @@ def outcome(read_rows, path):
         return list(read_rows(path, HEADER))
     except ParseError as exc:
         return type(exc), str(exc), exc.line
+    except UnicodeDecodeError:  # the reference's: name the first line that holds one
+        for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError, (f"{path}:{lineno}: not UTF-8: byte {line[exc.start]:#04x} "
+                                    f"at byte {exc.start + 1} ({exc.reason})"), lineno
+        raise
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -90,7 +114,7 @@ def outcome(read_rows, path):
 def test_rows_and_errors_equal_the_csv_reader(tmp_path_factory, case):
     feature, text, limit = case
     path = tmp_path_factory.mktemp("rows") / "file.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with field_size_limit(limit):
         want = outcome(reference_read_rows, path)
         with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
@@ -100,12 +124,13 @@ def test_rows_and_errors_equal_the_csv_reader(tmp_path_factory, case):
 
 
 def test_hand_off_error_names_the_physical_line(tmp_path):
-    # the quoted newline makes row 3 span lines 3 and 4; the NUL is on line 5
+    # the quoted newline makes row 3 span lines 3 and 4; the NUL is in row 5,
+    # on line 6: rows are numbered by row, a csv error by the line csv reads
     path = tmp_path / "file.csv"
     path.write_text('a,b,c\nx,y,z\nx,"y\nz",w\nx,y,z\nx,\0,z\n', encoding="utf-8")
     got = outcome(ingest._read_rows, path)
     assert got == outcome(reference_read_rows, path)
     if isinstance(got, tuple):  # csv rejects NUL bytes before Python 3.11
-        assert got[2] == 5
+        assert got[2] == 6
     else:
         assert [lineno for lineno, _ in got] == [2, 3, 4, 5]

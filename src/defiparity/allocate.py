@@ -69,13 +69,17 @@ def tvl_weights(universe: Universe) -> WeightVector:
 
 def tvl_share_weights(universe_ids: tuple[str, ...], tvls: np.ndarray) -> WeightVector:
     """tvl_weights over an id list and its TVLs, NaN where a TVL is missing."""
+    return WeightVector(universe_ids, tuple(_tvl_share_values(universe_ids, tvls).tolist()))
+
+
+def _tvl_share_values(universe_ids: tuple[str, ...], tvls: np.ndarray) -> np.ndarray:
     missing = np.isnan(tvls)
     if missing.any():
         raise MissingTvl(universe_ids[int(missing.argmax())])
     total = float(np.sort(tvls).sum())
     if total == 0.0:
         raise ZeroTotalTvl("total TVL across the universe is zero")
-    return WeightVector(universe_ids, tuple((tvls / total).tolist()))
+    return tvls / total
 
 
 def _check_pair(w: WeightVector, m: RiskMatrix) -> None:
@@ -154,14 +158,16 @@ def closed_form_diagonal(m: RiskMatrix) -> WeightVector:
 
 def closed_form_weights(universe_ids: tuple[str, ...], d: np.ndarray) -> WeightVector:
     """Exact ERC weights for the diagonal risk d: w_i ~ 1/sqrt(d_i)."""
+    return WeightVector(universe_ids, tuple(_closed_form_values(d).tolist()))
+
+
+def _closed_form_values(d: np.ndarray) -> np.ndarray:
     if np.all(d == d[0]):
         # equal scores: the symmetric point, on the same arithmetic path as
         # equal_weights so the two coincide exactly
-        values = _uniform_values(d.size)
-    else:
-        inv = 1.0 / np.sqrt(d)
-        values = inv / float(np.sort(inv).sum())
-    return WeightVector(universe_ids, tuple(values.tolist()))
+        return _uniform_values(d.size)
+    inv = 1.0 / np.sqrt(d)
+    return inv / float(np.sort(inv).sum())
 
 
 @dataclass(frozen=True)

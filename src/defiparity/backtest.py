@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocate import closed_form_weights, tvl_share_weights, uniform_weights
+from .allocate import _closed_form_values, _tvl_share_values, _uniform_values
 from .domain import DatedSeries, Universe, WeightVector
 from .errors import (
     DateRangeMismatch,
@@ -24,6 +24,7 @@ from .errors import (
     MissingFx,
     NoActiveProtocols,
     NonPositiveRate,
+    ZeroMatrix,
 )
 from .risk import unit_frobenius
 
@@ -82,11 +83,12 @@ class YieldPanel:
                 date, rate = self.fx.entries[int(ok.argmin())]
                 raise NonPositiveRate(f"FX rate must be > 0: {rate!r} on {date}")
 
-    def _window(self, universe_ids: tuple[str, ...], config: "BacktestConfig") -> "_Window":
-        """The window `config` asks for, compiled once and kept for the next
-        method's run over the same dates (the last one only, so a long-lived
-        panel holds one)."""
-        key = (universe_ids, config.start_date, config.end_date,
+    def _window(self, universe: Universe, config: "BacktestConfig") -> "_Window":
+        """The window `config` asks for over `universe`, compiled once and kept
+        for the next method's run over the same inputs (the last one only, so a
+        long-lived panel holds one).  Scores are > 0, so equal score tuples
+        mean equal scores; TVLs are not part of it."""
+        key = (universe.ids, universe.scores, config.start_date, config.end_date,
                config.max_gap_fill_days, config.apy_convention)
         last = self.__dict__.get("_last_window")
         if last is None or last[0] != key:
@@ -141,31 +143,52 @@ def _forward_fill(series: DatedSeries, days: np.ndarray, gap: int):
     return found, index, series.levels[lo:hi]
 
 
-class _Window:
-    """A panel resolved over [start, end] for one universe, shared by all methods.
+def _daily_rates(apys: np.ndarray, convention: str) -> np.ndarray:
+    """`daily_rate` of each of `apys`, which the panel has checked: the
+    compound rate once per distinct bit pattern, so -0.0 keeps its own."""
+    if convention == "simple_365":
+        return apys / 365.0
+    bits, inverse = np.unique(apys.view(np.int64), return_inverse=True)
+    expm1, log1p = math.expm1, math.log1p
+    rates = np.array([expm1(log1p(a) / 365.0) for a in bits.view(np.float64).tolist()])
+    return rates[inverse]
 
-    Only observations dated start - gap .. end are read, and each one's daily
-    rate is computed once.  `rates[i, j]` is protocol j's daily rate on day
-    i, forward-filled as `fill_forward` would, and 0.0 where j is inactive.
-    Days are grouped by active set, sets numbered in order of first
-    appearance.  `stop` is (day, error) for the first day the per-day loop
-    cannot price, NoActiveProtocols before MissingFx on the same day.
+
+class _Window:
+    """A panel resolved over [start, end] for one universe: the set table that
+    every method's run over the same inputs shares.  It is complete once built
+    and runs only read it, so they may share it across threads.
+
+    Only observations dated start - gap .. end are read, and the daily rate of
+    each distinct APY among them is computed once.  `rates[i, j]` is protocol
+    j's daily rate on day i, forward-filled as `fill_forward` would, and 0.0
+    where j is inactive.  Days are grouped by active set, sets numbered in
+    order of first appearance; each set has its columns, ids and scores
+    normalized over the set.  The run weighs the first `sets_priced` sets and
+    then raises `stop`, (error, args), if there is one: the first day the
+    per-day loop cannot price (NoActiveProtocols before MissingFx on the same
+    day), or a set whose scores cannot be normalized.
     """
 
-    def __init__(self, panel: YieldPanel, ids: tuple[str, ...], start: dt.date,
-                 end: dt.date, gap: int, convention: str):
+    def __init__(self, panel: YieldPanel, ids: tuple[str, ...], scores: tuple[float, ...],
+                 start: dt.date, end: dt.date, gap: int, convention: str):
         days = np.arange(start.toordinal(), end.toordinal() + 1)
         self.dates = [dt.date.fromordinal(d) for d in days.tolist()]
         active = np.zeros((days.size, len(ids)), dtype=bool, order="F")
         self.rates = np.zeros((days.size, len(ids)), order="F")
+        fills = []
         for j, pid in enumerate(ids):
             series = panel.series.get(pid)
             filled = None if series is None else _forward_fill(series, days, gap)
             if filled is not None:
-                found, index, apys = filled
-                rates = np.array([daily_rate(apy, convention) for apy in apys.tolist()])
-                active[:, j] = found
-                self.rates[:, j] = np.where(found, rates[index], 0.0)
+                fills.append((j, *filled))
+        rates = _daily_rates(np.concatenate([apys for *_, apys in fills] or [np.zeros(0)]),
+                             convention)
+        at = 0  # where protocol j's rates start in `rates`
+        for j, found, index, apys in fills:
+            active[:, j] = found
+            self.rates[:, j] = np.where(found, rates[at:at + apys.size][index], 0.0)
+            at += apys.size
 
         # (day, rank, error): on one day the loop finds no active protocol
         # before it looks the FX rate up
@@ -184,7 +207,7 @@ class _Window:
         self.stop = None
         if stops:
             day, _, error = min(stops)
-            self.stop = (day, error)
+            self.stop = (error, (self.dates[day],))
 
         packed = np.packbits(active, axis=1)
         width = packed.shape[1]
@@ -194,14 +217,23 @@ class _Window:
                            for i in range(days.size)]
         firsts = np.unique(self.set_of_day, return_index=True)[1].tolist()
         self.set_cols = [np.flatnonzero(active[d]) for d in firsts]
-        self.set_ids = [tuple(map(ids.__getitem__, cols.tolist())) for cols in self.set_cols]
+        id_array = np.array(ids, dtype=object)
+        self.set_ids = [tuple(id_array[cols].tolist()) for cols in self.set_cols]
         # the sets the loop weighs before it stops: weights come before the
         # FX lookup on a day, and an empty day has no weights
         self.sets_priced = len(firsts)
-        if self.stop is not None:
-            day, error = self.stop
+        if stops:
             side = "right" if error is MissingFx else "left"
             self.sets_priced = int(np.searchsorted(firsts, day, side=side))
+        all_scores = np.asarray(scores, dtype=float)
+        self.set_scores = []
+        for cols in self.set_cols[:self.sets_priced]:
+            try:
+                self.set_scores.append(unit_frobenius(all_scores[cols]))
+            except ZeroMatrix as exc:  # squares that underflow: the loop stops at this set
+                self.sets_priced = len(self.set_scores)
+                self.stop = (ZeroMatrix, exc.args)
+                break
 
 
 @dataclass(frozen=True)
@@ -262,15 +294,6 @@ class BacktestLedger:
         return tuple(r.portfolio_risk for r in self.rows)
 
 
-def _set_weights(method: str, ids: tuple[str, ...], normalized: np.ndarray,
-                 tvls: np.ndarray) -> WeightVector:
-    if method == "erc":
-        return closed_form_weights(ids, normalized)
-    if method == "ew":
-        return uniform_weights(ids)
-    return tvl_share_weights(ids, tvls)
-
-
 def run_backtest(
     config: BacktestConfig,
     universe: Universe,
@@ -284,25 +307,32 @@ def run_backtest(
     so they are computed once per distinct set.  Accrual is frictionless:
     value compounds by the weighted daily rate.
 
-    The window is compiled once per panel and dates (see `_Window`), so
-    running each method in turn resolves the APYs and FX only once.
+    The window is compiled once per panel, universe scores and dates (see
+    `_Window`), so running each method in turn resolves the APYs, the FX and
+    the active sets only once.
     """
-    window = panel._window(universe.ids, config)
-    scores = np.asarray(universe.scores, dtype=float)
+    window = panel._window(universe, config)
     tvls = np.asarray([np.nan if p.tvl is None else p.tvl for p in universe], dtype=float)
+    uniform = {}  # EW values by set size: one array and its one float
     weights, risks = [], []
     dense = np.zeros((window.sets_priced, len(universe)), order="F")
     for s in range(window.sets_priced):
-        cols = window.set_cols[s]
-        normalized = unit_frobenius(scores[cols])
-        w = _set_weights(config.method, window.set_ids[s], normalized, tvls[cols])
-        values = np.array(w.values)  # converted once, for the risk and the dense row
-        weights.append(w)
+        cols, ids, normalized = window.set_cols[s], window.set_ids[s], window.set_scores[s]
+        if config.method == "ew":
+            if len(ids) not in uniform:
+                values = _uniform_values(len(ids))  # all equal
+                uniform[len(ids)] = values, (float(values[0]),)
+            values, one = uniform[len(ids)]
+            weights.append(WeightVector(ids, one * len(ids)))
+        else:
+            values = (_closed_form_values(normalized) if config.method == "erc"
+                      else _tvl_share_values(ids, tvls[cols]))
+            weights.append(WeightVector(ids, tuple(values.tolist())))
         risks.append(float(np.dot(values, normalized)))
         dense[s, cols] = values
     if window.stop is not None:
-        day, error = window.stop
-        raise error(window.dates[day])
+        error, args = window.stop
+        raise error(*args)
 
     # summed term by term in universe order, as the per-day loop adds
     # w * rate over the active protocols; inactive terms add +0.0

@@ -168,6 +168,8 @@ LEDGER_FIELDS = [
 
 def _csv_cell(text: str) -> str:
     """`text` quoted as csv.writer quotes a field inside a row."""
+    if not any(c in text for c in ',"\r\n'):  # nothing csv could quote for
+        return text
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([text, ""])
     return buf.getvalue()[:-1]
@@ -175,58 +177,52 @@ def _csv_cell(text: str) -> str:
 
 def _write_ledger_csv(ledger: BacktestLedger, path: Path,
                       ids_cells: dict[tuple[str, ...], str]) -> None:
-    # lines are built by hand: dates and float reprs never need quoting.  Id
-    # cells are kept in `ids_cells` across one run's ledgers, weights cells per
-    # WeightVector; values that all compare equal are ~1/n (never +-0.0): one repr
+    # lines are built by hand and written as they are built: dates and float
+    # reprs never need quoting.  Id cells are kept in `ids_cells` across one
+    # run's ledgers, weights cells per WeightVector; values that all compare
+    # equal are ~1/n (never +-0.0): one repr
     weight_cells: dict[int, str] = {}  # keyed by id(); the ledger keeps them alive
-    lines = [",".join(LEDGER_FIELDS) + "\n"]
-    for row in ledger.rows:
-        ids_cell = ids_cells.get(row.active_ids)
-        if ids_cell is None:
-            ids_cell = ids_cells[row.active_ids] = _csv_cell(";".join(row.active_ids))
-        weights_cell = weight_cells.get(id(row.weights))
-        if weights_cell is None:
-            values = row.weights.values
-            same = values.count(values[0]) == len(values)
-            weights_cell = ";".join([repr(values[0])] * len(values) if same else map(repr, values))
-            weight_cells[id(row.weights)] = weights_cell
-        usd = "" if row.value_usd is None else repr(row.value_usd)
-        lines.append(
-            f"{row.date.isoformat()},{row.daily_return!r},{row.value_stable!r},"
-            f"{usd},{row.portfolio_risk!r},{ids_cell},{weights_cell}\n"
-        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.write(",".join(LEDGER_FIELDS) + "\n")
+        for row in ledger.rows:
+            ids_cell = ids_cells.get(row.active_ids)
+            if ids_cell is None:
+                ids_cell = ids_cells[row.active_ids] = _csv_cell(";".join(row.active_ids))
+            weights_cell = weight_cells.get(id(row.weights))
+            if weights_cell is None:
+                values = row.weights.values
+                same = values.count(values[0]) == len(values)
+                weights_cell = ";".join([repr(values[0])] * len(values) if same
+                                        else map(repr, values))
+                weight_cells[id(row.weights)] = weights_cell
+            usd = "" if row.value_usd is None else repr(row.value_usd)
+            fh.write(
+                f"{row.date.isoformat()},{row.daily_return!r},{row.value_stable!r},"
+                f"{usd},{row.portfolio_risk!r},{ids_cell},{weights_cell}\n"
+            )
 
 
 def _write_comparison_csv(table: ComparisonTable, path: Path) -> None:
-    has_usd = {
-        m: any(v is not None for v in table.values_usd[m]) for m in table.methods
-    }
-    header = ["date"]
+    # the body is built by hand, one list of cells per column: dates and float
+    # reprs never need quoting.  The header holds the method names, so csv
+    # writes it
+    first = table.methods[0]
+    header, columns = ["date"], [[d.isoformat() for d in table.dates]]
     for m in table.methods:
         header.append(f"value_stable_{m}")
-        if has_usd[m]:
+        columns.append(list(map(repr, table.values_stable[m])))
+        usd = table.values_usd[m]
+        if any(v is not None for v in usd):
             header.append(f"value_usd_{m}")
+            columns.append(["" if v is None else repr(v) for v in usd])
         header.append(f"risk_{m}")
-    first = table.methods[0]
+        columns.append(list(map(repr, table.risks[m])))
     for m in table.methods[1:]:
         header.append(f"value_diff_{m}_vs_{first}")
+        columns.append(list(map(repr, table.value_difference(m, first))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        diffs = {m: table.value_difference(m, first) for m in table.methods[1:]}
-        for i, date in enumerate(table.dates):
-            row = [date.isoformat()]
-            for m in table.methods:
-                row.append(repr(table.values_stable[m][i]))
-                if has_usd[m]:
-                    usd = table.values_usd[m][i]
-                    row.append("" if usd is None else repr(usd))
-                row.append(repr(table.risks[m][i]))
-            for m in table.methods[1:]:
-                row.append(repr(diffs[m][i]))
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
 
 
 def _write_monthly_csv(reports: list[MonthlyReport], path: Path) -> None:

@@ -1,7 +1,9 @@
 import datetime as dt
+import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +21,13 @@ from defiparity.errors import (
     DateRangeMismatch,
     InvalidApy,
     MissingFx,
+    MissingTvl,
     NoActiveProtocols,
     NonPositiveRate,
+    ZeroMatrix,
 )
 from defiparity.risk import build_risk_matrix, normalize, portfolio_risk_report
+from reference_engine import reference_backtest, reference_fill_forward
 
 START = dt.date(2022, 1, 1)
 
@@ -442,3 +447,128 @@ def test_run_backtest_is_invariant_under_permutation(case, method):
         assert (a.value_usd is None) is (b.value_usd is None)
         assert a.value_usd is None or _rel_close(a.value_usd, b.value_usd)
         assert _rel_close(a.portfolio_risk, b.portfolio_risk)
+
+
+# one APY repeated across protocols and days, both zeros, the smallest
+# subnormal and the APY just above -1
+TRICKY_APYS = (0.05, 0.0, -0.0, 5e-324, math.nextafter(-1.0, 0.0), 0.05, 1e-9, -0.0)
+
+
+@pytest.mark.parametrize("convention", ["compound_365", "simple_365"])
+def test_window_rates_equal_daily_rate_bit_for_bit(convention):
+    """The window computes each distinct APY's rate once; every cell must
+    still hold `daily_rate` of its (forward-filled) APY to the last bit, and
+    -0.0 must keep its own rate."""
+    ids = ("a", "b", "c")
+    series = {pid: DatedSeries.from_pairs(
+        (day(i), TRICKY_APYS[(i * (k + 2) + k) % len(TRICKY_APYS)])
+        for i in range(k, 30) if (i + k) % 5)  # gaps of one day, filled
+        for k, pid in enumerate(ids)}
+    universe = validate_universe(ProtocolRecord(pid, 1.0 + k) for k, pid in enumerate(ids))
+    panel = YieldPanel(series=series)
+    config = BacktestConfig(day(2), day(29), "ew", max_gap_fill_days=1,
+                            apy_convention=convention)
+    window = panel._window(universe, config)
+    expected = np.zeros(window.rates.shape)
+    for i, date in enumerate(window.dates):
+        for j, pid in enumerate(ids):
+            apy = reference_fill_forward(series[pid], date, 1)
+            if apy is not None:
+                expected[i, j] = daily_rate(apy, convention)
+    assert np.array_equal(np.ascontiguousarray(window.rates).view(np.int64),
+                          expected.view(np.int64))
+    assert (expected == 0.0).sum() > (expected.view(np.int64) == 0).sum()  # -0.0 rates seen
+
+
+def _figures(ledger):
+    """Every figure of a ledger as its repr, so that 0.0 and -0.0 differ."""
+    return [(row.date, row.active_ids, [repr(w) for w in row.weights.values],
+             repr(row.daily_return), repr(row.value_stable), repr(row.value_usd),
+             repr(row.portfolio_risk)) for row in ledger.rows]
+
+
+def _shared_table_case(tvl_c=9.0, scores=(1.0, 4.0, 2.5)):
+    universe = validate_universe(
+        ProtocolRecord(pid, score, tvl=tvl)
+        for pid, score, tvl in zip("abc", scores, (5.0, 2.0, tvl_c)))
+    series = {
+        "a": constant_series(0.03, 0, 39),
+        "b": DatedSeries.from_pairs((day(i), 0.01 * (i % 7)) for i in range(5, 40) if i % 9),
+        "c": constant_series(0.05, 12, 30),
+    }
+    fx = DatedSeries.from_pairs((day(i), 1.0 + 0.001 * (i % 4)) for i in range(40))
+    return universe, lambda: YieldPanel(series=series, fx=fx)
+
+
+@pytest.mark.parametrize("method", ["erc", "ew", "tvl"])
+def test_a_run_owes_nothing_to_the_runs_before_it_on_its_panel(method):
+    """The panel keeps one set table for all runs over the same inputs; a
+    run on a panel that has already run other methods, or the same ids with
+    other scores, must give the figures of a run on a fresh panel."""
+    universe, new_panel = _shared_table_case()
+    rescored, _ = _shared_table_case(scores=(3.0, 0.5, 7.0))
+    config = BacktestConfig(day(0), day(39), method, max_gap_fill_days=2)
+    fresh = _figures(run_backtest(config, universe, new_panel()))
+
+    panel = new_panel()
+    for other in {"erc", "ew", "tvl"} - {method}:
+        run_backtest(BacktestConfig(day(0), day(39), other, max_gap_fill_days=2),
+                     universe, panel)
+    assert _figures(run_backtest(config, universe, panel)) == fresh
+
+    panel = new_panel()
+    assert _figures(run_backtest(config, rescored, panel)) != fresh
+    assert _figures(run_backtest(config, universe, panel)) == fresh
+
+
+def test_tvl_sign_of_zero_is_not_shared_between_runs():
+    """Universes that differ only by a TVL of 0.0 or -0.0 share the set
+    table, but each TVL ledger keeps its own sign of zero."""
+    config = BacktestConfig(day(0), day(39), "tvl", max_gap_fill_days=2)
+    panel = None
+    seen = {}
+    for tvl in (0.0, -0.0, 0.0, -0.0):
+        universe, new_panel = _shared_table_case(tvl_c=tvl)
+        panel = panel or new_panel()
+        figures = _figures(run_backtest(config, universe, panel))
+        assert figures == _figures(run_backtest(config, universe, new_panel()))
+        seen[repr(tvl)] = figures
+    assert seen["0.0"] != seen["-0.0"]
+
+
+def _underflow_case(fx_missing=(), z_from=2):
+    """"a" (score 1, no TVL) on days 0 and 1; "z", whose score squared
+    underflows to zero, alone from day `z_from` on; FX missing on `fx_missing`."""
+    universe = validate_universe([ProtocolRecord("a", 1.0), ProtocolRecord("z", 1e-200, tvl=1.0)])
+    series = {"a": constant_series(0.02, 0, 1), "z": constant_series(0.03, z_from, 9)}
+    fx = DatedSeries.from_pairs((day(i), 1.0) for i in range(10) if i not in fx_missing)
+    return universe, YieldPanel(series=series, fx=fx)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (MissingFx, MissingTvl, NoActiveProtocols, ZeroMatrix) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case,method,error", [
+    # TVL fails on "a" alone before the set of "z" alone is reached
+    ({}, "tvl", MissingTvl),
+    ({}, "erc", ZeroMatrix),
+    ({}, "ew", ZeroMatrix),
+    # a day that cannot be priced before the set of "z" alone comes first
+    ({"fx_missing": (1,)}, "ew", MissingFx),
+    ({"z_from": 3}, "erc", NoActiveProtocols),
+    # on one day the weights come before the FX lookup
+    ({"fx_missing": (2,)}, "erc", ZeroMatrix),
+])
+def test_set_that_cannot_be_normalized_fails_in_loop_order(case, method, error):
+    """The set table normalizes each set's scores up front; a set whose
+    scores cannot be normalized still fails where the per-day loop would."""
+    universe, panel = _underflow_case(**case)
+    config = BacktestConfig(day(0), day(9), method, max_gap_fill_days=0)
+    got = _raised(run_backtest, config, universe, panel)
+    assert got == _raised(reference_backtest, config, universe, panel)
+    assert got[0] is error

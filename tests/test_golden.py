@@ -1,4 +1,5 @@
-"""Golden output: the sha256 of every file `backtest` writes for one fixture.
+"""Golden output: the sha256 of every file `backtest` writes for one fixture,
+under each APY convention.
 
 Any change to the arithmetic, the row order or the number formatting moves
 these hashes.  A change that does so on purpose must say why and re-pin
@@ -42,6 +43,23 @@ GOLDEN = {
         "c724cf6ab73f3c14f3c686a1fbdc59f72285518bf3b84b2c774d1cd7cbabf960",
 }
 
+# the same fixture under --apy-convention simple_365, whose daily rates take
+# another path through the engine
+GOLDEN_SIMPLE_365 = {
+    "comparison.csv":
+        "a483532d0f121b7ad8307f9c957bcc530318d861ef616799f24fe687f4060bae",
+    "ledger_erc.csv":
+        "863c474a311c98ed84a45a9c68f5ee8c85fe1cc2e125d83502fb756e502c8d41",
+    "ledger_ew.csv":
+        "e844b0760ccc8bbb26a92e5a1e60cf1f4b39901419e35c990b52d05c94507061",
+    "ledger_tvl.csv":
+        "09be07d69c584de2aa6db758750b440b35736682954cace2f89b23a2cdd4ebb9",
+    "monthly_report.csv":
+        "d8763d7097201be9cb8f0ce31e1a3e21fa91d0194d836e18a0d4f69f8cc9cf10",
+    "plot_data.json":
+        "b1023b49e0b96aa9946ddedaed1ddd65845cc0f86873a52aff9f988933e408b7",
+}
+
 
 def write_fixture(base):
     with open(base / "scores.csv", "w", newline="") as fh:
@@ -66,22 +84,30 @@ def write_fixture(base):
                 writer.writerow([date, f"{1.0 + 0.0005 * ((i % 5) - 2):.4f}"])
 
 
-def test_backtest_outputs_match_golden_hashes(tmp_path, capsys):
-    write_fixture(tmp_path)
-    out = tmp_path / "out"
+def backtest_digests(base, *options):
+    """The sha256 of each file `backtest` writes for the fixture in `base`."""
+    write_fixture(base)
+    out = base / "out"
     end = START + dt.timedelta(days=DAYS - 1)
     code = main([
         "backtest",
-        "--scores", str(tmp_path / "scores.csv"),
-        "--yields", str(tmp_path / "yields.csv"),
-        "--fx", str(tmp_path / "fx.csv"),
+        "--scores", str(base / "scores.csv"),
+        "--yields", str(base / "yields.csv"),
+        "--fx", str(base / "fx.csv"),
         "--method", "ew,tvl,erc",
         "--start", START.isoformat(),
         "--end", end.isoformat(),
         "--out", str(out),
+        *options,
     ])
-    capsys.readouterr()
     assert code == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir())}
-    assert digests == GOLDEN
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+def test_backtest_outputs_match_golden_hashes(tmp_path):
+    assert backtest_digests(tmp_path) == GOLDEN
+
+
+def test_simple_365_outputs_match_golden_hashes(tmp_path):
+    assert backtest_digests(tmp_path, "--apy-convention", "simple_365") == GOLDEN_SIMPLE_365

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import io
 import math
 import tempfile
 from unittest import mock
@@ -8,11 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defiparity.backtest import BacktestConfig, BacktestRow, YieldPanel, run_backtest
+from defiparity.backtest import (
+    BacktestConfig,
+    BacktestRow,
+    ComparisonTable,
+    YieldPanel,
+    run_backtest,
+)
 from defiparity.domain import DatedSeries, ProtocolRecord, WeightVector, validate_universe
 from defiparity.errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
 from defiparity.report import (
-    _csv_cell,
+    _write_comparison_csv,
     emit_outputs,
     format_monthly,
     monthly_avg_risk,
@@ -347,11 +354,19 @@ def equal_or_zero_tvl_ledgers(draw):
             for method in ("ew", "tvl", "erc")]
 
 
+def csv_field(text: str) -> str:
+    """`text` as csv.writer writes it as the first of two fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(engine_ledgers(), equal_or_zero_tvl_ledgers()))
 def test_ledger_cells_equal_plain_formatting(ledgers):
-    """Whatever the writer caches or shortcuts, each id cell is the quoted
-    joined ids and each weights cell the joined reprs of the row's weights."""
+    """Whatever the writer caches or shortcuts, each id cell is the joined
+    ids as csv.writer writes them and each weights cell the joined reprs of
+    the row's weights."""
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(ledgers, [monthly_report(l) for l in ledgers], out)
         for ledger in ledgers:
@@ -360,9 +375,62 @@ def test_ledger_cells_equal_plain_formatting(ledgers):
             # the five cells before the ids never hold a comma, the weights none
             written = [line.split(",", 5)[5].rsplit(",", 1) for line in lines]
             assert written == [
-                [_csv_cell(";".join(row.active_ids)), ";".join(map(repr, row.weights.values))]
+                [csv_field(";".join(row.active_ids)), ";".join(map(repr, row.weights.values))]
                 for row in ledger.rows
             ]
+
+
+def comparison_csv_by_writer(table: ComparisonTable) -> str:
+    """comparison.csv for `table`, every row written by csv.writer."""
+    first = table.methods[0]
+    has_usd = {m: any(v is not None for v in table.values_usd[m]) for m in table.methods}
+    header = ["date"]
+    for m in table.methods:
+        header += [f"value_stable_{m}"] + [f"value_usd_{m}"] * has_usd[m] + [f"risk_{m}"]
+    header += [f"value_diff_{m}_vs_{first}" for m in table.methods[1:]]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for i, date in enumerate(table.dates):
+        row = [date.isoformat()]
+        for m in table.methods:
+            usd = table.values_usd[m][i]
+            row += ([repr(table.values_stable[m][i])]
+                    + ["" if usd is None else repr(usd)] * has_usd[m]
+                    + [repr(table.risks[m][i])])
+        row += [repr(table.values_stable[m][i] - table.values_stable[first][i])
+                for m in table.methods[1:]]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@st.composite
+def comparison_tables(draw):
+    """One method or three, named with the CSV delimiter, quote and line
+    ends; each with USD values, none, or some; any float, -0.0 and NaN too."""
+    n = draw(st.sampled_from([1, 3]))
+    methods = tuple(draw(st.lists(st.text(alphabet='ab,"\r\n', min_size=1, max_size=3),
+                                  min_size=n, max_size=n, unique=True)))
+    days = draw(st.integers(1, 12))
+    figures = st.lists(st.floats(), min_size=days, max_size=days)
+    usd = st.one_of(st.just([None] * days),
+                    st.lists(st.one_of(st.none(), st.floats()), min_size=days, max_size=days))
+    return ComparisonTable(
+        methods=methods,
+        dates=tuple(D0 + dt.timedelta(days=i) for i in range(days)),
+        values_stable={m: tuple(draw(figures)) for m in methods},
+        values_usd={m: tuple(draw(usd)) for m in methods},
+        risks={m: tuple(draw(figures)) for m in methods},
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(comparison_tables())
+def test_comparison_csv_equals_csv_writer_output(table):
+    with tempfile.TemporaryDirectory() as out:
+        _write_comparison_csv(table, f"{out}/comparison.csv")
+        with open(f"{out}/comparison.csv", newline="", encoding="utf-8") as fh:
+            assert fh.read() == comparison_csv_by_writer(table)
 
 
 def each_row_parsed(path) -> tuple[BacktestRow, ...]:

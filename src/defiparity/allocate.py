@@ -52,24 +52,13 @@ def _uniform_values(n: int) -> np.ndarray:
 
 def equal_weights(universe: Universe) -> WeightVector:
     """1/n in every protocol, renormalized so the sum is 1."""
-    return uniform_weights(universe.ids)
-
-
-def uniform_weights(universe_ids: tuple[str, ...]) -> WeightVector:
-    """equal_weights over an id list."""
-    values = _uniform_values(len(universe_ids))
-    return WeightVector(universe_ids, tuple(values.tolist()))
+    return WeightVector(universe.ids, tuple(_uniform_values(len(universe)).tolist()))
 
 
 def tvl_weights(universe: Universe) -> WeightVector:
     """Weights proportional to each protocol's TVL."""
-    tvls = [np.nan if p.tvl is None else p.tvl for p in universe]
-    return tvl_share_weights(universe.ids, np.asarray(tvls, dtype=float))
-
-
-def tvl_share_weights(universe_ids: tuple[str, ...], tvls: np.ndarray) -> WeightVector:
-    """tvl_weights over an id list and its TVLs, NaN where a TVL is missing."""
-    return WeightVector(universe_ids, tuple(_tvl_share_values(universe_ids, tvls).tolist()))
+    tvls = np.asarray([np.nan if p.tvl is None else p.tvl for p in universe], dtype=float)
+    return WeightVector(universe.ids, tuple(_tvl_share_values(universe.ids, tvls).tolist()))
 
 
 def _tvl_share_values(universe_ids: tuple[str, ...], tvls: np.ndarray) -> np.ndarray:
@@ -153,12 +142,8 @@ def closed_form_diagonal(m: RiskMatrix) -> WeightVector:
     """Exact ERC weights for a strictly diagonal matrix: w_i ~ 1/sqrt(d_i)."""
     if not m.is_diagonal():
         raise NotDiagonal("closed form only applies to diagonal risk matrices")
-    return closed_form_weights(m.universe_ids, np.diagonal(m.entries))
-
-
-def closed_form_weights(universe_ids: tuple[str, ...], d: np.ndarray) -> WeightVector:
-    """Exact ERC weights for the diagonal risk d: w_i ~ 1/sqrt(d_i)."""
-    return WeightVector(universe_ids, tuple(_closed_form_values(d).tolist()))
+    values = _closed_form_values(np.diagonal(m.entries))
+    return WeightVector(m.universe_ids, tuple(values.tolist()))
 
 
 def _closed_form_values(d: np.ndarray) -> np.ndarray:

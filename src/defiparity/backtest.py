@@ -230,7 +230,7 @@ class _Window:
         for cols in self.set_cols[:self.sets_priced]:
             try:
                 self.set_scores.append(unit_frobenius(all_scores[cols]))
-            except ZeroMatrix as exc:  # squares that underflow: the loop stops at this set
+            except ZeroMatrix as exc:  # squares that under- or overflow: the loop stops here
                 self.sets_priced = len(self.set_scores)
                 self.stop = (ZeroMatrix, exc.args)
                 break

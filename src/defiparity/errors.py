@@ -46,7 +46,7 @@ class AlreadyNormalized(DefiParityError):
 
 
 class ZeroMatrix(DefiParityError):
-    """A risk matrix with no nonzero entry cannot be normalized."""
+    """A risk matrix whose squared entries sum to 0 or overflow cannot be normalized."""
 
 
 class NotNormalized(DefiParityError):

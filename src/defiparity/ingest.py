@@ -11,11 +11,11 @@ divided by 100.
 
 Every CSV (the ledgers `report` reads too) is opened once, in binary mode,
 and read in runs of whole lines, each decoded only as its rows are reached.
-One row reader splits plain lines on commas and hands the first other line
-and the rest of the file to one `csv.reader`.  A yields file is read a
-column at a time up to its first run that is not all plain rows, and by the
-row reader from there.  So rows are checked in file order, and the first
-bad row or byte in the file is the error raised.
+Once per run, `_plain` decides if it needs the csv module.  The row reader
+splits a run that does not at line ends and commas, and hands the first run
+that does and the rest of the file to one `csv.reader`.  A yields run of
+plain rows is read a column at a time, another by the row reader.  So rows
+are checked in file order, and the first bad row or byte is the error raised.
 """
 
 from __future__ import annotations
@@ -98,33 +98,38 @@ def _decoded(runs):
         yield text
 
 
+def _plain(run: bytes) -> bytes | None:
+    """`run` with each `\r\n` read as `\n`, or None if only the csv module
+    can read it: it holds a quote, a NUL or another CR, or is longer than the
+    csv field size limit (it may hold a field csv rejects)."""
+    if len(run) > csv.field_size_limit():
+        return None
+    if b"\r" in run:  # a replace that finds nothing still costs a slow scan
+        run = run.replace(b"\r\n", b"\n")
+    return None if b'"' in run or b"\r" in run or b"\0" in run else run
+
+
 def _split_rows(runs, path, lines=0):
     """The rows `csv.reader` gives for the text of `runs`, which follows
     `lines` lines already read, with a csv.Error or a byte that is not UTF-8
-    raised as a ParseError at its line.  A plain line (no quote or NUL, no CR
-    but one before its final `\n`, no longer than the csv field size limit)
-    is split on commas here; the first other line and the rest of the text
-    go to one csv.reader, a line at a time as a text file gives them."""
-    limit, reader = csv.field_size_limit(), None
-    texts = _decoded(runs)
+    raised as a ParseError at its line.  A run that `_plain` accepts is split
+    on `\n` and commas here; the first other run and the rest of the text go
+    to one csv.reader, a line at a time as a text file gives them."""
+    runs, reader = iter(runs), None
     try:
-        for text in texts:
-            split = text.split("\n")
-            # the last item is a line only if the text does not end in `\n`;
-            # a CR that ends it then reads as the end of the file's last line
-            for k in range(len(split) - (not split[-1])):
-                line = split[k]
-                body = line[:-1] if line.endswith("\r") else line
-                if '"' in body or "\r" in body or "\0" in body or len(body) > limit:
-                    break
-                lines += 1
-                yield body.split(",") if body else []
-            else:
-                continue
-            break  # at the first line that is not plain
+        for run in runs:
+            plain = _plain(run)
+            if plain is None:
+                break
+            for text in _decoded((plain,)):
+                split = text.split("\n")
+                if not split[-1]:  # the text ends in `\n`
+                    split.pop()
+                lines += len(split)
+                yield from [line.split(",") if line else [] for line in split]
         else:
             return
-        rest = itertools.chain(("\n".join(split[k:]),), texts)
+        rest = _decoded(itertools.chain((run,), runs))
         reader = csv.reader(line for text in rest for line in io.StringIO(text, newline=""))
         yield from reader
     except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
@@ -251,22 +256,16 @@ def _sorted_keys(keys: array, blanks: list[int], path, order: list[str]):
 
 
 def _plain_rows(run, index, day_of, keys, apys) -> bool:
-    """Whether every line of `run` is a plain yields row; if so, their packed
-    keys and APYs are appended to `keys` and `apys` in file order.
+    """Whether every line of `run`, a run `_plain` returned, is a plain yields
+    row; if so, their packed keys and APYs are appended to `keys` and `apys`
+    in file order.
 
-    A plain row is three bare cells ending in `\n` or `\r\n`: a known raw
-    id, a date `date.fromisoformat` reads and an APY `float` reads into
-    (-1, inf).  The run is checked and split a column at a time.  A quote, a
-    CR not before `\n`, a NUL, a blank line or cell, a padded date or id, a
-    wrong field count, a missing final `\n`, a byte that is not UTF-8 or a
-    run longer than the csv field size limit make it not plain.
+    A plain row is three bare cells ending in `\n`: a known raw id, a date
+    `date.fromisoformat` reads and an APY `float` reads into (-1, inf).  The
+    run is checked and split a column at a time.  A blank line or cell, a
+    padded date or id, a wrong field count, a missing final `\n` or a byte
+    that is not UTF-8 make it not plain.
     """
-    if len(run) > csv.field_size_limit():  # it may hold a field csv rejects
-        return False
-    if b"\r" in run:  # CRLF line ends are read as LF
-        run = run.replace(b"\r\n", b"\n")
-    if b'"' in run or b"\r" in run or b"\0" in run:
-        return False
     codes = np.frombuffer(run, dtype=np.uint8)
     separators = codes[(codes == ord(",")) | (codes == ord("\n"))]
     if separators.size % 3 or not (separators.reshape(-1, 3)
@@ -294,13 +293,12 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     """Read the long-format yields CSV into per-protocol series.
 
     Rows must name a protocol in `ids`; the same (protocol, date) pair may
-    appear only once.  One pass reads runs of plain rows a column at a time,
-    then, from the first run that is not, rows through `_rows`: a plain row
-    (known date text and id, APY in (-1, inf)) costs two lookups and one
-    `float`, any other the checked parse.  Both give typed columns (packed
-    protocol/day key, APY) in file order.  Repeats are found on the sorted
-    keys, each series is one slice of them, and the FX CSV at `fx_path`, if
-    given, is read last and becomes the panel's overlay.
+    appear only once.  A run of plain rows is read a column at a time; any
+    other by `_rows` (with the rest of the file if `_plain` refuses it), where
+    a plain row costs two lookups and one `float` and any other the checked
+    parse.  Both give typed columns (packed protocol/day key, APY) in file
+    order.  Repeats are found on the sorted keys, each series is one slice of
+    them, and the FX CSV at `fx_path`, if given, is read last for the overlay.
     """
     order = sorted(set(ids))
     # the row path strips cells, so an id with outer whitespace could only
@@ -308,33 +306,34 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     index = {pid: k << _DAY_BITS for k, pid in enumerate(order) if pid == pid.strip()}
     day_of: dict[str, int] = {}  # date text -> ordinal, parsed once per string
     keys, apys, blanks = array("q"), array("d"), []  # blanks: row count at each blank line
-    lines = 0  # the lines read a column at a time, the header among them
+    lines = 0  # the lines read so far, the header among them
+    add_key, add_apy, inf = keys.append, apys.append, math.inf
     with open(path, "rb") as fh:
-        run = fh.readline()  # the header
-        runs = _runs(fh)
-        if run.replace(b"\r\n", b"\n") == _PLAIN_HEADER:
-            for run in runs:
-                if not _plain_rows(run, index, day_of, keys, apys):
-                    break
-            else:
-                run = None  # every run was plain
-            lines = 1 + len(keys)
-        rows = () if run is None else _rows(itertools.chain((run,), runs), path,
-                                            YIELDS_HEADER, lines)
-        add_key, add_apy, inf = keys.append, apys.append, math.inf
+        runs = itertools.chain((fh.readline(),), _runs(fh))  # the header is a run of its own
         try:
-            for lineno, row in rows:
-                if skipped := lineno - 2 - len(keys) - len(blanks):
-                    blanks += [len(keys)] * skipped
-                date_text, pid, apy_text = row
-                try:
-                    key, apy = index[pid] | day_of[date_text], float(apy_text)
-                except (KeyError, ValueError):
-                    apy = math.nan  # not a plain row
-                if not -1.0 < apy < inf:
-                    key, apy = _checked_yield_row(row, path, lineno, index, day_of)
-                add_key(key)
-                add_apy(apy)
+            for run in runs:
+                plain = _plain(run)
+                if plain is not None and (_plain_rows(plain, index, day_of, keys, apys)
+                                          if lines else plain == _PLAIN_HEADER):
+                    lines = 1 + len(keys) + len(blanks)  # each line the header, a row or blank
+                    continue
+                # a quoted cell may hold a line end: a run `_plain` refuses takes the rest
+                rest = (plain,) if plain is not None else itertools.chain((run,), runs)
+                for lineno, row in _rows(rest, path, YIELDS_HEADER, lines):
+                    if skipped := lineno - 2 - len(keys) - len(blanks):
+                        blanks += [len(keys)] * skipped
+                    date_text, pid, apy_text = row
+                    try:
+                        key, apy = index[pid] | day_of[date_text], float(apy_text)
+                    except (KeyError, ValueError):
+                        apy = math.nan  # not a plain row
+                    if not -1.0 < apy < inf:
+                        key, apy = _checked_yield_row(row, path, lineno, index, day_of)
+                    add_key(key)
+                    add_apy(apy)
+                if plain is not None:  # count its lines, and the blank ones after its last row
+                    lines += plain.count(b"\n")
+                    blanks += [len(keys)] * (lines - 1 - len(keys) - len(blanks))
         except DefiParityError:
             _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
             raise

@@ -24,10 +24,11 @@ def unit_frobenius(entries: np.ndarray) -> np.ndarray:
     """`entries` scaled to unit Frobenius (Euclidean) norm."""
     # summing sorted squares makes the norm independent of entry order,
     # so permuting the universe permutes weights exactly
-    squares = np.sort(np.square(entries.ravel()))
-    norm = float(np.sqrt(squares.sum()))
-    if norm == 0.0:
-        raise ZeroMatrix("cannot normalize an all-zero risk matrix")
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        norm = float(np.sqrt(np.sort(np.square(entries.ravel())).sum()))
+    if not 0.0 < norm < np.inf:
+        raise ZeroMatrix("cannot normalize a risk matrix whose squared entries "
+                         "sum to 0 or overflow")
     return entries / norm
 
 

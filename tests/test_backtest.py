@@ -572,3 +572,19 @@ def test_set_that_cannot_be_normalized_fails_in_loop_order(case, method, error):
     got = _raised(run_backtest, config, universe, panel)
     assert got == _raised(reference_backtest, config, universe, panel)
     assert got[0] is error
+
+
+@pytest.mark.parametrize("method", ["erc", "ew", "tvl"])
+def test_scores_whose_squares_overflow_fail_as_the_reference(method):
+    """Scores 1e200 and 1 are finite and positive, but 1e200 squared is inf;
+    the set cannot be normalized, so no method returns weights (0.5, 0.5)
+    and a risk of 0."""
+    universe = validate_universe([ProtocolRecord("a", 1e200, tvl=1.0),
+                                  ProtocolRecord("b", 1.0, tvl=1.0)])
+    panel = YieldPanel(series={"a": constant_series(0.02, 0, 9),
+                               "b": constant_series(0.03, 0, 9)})
+    config = BacktestConfig(day(0), day(9), method, max_gap_fill_days=0)
+    got = _raised(run_backtest, config, universe, panel)
+    assert got == _raised(reference_backtest, config, universe, panel)
+    assert got == (ZeroMatrix, "cannot normalize a risk matrix whose squared entries "
+                               "sum to 0 or overflow")

@@ -93,6 +93,16 @@ class TestAllocateCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_scores_whose_squares_overflow_exit_2(self, tmp_path, capsys):
+        (tmp_path / "scores.csv").write_text(
+            "protocol_id,name,chain,score,tvl\naave,Aave,Ethereum,1e200,\n"
+            "curve,Curve,Ethereum,1.0,\n"
+        )
+        code = main(["allocate", "--scores", str(tmp_path / "scores.csv"),
+                     "--method", "erc"])
+        assert code == 2
+        assert "sum to 0 or overflow" in capsys.readouterr().err
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code = main(["allocate", "--scores", str(tmp_path / "absent.csv"),
                      "--method", "ew"])

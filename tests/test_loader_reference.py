@@ -15,7 +15,9 @@ The last section checks the columnar pass: plain files, of one row, of
 several 64 KB runs or cut into runs of a few lines, with `\n` or `\r\n`
 line ends, never reach the row loop; a file with one irregular feature (a
 blank line, CRLF, a quote, `%`, padding, no final newline, a 2-field line
-beside a 4-field one) loads or fails exactly as the reference does.  A byte
+beside a 4-field one) loads or fails exactly as the reference does.  Only the
+run that holds a blank line, a `%` or padding is read by row; a quote sends
+the rest of the file by row.  A byte
 that is not UTF-8 is the one declared difference: the reference lets
 `UnicodeDecodeError` out, and `load_yields` raises a ParseError naming the
 line that holds the byte.
@@ -260,7 +262,8 @@ PLAIN_APY_FORMATS = (lambda k: str(k / 10_000), lambda k: f"{k / 10_000:.6f}",
 
 
 def row_loop_spy():
-    """A spy on the row path, which `load_yields` enters at most once."""
+    """A spy on the row path, which `load_yields` enters once per run that
+    is not all plain rows, or once for the rest of the file."""
     return mock.patch.object(ingest, "_rows", wraps=ingest._rows)
 
 
@@ -429,6 +432,43 @@ def test_late_irregular_line_file_is_read_once(tmp_path, kind):
     assert checked.called
     assert min(call.args[2] for call in checked.call_args_list) > plain_lines
     assert got == reference_load_yields(path, IDS)
+
+
+@pytest.mark.parametrize("kind", ["blank_line", "percent", "padded_id", "quoted_id"])
+def test_early_irregular_line_is_read_by_row_alone(tmp_path, kind):
+    """The file's one irregular line is in its first run.  A blank line, a
+    `%` or a padded id sends that run alone through the row loop, so only its
+    lines take the checked parse and every later run is read a column at a
+    time.  A quoted cell may hold a line end: the rest of the file goes by row."""
+    rows = big_rows(12, shuffled=True)
+    date, pid, apy = rows[5]
+    line = {"blank_line": f"\n{date},{pid},{apy}", "percent": f"{date},{pid},1.5%",
+            "padded_id": f"{date}, {pid} ,{apy}", "quoted_id": f'{date},"{pid}",{apy}'}[kind]
+    path = tmp_path / "yields.csv"
+    path.write_bytes(file_bytes(rows, {5: line}))
+    data = path.read_bytes()
+    # the first run is _RUN_BYTES past the header and the rest of that line
+    header_end = data.index(b"\n") + 1
+    first_run_end = data.index(b"\n", header_end + ingest._RUN_BYTES) + 1
+    first_run_lines = data.count(b"\n", 0, first_run_end)
+    real_plain_rows, columnar = ingest._plain_rows, []  # whether each run read as columns
+
+    def plain_rows(*args):
+        columnar.append(real_plain_rows(*args))
+        return columnar[-1]
+
+    with row_loop_spy() as rows_read, mock.patch.object(ingest, "_plain_rows", plain_rows), \
+            mock.patch.object(ingest, "_checked_yield_row",
+                              wraps=ingest._checked_yield_row) as checked:
+        got = load_yields(path, IDS)
+    assert got == reference_load_yields(path, IDS)
+    assert rows_read.call_count == 1
+    checked_lines = [call.args[2] for call in checked.call_args_list]
+    if kind == "quoted_id":
+        assert columnar == [] and max(checked_lines) > first_run_lines
+    else:
+        assert columnar[0] is False and len(columnar) > 1 and all(columnar[1:])
+        assert all(lineno <= first_run_lines for lineno in checked_lines)
 
 
 # kind -> whether the file it makes has to go through the row loop

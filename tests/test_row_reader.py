@@ -1,8 +1,8 @@
 """`ingest._read_rows` against the csv-only row reader of the reference loader.
 
-`_read_rows` splits a plain line on commas itself and hands the first other
-line, with the rest of the file, to one `csv.reader`.  Each file here is a
-prefix of plain lines, then one feature, then more plain lines; both readers
+`_read_rows` splits a plain run of lines on commas itself and hands the first
+other run, with the rest of the file, to one `csv.reader`.  Each file here is
+a prefix of plain lines, then one feature, then more plain lines; both readers
 must give the same rows, or the same error type, message and line.  The
 features that need the csv module (a quote, a lone CR, a NUL, a line longer
 than the field size limit) must build a reader; no other may.  Where the

@@ -118,13 +118,13 @@ def active_universe(
 ) -> Universe:
     """Protocols priceable on `date`: observed, or forward-filled within the gap."""
     active = []
-    for pid in universe.ids:
-        series = panel.series.get(pid)
+    for record in universe:
+        series = panel.series.get(record.protocol_id)
         if series is not None and series.fill_forward(date, max_gap_fill_days) is not None:
-            active.append(pid)
+            active.append(record)
     if not active:
         raise NoActiveProtocols(date)
-    return universe.subset(active)
+    return Universe(tuple(active))
 
 
 def _forward_fill(series: DatedSeries, days: np.ndarray, gap: int):
@@ -162,12 +162,13 @@ class _Window:
     Only observations dated start - gap .. end are read, and the daily rate of
     each distinct APY among them is computed once.  `rates[i, j]` is protocol
     j's daily rate on day i, forward-filled as `fill_forward` would, and 0.0
-    where j is inactive.  Days are grouped by active set, sets numbered in
-    order of first appearance; each set has its columns, ids and scores
-    normalized over the set.  The run weighs the first `sets_priced` sets and
-    then raises `stop`, (error, args), if there is one: the first day the
-    per-day loop cannot price (NoActiveProtocols before MissingFx on the same
-    day), or a set whose scores cannot be normalized.
+    where j is inactive.  The table ends at the first day the per-day loop
+    cannot price, `stop` = (error, args): no active protocol, or no FX rate
+    once that day's set is weighed.  The days whose sets the loop weighs are
+    grouped by active set, numbered in order of first appearance, each with
+    its columns and ids.  `set_scores` holds each set's scores normalized over
+    the set, up to the first set that cannot be normalized, which is then the
+    stop.  A run weighs the sets in `set_scores`, then raises `stop` if any.
     """
 
     def __init__(self, panel: YieldPanel, ids: tuple[str, ...], scores: tuple[float, ...],
@@ -190,48 +191,37 @@ class _Window:
             self.rates[:, j] = np.where(found, rates[at:at + apys.size][index], 0.0)
             at += apys.size
 
-        # (day, rank, error): on one day the loop finds no active protocol
-        # before it looks the FX rate up
-        stops = []
         empty = ~active.any(axis=1)
-        if empty.any():
-            stops.append((int(empty.argmax()), 0, NoActiveProtocols))
+        no_fx = np.zeros(days.size, dtype=bool)  # no FX file: every day has a rate
         self.fx = None
         if panel.fx is not None:
             filled = _forward_fill(panel.fx, days, gap)
-            found = np.zeros(days.size, dtype=bool) if filled is None else filled[0]
-            if not found.all():
-                stops.append((int((~found).argmax()), 1, MissingFx))
-            else:
+            no_fx = np.ones(days.size, dtype=bool) if filled is None else ~filled[0]
+            if not no_fx.any():
                 self.fx = filled[2][filled[1]]
-        self.stop = None
-        if stops:
-            day, _, error = min(stops)
-            self.stop = (error, (self.dates[day],))
+        self.stop, reach = None, days.size
+        cannot_price = empty | no_fx
+        if cannot_price.any():
+            day = int(cannot_price.argmax())
+            error = NoActiveProtocols if empty[day] else MissingFx
+            self.stop, reach = (error, (self.dates[day],)), day + (error is MissingFx)
 
-        packed = np.packbits(active, axis=1)
+        packed = np.packbits(active[:reach], axis=1)
         width = packed.shape[1]
         raw = packed.tobytes()  # row after row, whatever the memory order
         number: dict[bytes, int] = {}
         self.set_of_day = [number.setdefault(raw[i * width:(i + 1) * width], len(number))
-                           for i in range(days.size)]
+                           for i in range(reach)]
         firsts = np.unique(self.set_of_day, return_index=True)[1].tolist()
         self.set_cols = [np.flatnonzero(active[d]) for d in firsts]
         id_array = np.array(ids, dtype=object)
         self.set_ids = [tuple(id_array[cols].tolist()) for cols in self.set_cols]
-        # the sets the loop weighs before it stops: weights come before the
-        # FX lookup on a day, and an empty day has no weights
-        self.sets_priced = len(firsts)
-        if stops:
-            side = "right" if error is MissingFx else "left"
-            self.sets_priced = int(np.searchsorted(firsts, day, side=side))
         all_scores = np.asarray(scores, dtype=float)
         self.set_scores = []
-        for cols in self.set_cols[:self.sets_priced]:
+        for cols, set_ids in zip(self.set_cols, self.set_ids):
             try:
-                self.set_scores.append(unit_frobenius(all_scores[cols]))
+                self.set_scores.append(unit_frobenius(all_scores[cols], set_ids))
             except ZeroMatrix as exc:  # squares that under- or overflow: the loop stops here
-                self.sets_priced = len(self.set_scores)
                 self.stop = (ZeroMatrix, exc.args)
                 break
 
@@ -315,9 +305,9 @@ def run_backtest(
     tvls = np.asarray([np.nan if p.tvl is None else p.tvl for p in universe], dtype=float)
     uniform = {}  # EW values by set size: one array and its one float
     weights, risks = [], []
-    dense = np.zeros((window.sets_priced, len(universe)), order="F")
-    for s in range(window.sets_priced):
-        cols, ids, normalized = window.set_cols[s], window.set_ids[s], window.set_scores[s]
+    dense = np.zeros((len(window.set_scores), len(universe)), order="F")
+    for s, normalized in enumerate(window.set_scores):
+        cols, ids = window.set_cols[s], window.set_ids[s]
         if config.method == "ew":
             if len(ids) not in uniform:
                 values = _uniform_values(len(ids))  # all equal

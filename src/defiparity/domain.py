@@ -73,13 +73,6 @@ class Universe:
     def scores(self) -> tuple[float, ...]:
         return tuple(p.score for p in self.protocols)
 
-    def subset(self, ids: Iterable[str]) -> "Universe":
-        wanted = set(ids)
-        missing = wanted - set(self.ids)
-        if missing:
-            raise KeyError(f"ids not in universe: {sorted(missing)}")
-        return Universe(tuple(p for p in self.protocols if p.protocol_id in wanted))
-
     def __len__(self) -> int:
         return len(self.protocols)
 

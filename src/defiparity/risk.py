@@ -20,15 +20,19 @@ from .errors import (
 )
 
 
-def unit_frobenius(entries: np.ndarray) -> np.ndarray:
-    """`entries` scaled to unit Frobenius (Euclidean) norm."""
+def unit_frobenius(entries: np.ndarray, ids: tuple[str, ...]) -> np.ndarray:
+    """`entries`, whose rows are protocols `ids`, scaled to unit Frobenius
+    (Euclidean) norm."""
     # summing sorted squares makes the norm independent of entry order,
     # so permuting the universe permutes weights exactly
     with np.errstate(over="ignore"):  # an overflow is raised below
         norm = float(np.sqrt(np.sort(np.square(entries.ravel())).sum()))
     if not 0.0 < norm < np.inf:
-        raise ZeroMatrix("cannot normalize a risk matrix whose squared entries "
-                         "sum to 0 or overflow")
+        at = int(np.abs(entries).argmax())
+        row = np.unravel_index(at, entries.shape)[0]
+        raise ZeroMatrix("cannot normalize a risk matrix whose squared entries sum to 0 "
+                         f"or overflow: largest entry {float(entries.flat[at])!r} "
+                         f"for {ids[row]!r}")
     return entries / norm
 
 
@@ -46,6 +50,8 @@ class RiskMatrix:
             raise ValueError("risk matrix must be square")
         if entries.shape[0] != len(self.universe_ids):
             raise ValueError("risk matrix dimension must equal universe size")
+        if not self.universe_ids:
+            raise ValueError("risk matrix must cover at least one protocol")
         if not np.array_equal(entries, entries.T):
             raise ValueError("risk matrix must be symmetric")
         if not np.all(np.diagonal(entries) > 0):
@@ -72,7 +78,7 @@ def normalize(matrix: RiskMatrix) -> RiskMatrix:
     """Scale the matrix to unit Frobenius norm; the input is left untouched."""
     if matrix.normalized:
         raise AlreadyNormalized("risk matrix is already normalized")
-    entries = unit_frobenius(matrix.entries)
+    entries = unit_frobenius(matrix.entries, matrix.universe_ids)
     return RiskMatrix(matrix.universe_ids, entries, normalized=True)
 
 

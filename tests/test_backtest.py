@@ -574,6 +574,40 @@ def test_set_that_cannot_be_normalized_fails_in_loop_order(case, method, error):
     assert got[0] is error
 
 
+def _entry_case(enters, a_last=9, score=1.0, fx_missing=()):
+    """"a" (score 1, TVL 1) on days 0 .. `a_last`; "b" (`score`, no TVL) from
+    day `enters` on; FX missing on `fx_missing`."""
+    universe = validate_universe([ProtocolRecord("a", 1.0, tvl=1.0), ProtocolRecord("b", score)])
+    series = {"a": constant_series(0.02, 0, a_last), "b": constant_series(0.03, enters, 9)}
+    fx = DatedSeries.from_pairs((day(i), 1.0) for i in range(10) if i not in fx_missing)
+    return universe, YieldPanel(series=series, fx=fx)
+
+
+@pytest.mark.parametrize("method", ["erc", "ew", "tvl"])
+@pytest.mark.parametrize("case,errors,sets", [  # errors for erc, ew and tvl
+    # the set of the day without FX is weighed before the lookup, so "b"'s
+    # missing TVL comes first; a day later it is never weighed
+    (dict(enters=4, fx_missing=(4,)), (MissingFx, MissingFx, MissingTvl),
+     [("a",), ("a", "b")]),
+    (dict(enters=5, fx_missing=(4,)), (MissingFx,) * 3, [("a",)]),
+    # a set first seen the day after a day without protocols
+    (dict(enters=5, a_last=3), (NoActiveProtocols,) * 3, [("a",)]),
+    # "b" alone cannot be normalized: on the day without FX, then a day later
+    (dict(enters=4, a_last=3, score=1e-200, fx_missing=(4,)), (ZeroMatrix,) * 3,
+     [("a",), ("b",)]),
+    (dict(enters=5, a_last=4, score=1e-200, fx_missing=(4,)), (MissingFx,) * 3, [("a",)]),
+])
+def test_set_table_ends_at_the_first_day_the_loop_cannot_price(case, errors, sets, method):
+    """Each method stops where the per-day loop stops, and the set table holds
+    no set first seen after that day."""
+    universe, panel = _entry_case(**case)
+    config = BacktestConfig(day(0), day(9), method, max_gap_fill_days=0)
+    got = _raised(run_backtest, config, universe, panel)
+    assert got == _raised(reference_backtest, config, universe, panel)
+    assert got[0] is errors[("erc", "ew", "tvl").index(method)]
+    assert panel._window(universe, config).set_ids == sets
+
+
 @pytest.mark.parametrize("method", ["erc", "ew", "tvl"])
 def test_scores_whose_squares_overflow_fail_as_the_reference(method):
     """Scores 1e200 and 1 are finite and positive, but 1e200 squared is inf;
@@ -587,4 +621,16 @@ def test_scores_whose_squares_overflow_fail_as_the_reference(method):
     got = _raised(run_backtest, config, universe, panel)
     assert got == _raised(reference_backtest, config, universe, panel)
     assert got == (ZeroMatrix, "cannot normalize a risk matrix whose squared entries "
-                               "sum to 0 or overflow")
+                               "sum to 0 or overflow: largest entry 1e+200 for 'a'")
+
+
+@pytest.mark.parametrize("method", ["erc", "ew", "tvl"])
+def test_set_whose_only_score_squares_to_zero_is_named(method):
+    """1e-200 squared underflows to 0; the error names the protocol and its score."""
+    universe = validate_universe([ProtocolRecord("z", 1e-200, tvl=1.0)])
+    panel = YieldPanel(series={"z": constant_series(0.02, 0, 9)})
+    config = BacktestConfig(day(0), day(9), method, max_gap_fill_days=0)
+    got = _raised(run_backtest, config, universe, panel)
+    assert got == _raised(reference_backtest, config, universe, panel)
+    assert got == (ZeroMatrix, "cannot normalize a risk matrix whose squared entries "
+                               "sum to 0 or overflow: largest entry 1e-200 for 'z'")

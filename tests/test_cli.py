@@ -101,7 +101,8 @@ class TestAllocateCommand:
         code = main(["allocate", "--scores", str(tmp_path / "scores.csv"),
                      "--method", "erc"])
         assert code == 2
-        assert "sum to 0 or overflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sum to 0 or overflow" in err and "1e+200 for 'aave'" in err
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code = main(["allocate", "--scores", str(tmp_path / "absent.csv"),

@@ -68,14 +68,6 @@ def test_universe_constructor_requires_sorted_ids():
         Universe((ProtocolRecord("b", 1.0), ProtocolRecord("a", 1.0)))
 
 
-def test_universe_subset_preserves_order():
-    universe = validate_universe([
-        ProtocolRecord("a", 1.0), ProtocolRecord("b", 2.0), ProtocolRecord("c", 3.0),
-    ])
-    sub = universe.subset(["c", "a"])
-    assert sub.ids == ("a", "c")
-
-
 def test_negative_tvl_rejected():
     with pytest.raises(ValueError):
         ProtocolRecord("a", 1.0, tvl=-5.0)

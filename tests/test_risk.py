@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from defiparity.domain import ProtocolRecord, WeightVector, validate_universe
-from defiparity.errors import AlreadyNormalized, NotNormalized, UniverseMismatch
+from defiparity.errors import AlreadyNormalized, NotNormalized, UniverseMismatch, ZeroMatrix
 from defiparity.risk import (
     RiskMatrix,
     build_risk_matrix,
@@ -47,6 +47,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             RiskMatrix(("a", "b"), np.diag([1.0, 0.0]))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="at least one protocol"):
+            RiskMatrix((), np.zeros((0, 0)))
+
     def test_entries_are_frozen(self):
         m = matrix_of([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -90,6 +94,11 @@ class TestNormalize:
             a = normalize(matrix_of(scores))
             b = normalize(matrix_of(c * scores))
             assert np.allclose(a.entries, b.entries, rtol=1e-12, atol=0)
+
+    def test_zero_matrix_names_the_row_of_its_largest_entry(self):
+        m = RiskMatrix(("a", "b"), np.array([[1.0, 1e200], [1e200, 1e300]]))
+        with pytest.raises(ZeroMatrix, match=r"largest entry 1e\+300 for 'b'$"):
+            normalize(m)
 
     def test_unit_frobenius_norm(self):
         rng = np.random.default_rng(43)

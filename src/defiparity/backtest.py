@@ -229,7 +229,6 @@ class _Window:
 @dataclass(frozen=True)
 class BacktestRow:
     date: dt.date
-    active_ids: tuple[str, ...]
     weights: WeightVector
     daily_return: float
     value_stable: float
@@ -240,6 +239,10 @@ class BacktestRow:
         figures = (self.daily_return, self.value_stable, self.value_usd or 0.0, self.portfolio_risk)
         if not (all(map(math.isfinite, figures)) and self.portfolio_risk >= 0):
             raise ValueError(f"ledger figures must be finite, risk >= 0 (on {self.date})")
+
+    @property
+    def active_ids(self) -> tuple[str, ...]:
+        return self.weights.universe_ids
 
 
 @dataclass(frozen=True)
@@ -337,7 +340,6 @@ def run_backtest(
     rows = tuple(map(
         BacktestRow,
         window.dates,
-        [window.set_ids[s] for s in window.set_of_day],
         [weights[s] for s in window.set_of_day],
         returns.tolist(),
         values.tolist(),

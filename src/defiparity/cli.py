@@ -163,12 +163,16 @@ def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date
             endpoints["fx"] = fetch["fx_endpoint"]
         cache = parser["cache"]
         cache_dir = Path(cache["dir"]).expanduser()
-        cache_ttl = float(cache.get("ttl_seconds", "3600"))
+        ttl = cache.get("ttl_seconds", "3600")
         ids = [s.strip() for s in parser["universe"]["ids"].split(",") if s.strip()]
         start = dt.date.fromisoformat(parser["range"]["start"])
         end = dt.date.fromisoformat(parser["range"]["end"])
     except KeyError as exc:
         raise ValueError(f"config file {path} is missing key {exc}") from None
+    try:
+        cache_ttl = float(ttl)
+    except ValueError:
+        raise ValueError(f"config file {path}: ttl_seconds must be a number, got {ttl!r}") from None
     field_map = {}
     for resource in ("scores", "yields", "fx"):
         section = f"fields.{resource}"

@@ -9,13 +9,13 @@ File formats (headers required):
 APY values are fractions (0.05 = 5%); a trailing ``%`` is accepted and
 divided by 100.
 
-Every CSV (the ledgers `report` reads too) is opened once, in binary mode,
-and read in runs of whole lines, each decoded only as its rows are reached.
-Once per run, `_plain` decides if it needs the csv module.  The row reader
-splits a run that does not at line ends and commas, and hands the first run
-that does and the rest of the file to one `csv.reader`.  A yields run of
-plain rows is read a column at a time, another by the row reader.  So rows
-are checked in file order, and the first bad row or byte is the error raised.
+Every CSV (the ledgers `report` reads too) is read by `_read_rows`: opened
+once, in binary mode, as the header line and then runs of whole lines, each
+decoded only as its rows are reached.  `_plain` decides once per run if it
+needs the csv module; the first run that does and the rest of the file go to
+one `csv.reader`.  The yields loader takes each run of plain rows a column at
+a time.  So rows are checked in file order, the first bad row or byte is the
+error raised, and a row is named by the line it starts on.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import threading
 import time
@@ -109,29 +110,37 @@ def _plain(run: bytes) -> bytes | None:
     return None if b'"' in run or b"\r" in run or b"\0" in run else run
 
 
-def _split_rows(runs, path, lines=0):
-    """The rows `csv.reader` gives for the text of `runs`, which follows
-    `lines` lines already read, with a csv.Error or a byte that is not UTF-8
-    raised as a ParseError at its line.  A run that `_plain` accepts is split
-    on `\n` and commas here; the first other run and the rest of the text go
-    to one csv.reader, a line at a time as a text file gives them."""
-    runs, reader = iter(runs), None
+def _split_rows(runs, path, take):
+    """(line number, cells) for each row `csv.reader` gives for the text of
+    `runs`, the first a header line, named by the line it starts on; a
+    csv.Error or a byte that is not UTF-8 is a ParseError at its line.  Each
+    later run `_plain` accepts is first offered to `take(run, lines before)`,
+    which returns its line count if it consumed it, else 0; a run not taken is
+    split on `\n` and commas here.  The first run `_plain` refuses and the rest
+    go to one csv.reader, a line at a time as a text file gives them."""
+    runs, reader, lines = iter(runs), None, 0
     try:
         for run in runs:
             plain = _plain(run)
             if plain is None:
                 break
+            if lines and (taken := take(plain, lines)):
+                lines += taken
+                continue
             for text in _decoded((plain,)):
                 split = text.split("\n")
                 if not split[-1]:  # the text ends in `\n`
                     split.pop()
+                yield from enumerate([line.split(",") if line else [] for line in split],
+                                     start=lines + 1)
                 lines += len(split)
-                yield from [line.split(",") if line else [] for line in split]
         else:
             return
         rest = _decoded(itertools.chain((run,), runs))
         reader = csv.reader(line for text in rest for line in io.StringIO(text, newline=""))
-        yield from reader
+        # zip takes each row's `line_num` before the row: the lines before it
+        line_nums = map(operator.attrgetter("line_num"), itertools.repeat(reader))
+        yield from zip(map((lines + 1).__add__, line_nums), reader)
     except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
         raise ParseError(path, lines + reader.line_num, f"unreadable CSV: {exc}") from None
     except UnicodeDecodeError as exc:  # of the line after the last one read
@@ -140,35 +149,27 @@ def _split_rows(runs, path, lines=0):
                                           f"at byte {exc.start + 1} ({exc.reason})") from None
 
 
-def _rows(runs, path, expected_header: list[str], lines=0):
-    """Yield (line number, stripped cells) for each non-blank row of `runs`,
-    in file order.  The first line is a header that must equal
-    `expected_header`, unless `lines` lines, the header among them, were read
-    before `runs`."""
+def _read_rows(path, expected_header: list[str], take=lambda run, lines: 0):
+    """Yield (line number, stripped cells) for each non-blank row past the
+    header, in file order.  The first line is a header that must equal
+    `expected_header`.  `take`, `_split_rows`' hook, takes no run by default."""
     width = len(expected_header)
-    rows = _split_rows(runs, path, lines)
-    if not lines:
-        header = next(rows, None)
+    with open(path, "rb") as fh:
+        rows = _split_rows(itertools.chain((fh.readline(),), _runs(fh)), path, take)
+        _, header = next(rows, (None, None))
         if header is None:
             raise ParseError(path, 1, "file is empty; a header row is required")
         if [h.strip() for h in header] != expected_header:
             raise ParseError(
                 path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
             )
-        lines = 1
-    for lineno, row in enumerate(rows, start=lines + 1):
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
-            continue
-        if len(cells) != width:
-            raise ParseError(path, lineno, f"expected {width} fields, got {len(cells)}")
-        yield lineno, cells
-
-
-def _read_rows(path, expected_header: list[str]):
-    """Yield (line number, stripped cells) for each non-blank row, in file order."""
-    with open(path, "rb") as fh:
-        yield from _rows(_runs(fh), path, expected_header)
+        for lineno, row in rows:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != width:
+                raise ParseError(path, lineno, f"expected {width} fields, got {len(cells)}")
+            yield lineno, cells
 
 
 def _parse_float(text: str, path, lineno: int, name: str, percent_ok: bool = False) -> float:
@@ -219,7 +220,6 @@ def load_scores(path) -> Universe:
 # load_yields packs a (protocol, day) pair into one int: the protocol's index
 # above the day ordinal, which stays below 2**22 (date.max is 3_652_059)
 _DAY_BITS = 22
-_PLAIN_HEADER = (",".join(YIELDS_HEADER) + "\n").encode()
 _PLAIN_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
 
 
@@ -239,8 +239,8 @@ def _checked_yield_row(row, path, lineno: int, index, day_of) -> tuple[int, floa
 
 def _sorted_keys(keys: array, blanks: list[int], path, order: list[str]):
     """The stable key order of the rows read so far, and the sorted keys.  The
-    first repeat in file order raises; `blanks` (the row count at each blank
-    line skipped) gives its line number."""
+    first repeat in file order raises; `blanks` (the row count at each line
+    that starts no row) gives the line its row starts on."""
     packed = np.frombuffer(keys, dtype=np.int64)
     by_key = np.argsort(packed, kind="stable")
     packed = packed[by_key]
@@ -293,50 +293,44 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     """Read the long-format yields CSV into per-protocol series.
 
     Rows must name a protocol in `ids`; the same (protocol, date) pair may
-    appear only once.  A run of plain rows is read a column at a time; any
-    other by `_rows` (with the rest of the file if `_plain` refuses it), where
-    a plain row costs two lookups and one `float` and any other the checked
-    parse.  Both give typed columns (packed protocol/day key, APY) in file
-    order.  Repeats are found on the sorted keys, each series is one slice of
-    them, and the FX CSV at `fx_path`, if given, is read last for the overlay.
+    appear only once.  `_read_rows` offers `take` each run `_plain` accepts;
+    a run of plain rows is read a column at a time, any other row by row: a
+    plain row costs two lookups and one `float`, any other the checked parse.
+    Both give typed columns (packed protocol/day key, APY) in file order.
+    Repeats are found on the sorted keys, each series is one slice of them,
+    and the FX CSV at `fx_path`, if given, is read last for the overlay.
     """
     order = sorted(set(ids))
     # the row path strips cells, so an id with outer whitespace could only
     # match a padded cell in the columnar pass; it gets no entry
     index = {pid: k << _DAY_BITS for k, pid in enumerate(order) if pid == pid.strip()}
     day_of: dict[str, int] = {}  # date text -> ordinal, parsed once per string
-    keys, apys, blanks = array("q"), array("d"), []  # blanks: row count at each blank line
-    lines = 0  # the lines read so far, the header among them
+    # blanks: the row count at each line past the header that starts no row
+    keys, apys, blanks = array("q"), array("d"), []
     add_key, add_apy, inf = keys.append, apys.append, math.inf
-    with open(path, "rb") as fh:
-        runs = itertools.chain((fh.readline(),), _runs(fh))  # the header is a run of its own
-        try:
-            for run in runs:
-                plain = _plain(run)
-                if plain is not None and (_plain_rows(plain, index, day_of, keys, apys)
-                                          if lines else plain == _PLAIN_HEADER):
-                    lines = 1 + len(keys) + len(blanks)  # each line the header, a row or blank
-                    continue
-                # a quoted cell may hold a line end: a run `_plain` refuses takes the rest
-                rest = (plain,) if plain is not None else itertools.chain((run,), runs)
-                for lineno, row in _rows(rest, path, YIELDS_HEADER, lines):
-                    if skipped := lineno - 2 - len(keys) - len(blanks):
-                        blanks += [len(keys)] * skipped
-                    date_text, pid, apy_text = row
-                    try:
-                        key, apy = index[pid] | day_of[date_text], float(apy_text)
-                    except (KeyError, ValueError):
-                        apy = math.nan  # not a plain row
-                    if not -1.0 < apy < inf:
-                        key, apy = _checked_yield_row(row, path, lineno, index, day_of)
-                    add_key(key)
-                    add_apy(apy)
-                if plain is not None:  # count its lines, and the blank ones after its last row
-                    lines += plain.count(b"\n")
-                    blanks += [len(keys)] * (lines - 1 - len(keys) - len(blanks))
-        except DefiParityError:
-            _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
-            raise
+
+    def take(run, lines):  # `lines` lines, the header among them, came before `run`
+        blanks.extend([len(keys)] * (lines - 1 - len(keys) - len(blanks)))
+        before = len(keys)
+        _plain_rows(run, index, day_of, keys, apys)  # appends one row a line, or none
+        return len(keys) - before
+
+    try:
+        for lineno, row in _read_rows(path, YIELDS_HEADER, take):
+            if skipped := lineno - 2 - len(keys) - len(blanks):
+                blanks += [len(keys)] * skipped
+            date_text, pid, apy_text = row
+            try:
+                key, apy = index[pid] | day_of[date_text], float(apy_text)
+            except (KeyError, ValueError):
+                apy = math.nan  # not a plain row
+            if not -1.0 < apy < inf:
+                key, apy = _checked_yield_row(row, path, lineno, index, day_of)
+            add_key(key)
+            add_apy(apy)
+    except DefiParityError:
+        _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
+        raise
     by_key, packed = _sorted_keys(keys, blanks, path, order)
     values = np.frombuffer(apys, dtype=np.float64)[by_key]
     del keys, apys, by_key
@@ -440,10 +434,14 @@ class FetchSpec:
     timeout: float = 10.0
 
     def __post_init__(self):
-        if self.cache_ttl < 0:
-            raise ValueError("cache_ttl must be >= 0")
+        if not self.cache_ttl >= 0:  # NaN too: it would make every read a miss
+            raise ValueError(f"cache_ttl must be >= 0, got {self.cache_ttl!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.retry_backoff < math.inf:
+            raise ValueError(f"retry_backoff must be finite and >= 0, got {self.retry_backoff!r}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout!r}")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
         if "scores" not in self.endpoints or "yields" not in self.endpoints:
             raise ValueError("endpoints must define at least 'scores' and 'yields'")

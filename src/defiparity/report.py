@@ -298,7 +298,6 @@ def read_ledger_csv(path) -> BacktestLedger:
                 cells = ids, weights
             rows.append(BacktestRow(
                 date=day,
-                active_ids=vector.universe_ids,
                 weights=vector,
                 daily_return=float(ret),
                 value_stable=float(stable),

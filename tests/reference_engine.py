@@ -97,7 +97,7 @@ def reference_backtest(config: BacktestConfig, universe: Universe,
             value_usd = value * rate
 
         rows.append(
-            BacktestRow(date, key, weights, day_return, value, value_usd, risk)
+            BacktestRow(date, weights, day_return, value, value_usd, risk)
         )
         date += _ONE_DAY
     return BacktestLedger(config.method, config.initial_value, tuple(rows))

@@ -21,8 +21,9 @@ YIELDS_HEADER = ["date", "protocol_id", "apy"]
 
 
 def _read_rows(path, expected_header):
-    """Every non-blank row past the header as (line number, stripped cells),
-    all read by one csv.reader; a csv.Error is a ParseError at its line."""
+    """Every non-blank row past the header as (the line it starts on,
+    stripped cells), all read by one csv.reader; a csv.Error is a ParseError
+    at its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -33,15 +34,16 @@ def _read_rows(path, expected_header):
                 raise ParseError(
                     path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
                 )
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
+            rows, lineno = [], 2
+            for row in reader:
+                start, lineno = lineno, reader.line_num + 1  # the next row starts after
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != len(expected_header):
                     raise ParseError(
-                        path, lineno, f"expected {len(expected_header)} fields, got {len(row)}"
+                        path, start, f"expected {len(expected_header)} fields, got {len(row)}"
                     )
-                rows.append((lineno, [cell.strip() for cell in row]))
+                rows.append((start, [cell.strip() for cell in row]))
         except csv.Error as exc:
             raise ParseError(path, reader.line_num, f"unreadable CSV: {exc}") from None
     return rows

@@ -54,6 +54,16 @@ def _cell(index, value):
     return edit
 
 
+def _line_end(index):
+    """An edit of a line that quotes one cell with a line end after its text,
+    so that its row spans two lines."""
+    def edit(line):
+        cells = line.split(",")
+        cells[index] = f'"{cells[index]}\n"'
+        return ",".join(cells)
+    return edit
+
+
 class TestAllocateCommand:
     def test_table_output(self, tmp_path, capsys):
         write_inputs(tmp_path)
@@ -251,6 +261,25 @@ class TestBacktestCommand:
             f"error: {path}:{index + 1}: not UTF-8: byte 0xff at byte {column} "
             "(invalid start byte)\n")
 
+    @pytest.mark.parametrize("name, quoted, row, edit, message", [
+        ("scores.csv", 1, 2, _cell(3, "abc"), "cannot parse score from 'abc'"),
+        ("yields.csv", 2, 2, _cell(2, "zz"), "cannot parse apy from 'zz'"),
+        ("yields.csv", 2, 3, _cell(0, "2021-12-01"),  # line 2's aave row
+         "duplicate observation for 'aave' on 2021-12-01"),
+        ("fx.csv", 1, 2, _cell(1, "abc"), "cannot parse rate from 'abc'"),
+    ], ids=["scores", "yields-bad-apy", "yields-repeat", "fx"])
+    def test_row_after_a_quoted_line_end_named_by_its_line(self, tmp_path, capsys, name,
+                                                           quoted, row, edit, message):
+        # row 1 spans lines 2 and 3, so data row `row` starts on line `row + 2`
+        start, end = write_inputs(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[1] = _line_end(quoted)(lines[1])
+        lines[row] = edit(lines[row])
+        path.write_text("\n".join(lines) + "\n")
+        assert self.fx_run(tmp_path, start, end) == 2
+        assert capsys.readouterr().err == f"error: {path}:{row + 2}: {message}\n"
+
     def test_overlong_yields_cell_after_a_repeat_reports_the_repeat(self, tmp_path, capsys):
         start, end = write_inputs(tmp_path)
         path = tmp_path / "yields.csv"
@@ -387,6 +416,18 @@ class TestReportCommand:
         else:
             assert err == (f"error: {path}:5: not UTF-8: byte 0xc3 at byte {column} "
                            "(invalid continuation byte)\n")
+
+    def test_row_after_a_quoted_line_end_named_by_its_line(self, tmp_path, capsys):
+        # row 1's ids cell spans lines 2 and 3, so the bad row 2 starts on line 4
+        out_dir = self.run_backtest_cli(tmp_path)
+        path = out_dir / "ledger_ew.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = _line_end(5)(lines[1])
+        lines[2] = _cell(1, "abc")(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:4: ")
 
     def test_weights_overflowing_fsum_named_as_a_bad_sum(self, tmp_path, capsys):
         code, err, path = self.report_after_edit(tmp_path, capsys, 4, _cell(6, "1e308;1e308"))
@@ -540,6 +581,18 @@ class TestFetchCommand:
             "aave,Aave,Ethereum,1.0,500.0\n"
             "curve,Curve,Ethereum,4.0,\n"
         )
+
+    @pytest.mark.parametrize("ttl, message", [
+        ("nan", "cache_ttl must be >= 0, got nan"),
+        ("soon", "config file {config}: ttl_seconds must be a number, got 'soon'"),
+    ])
+    def test_bad_ttl_exits_2(self, tmp_path, capsys, ttl, message):
+        # rejected before any request: the base URL is never reached
+        config = self.write_config(tmp_path, "http://localhost:9")
+        config.write_text(config.read_text().replace("ttl_seconds = 3600", f"ttl_seconds = {ttl}"))
+        assert main(["fetch", "--config", str(config), "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "fetch.ini"

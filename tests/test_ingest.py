@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import math
 import os
 import subprocess
 import sys
@@ -578,8 +579,16 @@ class TestFetchRemote:
         assert ingest._cache_read(spec, "yields", "p999") == []
 
     def test_ttl_must_be_nonnegative(self, tmp_path):
-        with pytest.raises(ValueError):
-            make_spec(tmp_path, cache_ttl=-1.0)
+        # NaN and out-of-range times fail here, not at the first cache read,
+        # `time.sleep` or request
+        for name, value in [("cache_ttl", -1.0), ("cache_ttl", math.nan),
+                            ("retry_backoff", -0.5), ("retry_backoff", math.nan),
+                            ("retry_backoff", math.inf), ("timeout", 0.0), ("timeout", -1.0),
+                            ("timeout", math.nan), ("timeout", math.inf)]:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                make_spec(tmp_path, **{name: value})
+        make_spec(tmp_path, cache_ttl=0.0, retry_backoff=0.0, timeout=0.5)
+        make_spec(tmp_path, cache_ttl=math.inf)  # a cache that never expires
 
     def test_future_dated_cache_refetches(self, tmp_path):
         # an entry stamped after now (the clock stepped back) is a miss,

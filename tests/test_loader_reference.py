@@ -1,7 +1,8 @@
 """The columnar yields loader against the per-row reference loader.
 
-Valid files have shuffled rows, padding whitespace, `%` APYs and blank
-lines; both loaders must give equal panels.  A file with one corrupted row
+Valid files have shuffled rows, padding whitespace, `%` APYs, blank lines
+and quoted cells that hold a line end; both loaders must give equal panels,
+and name a row by the line it starts on.  A file with one corrupted row
 must make both raise the same error for the same line.  With two corrupted
 rows the earlier line wins.  The one known difference: the reference checks
 every row's field count before it parses any row, so when the later bad row
@@ -13,14 +14,14 @@ fast path and its sort-time duplicate check meet the reference too.
 
 The last section checks the columnar pass: plain files, of one row, of
 several 64 KB runs or cut into runs of a few lines, with `\n` or `\r\n`
-line ends, never reach the row loop; a file with one irregular feature (a
-blank line, CRLF, a quote, `%`, padding, no final newline, a 2-field line
-beside a 4-field one) loads or fails exactly as the reference does.  Only the
-run that holds a blank line, a `%` or padding is read by row; a quote sends
-the rest of the file by row.  A byte
-that is not UTF-8 is the one declared difference: the reference lets
-`UnicodeDecodeError` out, and `load_yields` raises a ParseError naming the
-line that holds the byte.
+line ends, are taken a column at a time, every run after the header, with
+no checked parse; a file with one irregular feature (a blank line, CRLF, a
+quote, `%`, padding, no final newline, a 2-field line beside a 4-field one)
+loads or fails exactly as the reference does.  Only the run that holds a
+blank line, a `%` or padding is read by row; a quote sends the rest of the
+file by row.  A byte that is not UTF-8 is the one declared difference: the
+reference lets `UnicodeDecodeError` out, and `load_yields` raises a
+ParseError naming the line that holds the byte.
 
 Dates are plain YYYY-MM-DD, which `date.fromisoformat` reads the same way
 on every supported Python version.
@@ -29,6 +30,7 @@ on every supported Python version.
 import datetime as dt
 import random
 import re
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -85,13 +87,18 @@ def valid_rows(draw, apys=apy_texts()):
 
 
 def write_file(path, rows, draw):
-    """Write `rows` with padded cells and blank lines; returns each row's line."""
-    lines, where = ["date,protocol_id,apy"], []
+    """Write `rows` with padded cells, blank lines and now and then a last
+    cell quoted with a line end in it; returns the line each row starts on."""
+    lines, where, line_ends = ["date,protocol_id,apy"], [], 0  # line_ends: in quotes
     for row in rows:
         while draw(st.integers(0, 9)) == 9:
             lines.append(draw(st.sampled_from(["", ",,", " , ,\t"])))
-        lines.append(",".join(f"{draw(pad)}{cell}{draw(pad)}" for cell in row))
-        where.append(len(lines))
+        cells = [f"{draw(pad)}{cell}{draw(pad)}" for cell in row]
+        where.append(len(lines) + line_ends + 1)
+        if draw(st.integers(0, 19)) == 19:
+            cells[-1] = f'"{cells[-1]}\n"'
+            line_ends += 1
+        lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return where
 
@@ -261,10 +268,21 @@ PLAIN_APY_FORMATS = (lambda k: str(k / 10_000), lambda k: f"{k / 10_000:.6f}",
                      lambda k: f"{k}e-4")
 
 
-def row_loop_spy():
-    """A spy on the row path, which `load_yields` enters once per run that
-    is not all plain rows, or once for the rest of the file."""
-    return mock.patch.object(ingest, "_rows", wraps=ingest._rows)
+@contextmanager
+def row_loop_spy(path):
+    """A spy on the columnar pass over `path`.  It yields a function that
+    tells, after the load, whether some run after the header was not taken a
+    column at a time: `_plain_rows` refused it, or it was never offered (a
+    run `_plain` refuses goes to the csv module with the rest of the file)."""
+    real_plain_rows, taken = ingest._plain_rows, []  # the lines of each run taken
+
+    def plain_rows(run, *args):
+        ok = real_plain_rows(run, *args)
+        taken.append(run.count(b"\n") if ok else 0)
+        return ok
+
+    with mock.patch.object(ingest, "_plain_rows", plain_rows):
+        yield lambda: sum(taken) < len(path.read_bytes().splitlines()) - 1
 
 
 def short_runs(run_bytes):
@@ -325,10 +343,10 @@ def first_row_after(rows, offset):
 def test_plain_file_never_reaches_the_row_loop(tmp_path_factory, rows, run_bytes):
     path = tmp_path_factory.mktemp("columns") / "yields.csv"
     write_bare(path, rows)
-    with short_runs(run_bytes), row_loop_spy() as rows_read, mock.patch.object(
+    with short_runs(run_bytes), row_loop_spy(path) as read_by_row, mock.patch.object(
             ingest, "_checked_yield_row") as checked:
         got = load_yields(path, IDS)
-    assert not rows_read.called and not checked.called
+    assert not read_by_row() and not checked.called
     assert got == reference_load_yields(path, IDS)
 
 
@@ -337,9 +355,10 @@ def test_plain_file_never_reaches_the_row_loop(tmp_path_factory, rows, run_bytes
 def test_single_row_file_loads_equal(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("single") / "yields.csv"
     write_bare(path, rows[:1])
-    with row_loop_spy() as rows_read:
+    with row_loop_spy(path) as read_by_row, mock.patch.object(
+            ingest, "_checked_yield_row") as checked:
         got = load_yields(path, IDS)
-    assert not rows_read.called
+    assert not read_by_row() and not checked.called
     assert got == reference_load_yields(path, IDS)
     assert sum(len(s) for s in got.series.values()) == 1
 
@@ -350,9 +369,10 @@ def test_large_plain_files_load_equal(tmp_path_factory, seed, shuffled):
     path = tmp_path_factory.mktemp("large") / "yields.csv"
     write_bare(path, big_rows(seed, shuffled))
     assert path.stat().st_size > 3 * ingest._RUN_BYTES
-    with row_loop_spy() as rows_read:
+    with row_loop_spy(path) as read_by_row, mock.patch.object(
+            ingest, "_checked_yield_row") as checked:
         got = load_yields(path, IDS)
-    assert not rows_read.called
+    assert not read_by_row() and not checked.called
     assert got == reference_load_yields(path, IDS)
 
 
@@ -364,9 +384,11 @@ def test_crlf_and_lf_files_load_bit_equal(tmp_path_factory, seed):
     lf.write_bytes(file_bytes(rows))
     crlf.write_bytes(file_bytes(rows, newline="\r\n", end="\r\n"))
     assert crlf.stat().st_size > 3 * ingest._RUN_BYTES
-    with row_loop_spy() as rows_read:
-        got, want = load_yields(crlf, IDS), load_yields(lf, IDS)
-    assert not rows_read.called
+    with row_loop_spy(crlf) as crlf_by_row, mock.patch.object(
+            ingest, "_checked_yield_row") as checked:
+        got = load_yields(crlf, IDS)
+    assert not crlf_by_row() and not checked.called
+    want = load_yields(lf, IDS)
     assert list(got.series) == list(want.series)
     for pid, series in want.series.items():
         assert got.series[pid].ordinals.tobytes() == series.ordinals.tobytes()
@@ -457,12 +479,11 @@ def test_early_irregular_line_is_read_by_row_alone(tmp_path, kind):
         columnar.append(real_plain_rows(*args))
         return columnar[-1]
 
-    with row_loop_spy() as rows_read, mock.patch.object(ingest, "_plain_rows", plain_rows), \
+    with mock.patch.object(ingest, "_plain_rows", plain_rows), \
             mock.patch.object(ingest, "_checked_yield_row",
                               wraps=ingest._checked_yield_row) as checked:
         got = load_yields(path, IDS)
     assert got == reference_load_yields(path, IDS)
-    assert rows_read.call_count == 1
     checked_lines = [call.args[2] for call in checked.call_args_list]
     if kind == "quoted_id":
         assert columnar == [] and max(checked_lines) > first_run_lines
@@ -471,7 +492,20 @@ def test_early_irregular_line_is_read_by_row_alone(tmp_path, kind):
         assert all(lineno <= first_run_lines for lineno in checked_lines)
 
 
-# kind -> whether the file it makes has to go through the row loop
+def test_blank_lines_that_end_a_run_count_before_a_later_repeat(tmp_path):
+    """In runs of one byte and the rest of its line, two blank lines make a
+    run of their own, read by row.  The runs after them are taken a column at
+    a time, and a repeat there is named by its line, the blank lines counted."""
+    rows = [[(START + dt.timedelta(days=day)).isoformat(), "aave", "0.01"] for day in range(4)]
+    path = tmp_path / "yields.csv"
+    path.write_bytes(file_bytes(rows, {1: "\n\n" + ",".join(rows[1]), 3: ",".join(rows[0])}))
+    with short_runs(1), pytest.raises(DuplicateObservation, match=r"yields\.csv:7: "):
+        load_yields(path, IDS)
+    assert_same_outcome(path)
+
+
+# kind -> whether some run after the header of the file it makes is not
+# taken a column at a time
 IRREGULAR = {
     "blank_line": True,
     "trailing_blank_line": True,
@@ -532,6 +566,6 @@ def test_one_irregular_feature_same_outcome(tmp_path_factory, kind, rows, run_by
                        i + 1: ",".join(rows[i + 1][1:])}
     path = tmp_path_factory.mktemp("irregular") / "yields.csv"
     path.write_bytes(file_bytes(rows, **kw))
-    with short_runs(run_bytes), row_loop_spy() as rows_read:
+    with short_runs(run_bytes), row_loop_spy(path) as read_by_row:
         assert_same_outcome(path, None if bad_row is None else bad_row + 2)
-    assert rows_read.called is IRREGULAR[kind]
+    assert read_by_row() is IRREGULAR[kind]

@@ -99,7 +99,7 @@ class TestMonthlyAvgRisk:
         ledger = ledger_with(days=30, apy=0.05)
         patched = [
             type(row)(
-                date=row.date, active_ids=row.active_ids, weights=row.weights,
+                date=row.date, weights=row.weights,
                 daily_return=row.daily_return, value_stable=row.value_stable,
                 value_usd=row.value_usd, portfolio_risk=risks[i],
             )
@@ -438,7 +438,7 @@ def each_row_parsed(path) -> tuple[BacktestRow, ...]:
     with open(path, newline="") as fh:
         lines = list(csv.reader(fh))[1:]
     return tuple(
-        BacktestRow(dt.date.fromisoformat(day), tuple(ids.split(";")),
+        BacktestRow(dt.date.fromisoformat(day),
                     WeightVector(tuple(ids.split(";")), tuple(map(float, weights.split(";")))),
                     float(ret), float(stable), float(usd) if usd else None, float(risk))
         for day, ret, stable, usd, risk, ids, weights in lines

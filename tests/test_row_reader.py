@@ -125,7 +125,8 @@ def test_rows_and_errors_equal_the_csv_reader(tmp_path_factory, case):
 
 def test_hand_off_error_names_the_physical_line(tmp_path):
     # the quoted newline makes row 3 span lines 3 and 4; the NUL is in row 5,
-    # on line 6: rows are numbered by row, a csv error by the line csv reads
+    # on line 6: a row is named by the line it starts on, a csv error by the
+    # line csv reads
     path = tmp_path / "file.csv"
     path.write_text('a,b,c\nx,y,z\nx,"y\nz",w\nx,y,z\nx,\0,z\n', encoding="utf-8")
     got = outcome(ingest._read_rows, path)
@@ -133,4 +134,4 @@ def test_hand_off_error_names_the_physical_line(tmp_path):
     if isinstance(got, tuple):  # csv rejects NUL bytes before Python 3.11
         assert got[2] == 6
     else:
-        assert [lineno for lineno, _ in got] == [2, 3, 4, 5]
+        assert [lineno for lineno, _ in got] == [2, 3, 5, 6]

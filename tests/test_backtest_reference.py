@@ -9,6 +9,7 @@ normalizes the n scores where the reference normalizes all n^2 matrix
 entries, and NumPy groups those sums differently.
 """
 
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -198,3 +199,86 @@ def test_first_failure_matches_reference(layout, expected):
         assert type(want) is error
         assert want.protocol_id == where if error is MissingTvl else want.date == _day(where)
         assert _same_failure(got, want)
+
+
+# --- metamorphic properties of the engine: each holds bit for bit ---------------
+
+
+def _outcomes(config, universe, panel):
+    """The run of each method over `config`'s window, or its error."""
+    return {m: _outcome(run_backtest, dataclasses.replace(config, method=m), universe, panel)
+            for m in ("ew", "tvl", "erc")}
+
+
+def _same_outcome(got, want) -> bool:
+    if isinstance(want, Exception):
+        return _same_failure(got, want)
+    return not isinstance(got, Exception) and got.rows == want.rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenarios(), st.data())
+def test_split_run_chains_into_the_whole_run(scenario, data):
+    """A run over [a, b] equals a run over [a, k] followed by one over
+    [k + 1, b] that starts at the first run's last value."""
+    universe, panel, end, gap, convention = scenario
+    days = (end - START).days + 1
+    if days < 2:
+        return
+    k = _day(data.draw(st.integers(0, days - 2)))
+    config = BacktestConfig(START, end, "ew", max_gap_fill_days=gap, apy_convention=convention)
+    whole = _outcomes(config, universe, panel)
+    head = _outcomes(dataclasses.replace(config, end_date=k), universe, panel)
+    for method, want in whole.items():
+        first = head[method]
+        if isinstance(first, Exception):
+            assert _same_failure(first, want)
+            continue
+        tail_config = BacktestConfig(k + dt.timedelta(days=1), end, method,
+                                     initial_value=first.rows[-1].value_stable,
+                                     max_gap_fill_days=gap, apy_convention=convention)
+        second = _outcome(run_backtest, tail_config, universe, panel)
+        if isinstance(second, Exception):
+            assert _same_failure(second, want)
+        else:
+            assert not isinstance(want, Exception)
+            assert want.rows == first.rows + second.rows
+
+
+def _only_between(series, first, last):
+    return DatedSeries.from_pairs((d, v) for d, v in series.entries if first <= d <= last)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenarios(), st.data())
+def test_observations_outside_the_window_change_nothing(scenario, data):
+    """Dropping every APY and FX observation dated outside [start - gap, end]
+    changes no row and no error."""
+    universe, panel, end, gap, convention = scenario
+    days = (end - START).days + 1
+    a = data.draw(st.integers(0, days - 1))
+    start, stop = _day(a), _day(data.draw(st.integers(a, days - 1)))
+    first = start - dt.timedelta(days=gap)
+    trimmed = YieldPanel(
+        series={pid: _only_between(s, first, stop) for pid, s in panel.series.items()},
+        fx=None if panel.fx is None else _only_between(panel.fx, first, stop))
+    config = BacktestConfig(start, stop, "ew", max_gap_fill_days=gap, apy_convention=convention)
+    want = _outcomes(config, universe, panel)
+    got = _outcomes(config, universe, trimmed)
+    for method in want:
+        assert _same_outcome(got[method], want[method])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenarios(), st.sampled_from(["a", "q"]), st.floats(0.05, 20.0),
+       st.one_of(st.none(), st.floats(1.0, 1e9)))
+def test_scored_protocol_without_yields_changes_nothing(scenario, pid, score, tvl):
+    """A scored protocol with no yields, first or last in id order, changes
+    no row and no error."""
+    universe, panel, end, gap, convention = scenario
+    wider = validate_universe([*universe, ProtocolRecord(pid, score, tvl=tvl)])
+    config = BacktestConfig(START, end, "ew", max_gap_fill_days=gap, apy_convention=convention)
+    want = _outcomes(config, universe, panel)
+    got = _outcomes(config, wider, panel)
+    for method in want:
+        assert _same_outcome(got[method], want[method])

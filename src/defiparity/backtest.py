@@ -12,7 +12,8 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .risk import unit_frobenius
 
 METHODS = ("erc", "ew", "tvl")
 APY_CONVENTIONS = ("compound_365", "simple_365")
-
-_ONE_DAY = dt.timedelta(days=1)
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ class _Window:
 
     def __init__(self, panel: YieldPanel, ids: tuple[str, ...], scores: tuple[float, ...],
                  start: dt.date, end: dt.date, gap: int, convention: str):
-        days = np.arange(start.toordinal(), end.toordinal() + 1)
+        self.days = days = np.arange(start.toordinal(), end.toordinal() + 1)
         self.dates = [dt.date.fromordinal(d) for d in days.tolist()]
         active = np.zeros((days.size, len(ids)), dtype=bool, order="F")
         self.rates = np.zeros((days.size, len(ids)), order="F")
@@ -210,8 +209,8 @@ class _Window:
         width = packed.shape[1]
         raw = packed.tobytes()  # row after row, whatever the memory order
         number: dict[bytes, int] = {}
-        self.set_of_day = [number.setdefault(raw[i * width:(i + 1) * width], len(number))
-                           for i in range(reach)]
+        self.set_of_day = np.array([number.setdefault(raw[i * width:(i + 1) * width], len(number))
+                                    for i in range(reach)], dtype=np.intp)
         firsts = np.unique(self.set_of_day, return_index=True)[1].tolist()
         self.set_cols = [np.flatnonzero(active[d]) for d in firsts]
         id_array = np.array(ids, dtype=object)
@@ -228,6 +227,8 @@ class _Window:
 
 @dataclass(frozen=True)
 class BacktestRow:
+    """One day of a ledger, as `BacktestLedger.rows` lists it."""
+
     date: dt.date
     weights: WeightVector
     daily_return: float
@@ -235,56 +236,81 @@ class BacktestRow:
     value_usd: float | None
     portfolio_risk: float
 
-    def __post_init__(self):
-        figures = (self.daily_return, self.value_stable, self.value_usd or 0.0, self.portfolio_risk)
-        if not (all(map(math.isfinite, figures)) and self.portfolio_risk >= 0):
-            raise ValueError(f"ledger figures must be finite, risk >= 0 (on {self.date})")
-
     @property
     def active_ids(self) -> tuple[str, ...]:
         return self.weights.universe_ids
 
 
-@dataclass(frozen=True)
+FIGURES_ERROR = "ledger figures must be finite, risk >= 0 (on {})"  # the reader's row check too
+
+
+@dataclass(frozen=True, eq=False)
 class BacktestLedger:
+    """One method's run as columns, one entry per day: the day ordinals
+    (`date.toordinal()`), the return, the value, the USD value (None without
+    an FX overlay) and the risk, all read-only arrays.  Day i holds the
+    weights `set_weights[set_of_day[i]]`, one vector per active set.  The
+    constructor checks every invariant at once; `rows` is a per-day view."""
+
     method: str
     initial_value: float
-    rows: tuple[BacktestRow, ...] = field(repr=False)
+    days: np.ndarray = field(repr=False)
+    returns: np.ndarray = field(repr=False)
+    values_stable: np.ndarray = field(repr=False)
+    values_usd: np.ndarray | None = field(repr=False)
+    risks: np.ndarray = field(repr=False)
+    set_of_day: np.ndarray = field(repr=False)
+    set_weights: tuple[WeightVector, ...] = field(repr=False)
 
     def __post_init__(self):
-        if not self.rows:
+        for name, dtype in (("days", np.int64), ("returns", float), ("values_stable", float),
+                            ("values_usd", float), ("risks", float), ("set_of_day", np.intp)):
+            if getattr(self, name) is not None:
+                column = np.asarray(getattr(self, name), dtype=dtype)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+        n = len(self.days)
+        if not n:
             raise ValueError("ledger must have at least one row")
-        prev = None
-        for row in self.rows:
-            if prev is not None:
-                if row.date != prev.date + _ONE_DAY:
-                    raise ValueError("ledger must hold one row per consecutive day")
-                expected = prev.value_stable * (1.0 + row.daily_return)
-                if not abs(row.value_stable - expected) <= 1e-12 * abs(expected):
-                    raise ValueError(f"accrual identity violated on {row.date}")
-            if not row.value_stable > 0:
-                raise ValueError(f"portfolio value must stay > 0 (on {row.date})")
-            prev = row
+        columns = (self.returns, self.values_stable, self.values_usd, self.risks, self.set_of_day)
+        if any(c is not None and c.shape != (n,) for c in columns) or not (
+                0 <= self.set_of_day.min() <= self.set_of_day.max() < len(self.set_weights)):
+            raise ValueError("ledger columns must hold one entry per day, and a set of each")
+        values, risks = self.values_stable, self.risks
+        ok = np.isfinite(self.returns) & np.isfinite(values) & np.isfinite(risks) & (risks >= 0)
+        if self.values_usd is not None:
+            ok &= np.isfinite(self.values_usd)
+        if not ok.all():
+            raise ValueError(FIGURES_ERROR.format(self.dates[int(ok.argmin())]))
+        # per day, in the per-day loop's order: the day follows the last, the
+        # value accrues from the last as `prev * (1 + r)`, the value is > 0
+        expected = values[:-1] * (1.0 + self.returns[1:])
+        holds = np.ones((n, 3), dtype=bool)
+        holds[1:, 0] = np.diff(self.days) == 1
+        holds[1:, 1] = abs(values[1:] - expected) <= 1e-12 * abs(expected)
+        holds[:, 2] = values > 0
+        if not holds.all():
+            day, check = divmod(int(holds.argmin()), 3)  # the first day that fails, its first check
+            raise ValueError(("ledger must hold one row per consecutive day",
+                              f"accrual identity violated on {self.dates[day]}",
+                              f"portfolio value must stay > 0 (on {self.dates[day]})")[check])
 
-    @property
-    def start_date(self) -> dt.date:
-        return self.rows[0].date
+    def __eq__(self, other):
+        return isinstance(other, BacktestLedger) and (
+            (self.method, self.initial_value, self.rows)
+            == (other.method, other.initial_value, other.rows))
 
-    @property
-    def end_date(self) -> dt.date:
-        return self.rows[-1].date
-
-    @property
+    @cached_property
     def dates(self) -> tuple[dt.date, ...]:
-        return tuple(r.date for r in self.rows)
+        return tuple(map(dt.date.fromordinal, self.days.tolist()))
 
-    @property
-    def values_stable(self) -> tuple[float, ...]:
-        return tuple(r.value_stable for r in self.rows)
-
-    @property
-    def risks(self) -> tuple[float, ...]:
-        return tuple(r.portfolio_risk for r in self.rows)
+    @cached_property
+    def rows(self) -> tuple[BacktestRow, ...]:
+        usd = [None] * len(self.days) if self.values_usd is None else self.values_usd.tolist()
+        return tuple(map(
+            BacktestRow, self.dates, [self.set_weights[s] for s in self.set_of_day.tolist()],
+            self.returns.tolist(), self.values_stable.tolist(), usd, self.risks.tolist(),
+        ))
 
 
 def run_backtest(
@@ -329,24 +355,16 @@ def run_backtest(
 
     # summed term by term in universe order, as the per-day loop adds
     # w * rate over the active protocols; inactive terms add +0.0
-    set_of_day = np.asarray(window.set_of_day)
     returns = np.zeros(len(window.dates))
     for j in range(len(universe)):
-        returns += dense[:, j][set_of_day] * window.rates[:, j]
+        returns += dense[:, j][window.set_of_day] * window.rates[:, j]
     # np.cumprod multiplies in sequence, as `value *= 1 + r` does
     values = np.cumprod(np.concatenate(([config.initial_value], 1.0 + returns)))[1:]
-    values_usd = ([None] * len(values) if window.fx is None
-                  else (values * window.fx).tolist())
-    rows = tuple(map(
-        BacktestRow,
-        window.dates,
-        [weights[s] for s in window.set_of_day],
-        returns.tolist(),
-        values.tolist(),
-        values_usd,
-        [risks[s] for s in window.set_of_day],
-    ))
-    return BacktestLedger(config.method, config.initial_value, rows)
+    return BacktestLedger(
+        config.method, config.initial_value, window.days, returns, values,
+        None if window.fx is None else values * window.fx,
+        np.array(risks)[window.set_of_day], window.set_of_day, tuple(weights),
+    )
 
 
 @dataclass(frozen=True)
@@ -355,9 +373,9 @@ class ComparisonTable:
 
     methods: tuple[str, ...]
     dates: tuple[dt.date, ...]
-    values_stable: Mapping[str, tuple[float, ...]]
-    values_usd: Mapping[str, tuple[float | None, ...]]
-    risks: Mapping[str, tuple[float, ...]]
+    values_stable: Mapping[str, Sequence[float]]
+    values_usd: Mapping[str, Sequence[float | None]]
+    risks: Mapping[str, Sequence[float]]
 
     def value_difference(self, method_a: str, method_b: str) -> tuple[float, ...]:
         a = self.values_stable[method_a]
@@ -366,24 +384,25 @@ class ComparisonTable:
 
 
 def compare_backtests(ledgers: list[BacktestLedger]) -> ComparisonTable:
-    """Align ledgers sharing a date range into one per-day table."""
+    """Align ledgers sharing a date range into one per-day table of floats."""
     if not ledgers:
         raise ValueError("need at least one ledger to compare")
-    dates = ledgers[0].dates
+    days = ledgers[0].days
     for ledger in ledgers[1:]:
-        if ledger.dates != dates:
+        if not np.array_equal(ledger.days, days):
             raise DateRangeMismatch(
                 f"ledger {ledger.method!r} covers "
-                f"{ledger.start_date}..{ledger.end_date}, expected "
-                f"{ledgers[0].start_date}..{ledgers[0].end_date}"
+                f"{ledger.dates[0]}..{ledger.dates[-1]}, expected "
+                f"{ledgers[0].dates[0]}..{ledgers[0].dates[-1]}"
             )
     methods = tuple(l.method for l in ledgers)
     if len(set(methods)) != len(methods):
         raise ValueError(f"duplicate ledger methods: {methods}")
     return ComparisonTable(
         methods=methods,
-        dates=dates,
-        values_stable={l.method: l.values_stable for l in ledgers},
-        values_usd={l.method: tuple(r.value_usd for r in l.rows) for l in ledgers},
-        risks={l.method: l.risks for l in ledgers},
+        dates=ledgers[0].dates,
+        values_stable={l.method: l.values_stable.tolist() for l in ledgers},
+        values_usd={l.method: [None] * len(days) if l.values_usd is None
+                    else l.values_usd.tolist() for l in ledgers},
+        risks={l.method: l.risks.tolist() for l in ledgers},
     )

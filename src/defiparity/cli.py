@@ -124,13 +124,8 @@ def cmd_backtest(args) -> int:
 
     ledgers = []
     for method in methods:
-        config = BacktestConfig(
-            start_date=args.start,
-            end_date=args.end,
-            method=method,
-            max_gap_fill_days=args.gap_fill,
-            apy_convention=args.apy_convention,
-        )
+        config = BacktestConfig(args.start, args.end, method, max_gap_fill_days=args.gap_fill,
+                                apy_convention=args.apy_convention)
         ledgers.append(run_backtest(config, universe, panel))
     reports = [report.monthly_report(ledger) for ledger in ledgers]
     written = report.emit_outputs(ledgers, reports, args.out)
@@ -178,13 +173,12 @@ def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date
         section = f"fields.{resource}"
         if parser.has_section(section):
             field_map[resource] = dict(parser[section])
-    spec = ingest.FetchSpec(
-        base_url=base_url,
-        endpoints=endpoints,
-        cache_dir=cache_dir,
-        cache_ttl=cache_ttl,
-        field_map=field_map,
-    )
+    try:
+        spec = ingest.FetchSpec(base_url=base_url, endpoints=endpoints, cache_dir=cache_dir,
+                                cache_ttl=cache_ttl, field_map=field_map)
+    except ValueError as exc:  # of the fields it checks, the file sets only cache_ttl
+        message = str(exc).removeprefix("cache_ttl ")
+        raise ValueError(f"config file {path}: ttl_seconds {message}") from None
     return spec, ids, (start, end)
 
 

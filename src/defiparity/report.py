@@ -12,10 +12,11 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backtest import BacktestLedger, BacktestRow, ComparisonTable, compare_backtests
+from .backtest import FIGURES_ERROR, BacktestLedger, ComparisonTable, compare_backtests
 from .domain import WeightVector
 from .errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
 from .ingest import _read_rows
@@ -23,36 +24,30 @@ from .ingest import _read_rows
 RATIO_TOL = 1e-9
 
 
-def _month_groups(ledger: BacktestLedger):
-    groups: list[list] = []
-    current_key = None
-    for row in ledger.rows:
-        key = (row.date.year, row.date.month)
-        if key != current_key:
-            groups.append([])
-            current_key = key
-        groups[-1].append(row)
-    return groups
+def _month_groups(ledger: BacktestLedger) -> list[tuple[int, int, dt.date]]:
+    """(start, stop, last date) of each calendar month's run of ledger days,
+    which are consecutive: a month starts on the first day or on a 1st."""
+    dates = ledger.dates
+    starts = [i for i, date in enumerate(dates) if date.day == 1 or not i]
+    return [(a, b, dates[b - 1]) for a, b in zip(starts, starts[1:] + [len(dates)])]
 
 
 def monthly_performance(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Compounded return per calendar month, keyed by the month's last row date."""
-    out = []
-    for group in _month_groups(ledger):
+    returns, out = ledger.returns.tolist(), []
+    for start, stop, month_end in _month_groups(ledger):
         growth = 1.0
-        for row in group:
-            growth *= 1.0 + row.daily_return
-        out.append((group[-1].date, growth - 1.0))
+        for r in returns[start:stop]:  # in sequence, as a day-by-day fold would
+            growth *= 1.0 + r
+        out.append((month_end, growth - 1.0))
     return out
 
 
 def monthly_avg_risk(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Arithmetic mean of the daily portfolio risk per calendar month."""
-    out = []
-    for group in _month_groups(ledger):
-        risks = [row.portfolio_risk for row in group]
-        out.append((group[-1].date, sum(risks) / len(risks)))
-    return out
+    risks = ledger.risks.tolist()
+    return [(month_end, sum(risks[start:stop]) / (stop - start))
+            for start, stop, month_end in _month_groups(ledger)]
 
 
 @dataclass(frozen=True)
@@ -75,12 +70,9 @@ class MonthlyReport:
     rows: tuple[MonthlyReportRow, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.rows, self.rows[1:]):
-            next_month = (a.month_end.year, a.month_end.month + 1)
-            if a.month_end.month == 12:
-                next_month = (a.month_end.year + 1, 1)
-            if (b.month_end.year, b.month_end.month) != next_month:
-                raise ValueError("report months must be contiguous")
+        months = [row.month_end.year * 12 + row.month_end.month for row in self.rows]
+        if any(b - a != 1 for a, b in zip(months, months[1:])):
+            raise ValueError("report months must be contiguous")
 
 
 def perf_risk_ratio(
@@ -89,9 +81,7 @@ def perf_risk_ratio(
     method: str = "",
 ) -> MonthlyReport:
     """Combine aligned monthly perf and risk rows into perf/risk ratios."""
-    if len(perf_rows) != len(risk_rows) or any(
-        p[0] != r[0] for p, r in zip(perf_rows, risk_rows)
-    ):
+    if [p[0] for p in perf_rows] != [r[0] for r in risk_rows]:
         raise MonthMisalignment(
             f"performance months {[p[0] for p in perf_rows]} do not match "
             f"risk months {[r[0] for r in risk_rows]}"
@@ -178,28 +168,26 @@ def _csv_cell(text: str) -> str:
 def _write_ledger_csv(ledger: BacktestLedger, path: Path,
                       ids_cells: dict[tuple[str, ...], str]) -> None:
     # lines are built by hand and written as they are built: dates and float
-    # reprs never need quoting.  Id cells are kept in `ids_cells` across one
-    # run's ledgers, weights cells per WeightVector; values that all compare
-    # equal are ~1/n (never +-0.0): one repr
-    weight_cells: dict[int, str] = {}  # keyed by id(); the ledger keeps them alive
+    # reprs never need quoting.  Each set's ids and weights cells are built
+    # once, id cells once per run (kept in `ids_cells` across its ledgers);
+    # values that all compare equal are ~1/n (never +-0.0): one repr
+    set_cells = []
+    for vector in ledger.set_weights:
+        ids_cell = ids_cells.get(vector.universe_ids)
+        if ids_cell is None:
+            ids_cell = ids_cells[vector.universe_ids] = _csv_cell(";".join(vector.universe_ids))
+        values = vector.values
+        same = values.count(values[0]) == len(values)
+        set_cells.append(ids_cell + "," + ";".join([repr(values[0])] * len(values) if same
+                                                   else map(repr, values)))
+    usd = ([""] * len(ledger.days) if ledger.values_usd is None
+           else map(repr, ledger.values_usd.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(LEDGER_FIELDS) + "\n")
-        for row in ledger.rows:
-            ids_cell = ids_cells.get(row.active_ids)
-            if ids_cell is None:
-                ids_cell = ids_cells[row.active_ids] = _csv_cell(";".join(row.active_ids))
-            weights_cell = weight_cells.get(id(row.weights))
-            if weights_cell is None:
-                values = row.weights.values
-                same = values.count(values[0]) == len(values)
-                weights_cell = ";".join([repr(values[0])] * len(values) if same
-                                        else map(repr, values))
-                weight_cells[id(row.weights)] = weights_cell
-            usd = "" if row.value_usd is None else repr(row.value_usd)
-            fh.write(
-                f"{row.date.isoformat()},{row.daily_return!r},{row.value_stable!r},"
-                f"{usd},{row.portfolio_risk!r},{ids_cell},{weights_cell}\n"
-            )
+        for date, ret, stable, usd_cell, risk, s in zip(
+                ledger.dates, ledger.returns.tolist(), ledger.values_stable.tolist(), usd,
+                ledger.risks.tolist(), ledger.set_of_day.tolist()):
+            fh.write(f"{date.isoformat()},{ret!r},{stable!r},{usd_cell},{risk!r},{set_cells[s]}\n")
 
 
 def _write_comparison_csv(table: ComparisonTable, path: Path) -> None:
@@ -225,15 +213,11 @@ def _write_comparison_csv(table: ComparisonTable, path: Path) -> None:
         fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
 
 
-def _write_monthly_csv(reports: list[MonthlyReport], path: Path) -> None:
-    path.write_text(format_monthly(reports, "csv"), encoding="utf-8", newline="")
-
-
 def _plot_data(table: ComparisonTable) -> dict:
     dates = [d.isoformat() for d in table.dates]
     return {"methods": {m: {
-        "dates": dates, "value_stable": list(table.values_stable[m]),
-        "value_usd": list(table.values_usd[m]), "portfolio_risk": list(table.risks[m]),
+        "dates": dates, "value_stable": table.values_stable[m],
+        "value_usd": table.values_usd[m], "portfolio_risk": table.risks[m],
     } for m in table.methods}}
 
 
@@ -253,24 +237,18 @@ def emit_outputs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ordered = sorted(ledgers, key=lambda l: l.method)
-    written = []
+    written = [out / f"ledger_{ledger.method}.csv" for ledger in ordered]
     ids_cells: dict[tuple[str, ...], str] = {}
-    for ledger in ordered:
-        path = out / f"ledger_{ledger.method}.csv"
+    for ledger, path in zip(ordered, written):
         _write_ledger_csv(ledger, path, ids_cells)
-        written.append(path)
     table = compare_backtests(ordered)
-    path = out / "comparison.csv"
-    _write_comparison_csv(table, path)
-    written.append(path)
-    path = out / "monthly_report.csv"
-    _write_monthly_csv(reports, path)
-    written.append(path)
-    path = out / "plot_data.json"
+    comparison, monthly, plot = (out / name for name in (
+        "comparison.csv", "monthly_report.csv", "plot_data.json"))
+    _write_comparison_csv(table, comparison)
+    monthly.write_text(format_monthly(reports, "csv"), encoding="utf-8", newline="")
     payload = json.dumps(_plot_data(table), sort_keys=True, separators=(",", ":"))
-    path.write_text(payload + "\n", encoding="utf-8")
-    written.append(path)
-    return written
+    plot.write_text(payload + "\n", encoding="utf-8")
+    return written + [comparison, monthly, plot]
 
 
 # --- ledger round-trip (used by the report CLI command) -------------------------
@@ -282,34 +260,41 @@ def read_ledger_csv(path) -> BacktestLedger:
     does not parse, or the file when the rows break a ledger invariant.
     """
     method = Path(path).stem.removeprefix("ledger_")
-    rows = []
-    cells = vector = None  # the last parsed (ids, weights) text and its vector
+    days, returns, values, usds, risks, set_of_day = [], [], [], [], [], []
+    sets: dict[tuple[str, str], int] = {}  # (ids, weights) text -> set number
+    set_weights = []
     for lineno, (date, ret, stable, usd, risk, ids, weights) in _read_rows(path, LEDGER_FIELDS):
         try:
             day = dt.date.fromisoformat(date)
-            if (ids, weights) != cells:  # equal text parses to equal floats
+            s = sets.get((ids, weights))
+            if s is None:  # equal text parses to equal floats
                 universe_ids = tuple(ids.split(";"))
                 n, first = len(universe_ids), weights.partition(";")[0]
                 if weights == ";".join([first] * n):  # one weight, repeated
-                    values = (float(first),) * n
+                    parsed = (float(first),) * n
                 else:
-                    values = tuple(map(float, weights.split(";")))
-                vector = WeightVector(universe_ids, values)
-                cells = ids, weights
-            rows.append(BacktestRow(
-                date=day,
-                weights=vector,
-                daily_return=float(ret),
-                value_stable=float(stable),
-                value_usd=float(usd) if usd else None,
-                portfolio_risk=float(risk),
-            ))
+                    parsed = tuple(map(float, weights.split(";")))
+                set_weights.append(WeightVector(universe_ids, parsed))
+                s = sets[ids, weights] = len(sets)
+            r, v, u, k = float(ret), float(stable), float(usd) if usd else 0.0, float(risk)
+            if not (all(map(math.isfinite, (r, v, u, k))) and k >= 0):
+                raise ValueError(FIGURES_ERROR.format(day))
+            if days and bool(usd) != bool(usds):
+                raise ValueError("value_usd must be given on every row or on none")
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-    if not rows:
+        days.append(day.toordinal())
+        returns.append(r)
+        values.append(v)
+        risks.append(k)
+        set_of_day.append(s)
+        if usd:
+            usds.append(u)
+    if not days:
         raise EmptyLedger(f"ledger file {path} has no rows")
     try:
-        initial = rows[0].value_stable / (1.0 + rows[0].daily_return)
-        return BacktestLedger(method, initial, tuple(rows))
+        initial = values[0] / (1.0 + returns[0])
+        return BacktestLedger(method, initial, days, returns, values, usds or None, risks,
+                              set_of_day, tuple(set_weights))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, None, str(exc)) from None

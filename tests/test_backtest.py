@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 import sys
@@ -634,3 +635,60 @@ def test_set_whose_only_score_squares_to_zero_is_named(method):
     assert got == _raised(reference_backtest, config, universe, panel)
     assert got == (ZeroMatrix, "cannot normalize a risk matrix whose squared entries "
                                "sum to 0 or overflow: largest entry 1e-200 for 'z'")
+
+
+def per_row_ledger_error(days, returns, values, usd, risks):
+    """The message of the first failing ledger check, in the order the per-row
+    ledger made them: every row's figures, then row by row the day, the
+    accrual and the value; None when all hold."""
+    dates = [dt.date.fromordinal(d) for d in days]
+    for i, date in enumerate(dates):
+        figures = (returns[i], values[i], 0.0 if usd is None else usd[i], risks[i])
+        if not (all(map(math.isfinite, figures)) and risks[i] >= 0):
+            return f"ledger figures must be finite, risk >= 0 (on {date})"
+    for i, date in enumerate(dates):
+        if i:
+            if days[i] != days[i - 1] + 1:
+                return "ledger must hold one row per consecutive day"
+            expected = values[i - 1] * (1.0 + returns[i])
+            if not abs(values[i] - expected) <= 1e-12 * abs(expected):
+                return f"accrual identity violated on {date}"
+        if not values[i] > 0:
+            return f"portfolio value must stay > 0 (on {date})"
+    return None
+
+
+BAD_FIGURES = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 1e308, 1e-320]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.booleans(), st.data())
+def test_ledger_checks_name_the_error_of_the_per_row_checks(n, with_fx, data):
+    """Edited columns of a valid ledger fail, or not, with the message and on
+    the day the per-row checks give."""
+    universe = validate_universe([ProtocolRecord("a", 1.0), ProtocolRecord("b", 4.0)])
+    fx = DatedSeries.from_pairs((day(i), 1.01) for i in range(n)) if with_fx else None
+    panel = YieldPanel(series={"a": constant_series(0.05, 0, n - 1),
+                               "b": constant_series(0.2, 0, n - 1)}, fx=fx)
+    ledger = run_backtest(BacktestConfig(day(0), day(n - 1), "erc"), universe, panel)
+    columns = {name: getattr(ledger, name).tolist() for name in ("days", "returns",
+               "values_stable", "risks") + ("values_usd",) * with_fx}
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from(sorted(columns)))
+        i = data.draw(st.integers(0, n - 1))
+        if name == "days":  # a day skipped or repeated from row i on
+            step = data.draw(st.sampled_from([1, -1]))
+            columns["days"][i:] = [d + step for d in columns["days"][i:]]
+        else:
+            columns[name][i] = data.draw(st.one_of(
+                st.sampled_from(BAD_FIGURES),
+                st.just(columns[name][i] * (1 + 1e-9))))
+    want = per_row_ledger_error(columns["days"], columns["returns"], columns["values_stable"],
+                                columns.get("values_usd"), columns["risks"])
+    edited = {name: np.array(column) for name, column in columns.items()}
+    try:
+        dataclasses.replace(ledger, **edited)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None

@@ -583,7 +583,7 @@ class TestFetchCommand:
         )
 
     @pytest.mark.parametrize("ttl, message", [
-        ("nan", "cache_ttl must be >= 0, got nan"),
+        ("nan", "config file {config}: ttl_seconds must be >= 0, got nan"),
         ("soon", "config file {config}: ttl_seconds must be a number, got 'soon'"),
     ])
     def test_bad_ttl_exits_2(self, tmp_path, capsys, ttl, message):

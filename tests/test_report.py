@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import io
 import math
@@ -97,15 +98,7 @@ class TestMonthlyAvgRisk:
         risks = [0.6] * 15 + [0.8] * 15
         # mean computed directly from a synthetic ledger's risk column
         ledger = ledger_with(days=30, apy=0.05)
-        patched = [
-            type(row)(
-                date=row.date, weights=row.weights,
-                daily_return=row.daily_return, value_stable=row.value_stable,
-                value_usd=row.value_usd, portfolio_risk=risks[i],
-            )
-            for i, row in enumerate(ledger.rows)
-        ]
-        ledger = type(ledger)(ledger.method, ledger.initial_value, tuple(patched))
+        ledger = dataclasses.replace(ledger, risks=risks)
         rows = monthly_avg_risk(ledger)
         assert rows[0][1] == pytest.approx(0.7, rel=1e-15)
 
@@ -553,3 +546,16 @@ def test_quoted_ids_cell_hands_the_rest_to_the_csv_module(tmp_path):
         rows = read_ledger_csv(path).rows
     assert reader.call_count == 1
     assert rows == each_row_parsed(path)
+
+
+@pytest.mark.parametrize("index, line", [(1, 3), (4, 5)])
+def test_value_usd_on_some_rows_only_named_at_the_first_row_that_differs(tmp_path, index, line):
+    # the ledger has no FX overlay; one row gets a USD value
+    path, lines = late_entrant_ledger_lines(tmp_path)
+    cells = lines[index].split(",")
+    cells[3] = cells[2]
+    lines[index] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_ledger_csv(path)
+    assert str(exc.value) == f"{path}:{line}: value_usd must be given on every row or on none"

@@ -262,11 +262,13 @@ def read_ledger_csv(path) -> BacktestLedger:
     method = Path(path).stem.removeprefix("ledger_")
     days, returns, values, usds, risks, set_of_day = [], [], [], [], [], []
     sets: dict[tuple[str, str], int] = {}  # (ids, weights) text -> set number
-    set_weights = []
+    set_weights, last = [], None  # a row repeating the text before skips hashing it
     for lineno, (date, ret, stable, usd, risk, ids, weights) in _read_rows(path, LEDGER_FIELDS):
         try:
             day = dt.date.fromisoformat(date)
-            s = sets.get((ids, weights))
+            if (ids, weights) != last:
+                last = ids, weights
+                s = sets.get(last)
             if s is None:  # equal text parses to equal floats
                 universe_ids = tuple(ids.split(";"))
                 n, first = len(universe_ids), weights.partition(";")[0]

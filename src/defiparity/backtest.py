@@ -273,8 +273,8 @@ class BacktestLedger:
         if not n:
             raise ValueError("ledger must have at least one row")
         columns = (self.returns, self.values_stable, self.values_usd, self.risks, self.set_of_day)
-        if any(c is not None and c.shape != (n,) for c in columns) or not (
-                0 <= self.set_of_day.min() <= self.set_of_day.max() < len(self.set_weights)):
+        if any(c is not None and c.shape != (n,) for c in columns) or not (  # a set < 0 wraps
+                self.set_of_day.view(np.uintp) < len(self.set_weights)).all():
             raise ValueError("ledger columns must hold one entry per day, and a set of each")
         values, risks = self.values_stable, self.risks
         ok = np.isfinite(self.returns) & np.isfinite(values) & np.isfinite(risks) & (risks >= 0)
@@ -286,7 +286,7 @@ class BacktestLedger:
         # value accrues from the last as `prev * (1 + r)`, the value is > 0
         expected = values[:-1] * (1.0 + self.returns[1:])
         holds = np.ones((n, 3), dtype=bool)
-        holds[1:, 0] = np.diff(self.days) == 1
+        holds[1:, 0] = self.days[1:] - self.days[:-1] == 1
         holds[1:, 1] = abs(values[1:] - expected) <= 1e-12 * abs(expected)
         holds[:, 2] = values > 0
         if not holds.all():

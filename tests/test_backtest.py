@@ -692,3 +692,20 @@ def test_ledger_checks_name_the_error_of_the_per_row_checks(n, with_fx, data):
         assert str(exc) == want
     else:
         assert want is None
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({"days": [], "returns": [], "values_stable": [], "risks": [], "set_of_day": []},
+     "ledger must have at least one row"),
+    ({"returns": [0.0, 0.0]}, "ledger columns must hold one entry per day, and a set of each"),
+    ({"values_usd": [1.0, 1.0]}, "ledger columns must hold one entry per day, and a set of each"),
+    ({"set_of_day": [0, 0, -1]}, "ledger columns must hold one entry per day, and a set of each"),
+    ({"set_of_day": [0, 1, 0]}, "ledger columns must hold one entry per day, and a set of each"),
+])
+def test_ledger_columns_must_cover_every_day_with_a_set(columns, message):
+    universe = validate_universe([ProtocolRecord("a", 1.0)])
+    panel = YieldPanel(series={"a": constant_series(0.05, 0, 2)})
+    ledger = run_backtest(BacktestConfig(day(0), day(2), "ew"), universe, panel)
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(ledger, **columns)
+    assert str(exc.value) == message

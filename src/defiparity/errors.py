@@ -10,6 +10,15 @@ from __future__ import annotations
 class DefiParityError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # a pickle holds the message and the attributes, not the arguments of
+        # a subclass's own __init__, so unpickling must not call it
+        return _unpickled, (type(self), self.args), self.__dict__
+
+
+def _unpickled(cls, args):
+    return cls.__new__(cls, *args)
+
 
 # --- domain -----------------------------------------------------------------
 

@@ -1,12 +1,14 @@
 import csv
 import datetime as dt
 import json
+import os
+import signal
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from defiparity import allocate
+from defiparity import allocate, cli, report
 from defiparity.cli import main
 from defiparity.domain import WeightVector
 from defiparity.errors import NotConverged
@@ -469,6 +471,166 @@ class TestReportCommand:
         )
         # the per-method formats carry each report's own months
         assert main(["report", "--ledger", str(ledgers), "--format", "json"]) == 0
+
+
+USABLE_CPUS = cli._usable_cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process read needs os.fork")
+class TestReportOnTwoProcesses:
+    """`report` reads a ledger set of any size on two processes once the
+    size floor is 0 and two CPUs are usable; its output, error line and
+    exit code are those of the read on one process."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children `report` forks, each reaped on return."""
+        pids, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        return pids
+
+    def ledgers(self, tmp_path, largest="erc"):
+        """The fixture's three ledgers, the largest (ERC's, which the child
+        reads) renamed to ledger_<largest>.csv."""
+        start, end = write_inputs(tmp_path, third_protocol=True)
+        out = tmp_path / "out"
+        assert main([
+            "backtest", "--scores", str(tmp_path / "scores.csv"),
+            "--yields", str(tmp_path / "yields.csv"), "--fx", str(tmp_path / "fx.csv"),
+            "--method", "ew,tvl,erc", "--start", start.isoformat(),
+            "--end", end.isoformat(), "--out", str(out),
+        ]) == 0
+        (out / "ledger_erc.csv").rename(out / f"ledger_{largest}.csv")
+        return out
+
+    def report(self, monkeypatch, capsys, out, fmt, floor):
+        monkeypatch.setattr(cli, "TWO_PROCESS_BYTES", floor)
+        capsys.readouterr()
+        code = main(["report", "--ledger", str(out), "--format", fmt])
+        captured = capsys.readouterr()
+        with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+        return code, captured.out, captured.err
+
+    def serial_and_split(self, monkeypatch, capsys, forks, out, fmt="csv"):
+        serial = self.report(monkeypatch, capsys, out, fmt, floor=10 ** 12)
+        assert forks == []
+        split = self.report(monkeypatch, capsys, out, fmt, floor=0)
+        assert len(forks) == 1
+        return serial, split
+
+    @staticmethod
+    def shares(out):
+        """The sorted ledger paths, and those the child reads."""
+        paths = sorted(out.glob("ledger_*.csv"))
+        child = cli._child_share([p.stat().st_size for p in paths])
+        return paths, [paths[i] for i in child]
+
+    @staticmethod
+    def break_last_row(path):
+        lines = path.read_text().splitlines()
+        lines[-1] = _cell(1, "abc")(lines[-1])
+        path.write_text("\n".join(lines) + "\n")
+        return len(lines)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_output_equals_the_serial_bytes(self, tmp_path, monkeypatch, capsys, forks, fmt):
+        out = self.ledgers(tmp_path)
+        serial, split = self.serial_and_split(monkeypatch, capsys, forks, out, fmt)
+        assert split == serial
+        assert serial[0] == 0 and serial[1] and not serial[2]
+        if fmt == "csv":
+            assert serial[1] == (out / "monthly_report.csv").read_text()
+
+    def test_child_splits_off_a_share(self, tmp_path):
+        paths, child = self.shares(self.ledgers(tmp_path))
+        assert child == [paths[0]]  # ERC's ledger, the largest
+        assert cli._child_share([5, 3, 3]) == [0]
+        assert cli._child_share([1, 4, 2, 3]) == [0, 1]  # 4 + 1 against 3 + 2
+
+    def test_bad_row_the_child_reads_gives_the_serial_error(
+            self, tmp_path, monkeypatch, capsys, forks):
+        out = self.ledgers(tmp_path)
+        child = self.shares(out)[1]
+        line = self.break_last_row(child[0])
+        assert self.shares(out)[1] == child
+        serial, split = self.serial_and_split(monkeypatch, capsys, forks, out)
+        assert split == serial == (
+            2, "", f"error: {child[0]}:{line}: could not convert string to float: 'abc'\n")
+
+    @pytest.mark.parametrize("largest", ["erc", "zz"])
+    def test_first_broken_ledger_in_sorted_order_wins(
+            self, tmp_path, monkeypatch, capsys, forks, largest):
+        # the child's ledger sorts first (erc) or last (zz); every ledger is broken
+        out = self.ledgers(tmp_path, largest)
+        paths, child = self.shares(out)
+        assert child == [out / f"ledger_{largest}.csv"]
+        lines = [self.break_last_row(p) for p in paths]
+        serial, split = self.serial_and_split(monkeypatch, capsys, forks, out)
+        assert split == serial
+        assert serial[0] == 2 and serial[2].startswith(f"error: {paths[0]}:{lines[0]}: ")
+
+    @pytest.mark.parametrize("end", ["exit-3", "killed"])
+    def test_child_that_fails_still_gives_the_output(
+            self, tmp_path, monkeypatch, capsys, forks, end):
+        out = self.ledgers(tmp_path)
+        serial = self.report(monkeypatch, capsys, out, "json", floor=10 ** 12)
+        parent, read = os.getpid(), report.read_ledger_csv
+
+        def failing_in_child(path):
+            if os.getpid() != parent:
+                if end == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(3)
+            return read(path)
+
+        monkeypatch.setattr(report, "read_ledger_csv", failing_in_child)
+        assert self.report(monkeypatch, capsys, out, "json", floor=0) == serial
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "one-ledger", "below-floor"])
+    def test_read_on_one_process(self, tmp_path, monkeypatch, capsys, forks, limit):
+        out = self.ledgers(tmp_path)
+        serial = self.report(monkeypatch, capsys, out, "csv", floor=10 ** 12)
+        floor = 0
+        if limit == "one-cpu":
+            monkeypatch.setattr(cli, "_usable_cpus", USABLE_CPUS)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            assert cli._usable_cpus() == 1
+        elif limit == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif limit == "one-ledger":
+            for name in ("ew", "tvl"):
+                (out / f"ledger_{name}.csv").unlink()
+            serial = self.report(monkeypatch, capsys, out, "csv", floor=10 ** 12)
+        else:
+            floor = sum(p.stat().st_size for p in out.glob("ledger_*.csv")) + 1
+        assert self.report(monkeypatch, capsys, out, "csv", floor) == serial
+        assert forks == []
+
+    def test_read_on_one_process_with_a_second_thread(self, tmp_path, monkeypatch, capsys,
+                                                      forks):
+        out = self.ledgers(tmp_path)
+        serial = self.report(monkeypatch, capsys, out, "csv", floor=10 ** 12)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(10,))
+        thread.start()
+        try:
+            assert self.report(monkeypatch, capsys, out, "csv", floor=0) == serial
+        finally:
+            done.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert forks == []
 
 
 class _Handler(BaseHTTPRequestHandler):

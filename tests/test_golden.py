@@ -111,3 +111,84 @@ def test_backtest_outputs_match_golden_hashes(tmp_path):
 
 def test_simple_365_outputs_match_golden_hashes(tmp_path):
     assert backtest_digests(tmp_path, "--apy-convention", "simple_365") == GOLDEN_SIMPLE_365
+
+
+# --- metamorphic properties of the whole command, byte for byte -----------------
+
+END = START + dt.timedelta(days=DAYS - 1)
+
+
+def backtest_files(base, start, end, out, scores="scores.csv", yields="yields.csv",
+                   fx="fx.csv"):
+    """The bytes of each file `backtest` writes over [start, end] into base/out."""
+    assert main([
+        "backtest", "--scores", str(base / scores), "--yields", str(base / yields),
+        "--fx", str(base / fx), "--method", "ew,tvl,erc",
+        "--start", start.isoformat(), "--end", end.isoformat(), "--out", str(base / out),
+    ]) == 0
+    return {p.name: p.read_bytes() for p in sorted((base / out).iterdir())}
+
+
+def _month_rows(monthly: bytes) -> dict[str, list[bytes]]:
+    rows = {}
+    for line in monthly.splitlines()[1:]:
+        rows.setdefault(line.split(b",")[0], []).append(line)
+    return rows
+
+
+def test_split_run_chains_into_the_whole_run(tmp_path):
+    # split at a month end, on the day before yearn's first yield: the head's
+    # ledgers are prefixes of the whole's, the tail's rows differ from the
+    # whole's only in the values (it starts again at 1), and the monthly
+    # tables of head and tail are the whole's
+    write_fixture(tmp_path)
+    split = dt.date(2022, 1, 31)
+    whole = backtest_files(tmp_path, START, END, "whole")
+    head = backtest_files(tmp_path, START, split, "head")
+    tail = backtest_files(tmp_path, split + dt.timedelta(days=1), END, "tail")
+    head_days = (split - START).days + 1
+    for method in ("erc", "ew", "tvl"):
+        name = f"ledger_{method}.csv"
+        lines = whole[name].splitlines()
+        assert head[name].splitlines() == lines[:1 + head_days]
+        tail_lines = tail[name].splitlines()
+        assert tail_lines[0] == lines[0] and len(tail_lines) == len(lines) - head_days
+        for got, want in zip(tail_lines[1:], lines[1 + head_days:]):
+            got, want = got.split(b","), want.split(b",")
+            assert got[:2] + got[4:] == want[:2] + want[4:]
+    months = _month_rows(whole["monthly_report.csv"])
+    head_months, tail_months = (_month_rows(run["monthly_report.csv"]) for run in (head, tail))
+    assert set(months) == {b"erc", b"ew", b"tvl"}
+    for method, rows in months.items():
+        assert rows == head_months[method] + tail_months[method]
+        assert len(head_months[method]) == 1
+
+
+def test_observations_outside_the_window_change_nothing(tmp_path):
+    # yields and FX rows dated outside [start - gap, end] are never read;
+    # curve has no yields on the start day, which is filled from two days back
+    write_fixture(tmp_path)
+    start, end, gap = dt.date(2022, 2, 10), dt.date(2022, 2, 25), 3
+    first = (start - dt.timedelta(days=gap)).isoformat()
+    for name in ("yields", "fx"):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        kept = [lines[0], *(l for l in lines[1:] if first <= l[:10] <= end.isoformat())]
+        assert len(kept) < len(lines) - 10
+        (tmp_path / f"{name}_window.csv").write_text("\n".join(kept) + "\n")
+    want = backtest_files(tmp_path, start, end, "all")
+    got = backtest_files(tmp_path, start, end, "window", yields="yields_window.csv",
+                         fx="fx_window.csv")
+    assert got == want
+
+
+def test_scored_protocol_without_yields_changes_nothing(tmp_path):
+    # between comp and curve in id order, with the lowest score and the
+    # largest TVL: it would dominate ERC and TVL weights if it were ever active
+    write_fixture(tmp_path)
+    lines = (tmp_path / "scores.csv").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("curve,"))
+    lines.insert(at, "cream,Cream,Ethereum,0.001,1000000000000")
+    (tmp_path / "inert.csv").write_text("\n".join(lines) + "\n")
+    want = backtest_files(tmp_path, START, END, "plain")
+    got = backtest_files(tmp_path, START, END, "inert", scores="inert.csv")
+    assert got == want

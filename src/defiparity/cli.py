@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 input/validation error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import configparser
+import contextlib
 import datetime as dt
+import functools
 import json
 import os
 import pickle
@@ -22,6 +23,7 @@ from .backtest import (
     APY_CONVENTIONS,
     METHODS,
     BacktestConfig,
+    YieldPanel,
     run_backtest,
 )
 from .errors import DefiParityError, NotConverged
@@ -37,6 +39,12 @@ EXIT_IO = 4
 # even on two processes, and the `paper` (0.34 MB) and `window` (0.57 MB)
 # ledgers took 3-5 ms longer there than their 5-7 ms on one.
 TWO_PROCESS_BYTES = 1 << 20
+# `backtest` reads a plain yields file of at least this many bytes on two
+# processes.  On the same VM, `window`'s yields cut to 1, 1.5, 2 and 3 MB made
+# a 31-day backtest faster on two in 7/15, 13/20, 19/20 and 20/20 fresh-process
+# pairs; `churn`'s 1.9 MB, whose 600-day backtest pays the fork's copy-on-write
+# faults for longer, were faster in 4/20, 7/20 and 13/20 on three runs.
+TWO_PROCESS_YIELDS_BYTES = 4 << 20
 
 
 def _parse_iso_date(text: str) -> dt.date:
@@ -129,7 +137,7 @@ def cmd_backtest(args) -> int:
         raise ValueError("no backtest method given")
 
     universe = ingest.load_scores(args.scores)
-    panel = ingest.load_yields(args.yields, universe.ids, args.fx or None)
+    panel = _load_yields(args.yields, universe.ids, args.fx or None)
 
     ledgers = []
     for method in methods:
@@ -141,6 +149,17 @@ def cmd_backtest(args) -> int:
     for path in written:
         print(path)
     return EXIT_OK
+
+
+def _load_yields(path, ids, fx_path) -> YieldPanel:
+    """`ingest.load_yields`, a large plain file read on two processes
+    (`ingest._split_columns`)."""
+    token = ingest._two_processes.set(
+        functools.partial(_two_processes, TWO_PROCESS_YIELDS_BYTES))
+    try:
+        return ingest.load_yields(path, ids, fx_path)
+    finally:
+        ingest._two_processes.reset(token)
 
 
 def cmd_report(args) -> int:
@@ -158,32 +177,27 @@ def _fold(path) -> report.MonthlyReport:
 
 
 def _monthly_reports(paths: list[Path]) -> list[report.MonthlyReport]:
-    """The monthly report of each ledger, in path order.  Large ledger sets
-    are read on two processes where this process may use two CPUs; if either
-    side fails, every ledger is read again here in path order, so the error
-    raised is the one a read on one process raises."""
-    sizes = _two_process_sizes(paths)
-    reports = None if sizes is None else _fold_on_two_processes(paths, sizes)
-    return [_fold(p) for p in paths] if reports is None else reports
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _two_process_sizes(paths: list[Path]) -> list[int] | None:
-    """The size of each ledger if they are worth reading on two processes:
-    never in a process with threads, as a forked child may find a lock held."""
-    if (not hasattr(os, "fork") or len(paths) < 2 or _usable_cpus() < 2
-            or threading.active_count() > 1):
-        return None
+    """The monthly report of each ledger, in path order.  Two or more large
+    ledgers are read on two processes; if either side fails, every ledger is
+    read again here in path order, so the error raised is the one a read on
+    one process raises."""
     try:
         sizes = [p.stat().st_size for p in paths]
     except OSError:  # reading the ledger raises it, in its turn
-        return None
-    return sizes if sum(sizes) >= TWO_PROCESS_BYTES else None
+        sizes = []
+    if len(sizes) > 1:
+        theirs = _child_share(sizes)
+        try:
+            with _two_processes(TWO_PROCESS_BYTES, sum(sizes), lambda: pickle.dumps(
+                    [_fold(paths[i]) for i in theirs])) as wait:
+                if wait is not None:
+                    folded = {i: _fold(p) for i, p in enumerate(paths) if i not in theirs}
+                    if (sent := wait()) is not None:
+                        folded.update(zip(theirs, pickle.loads(sent)))
+                        return [folded[i] for i in range(len(paths))]
+        except Exception:  # raised again by the read on one process
+            pass
+    return [_fold(p) for p in paths]
 
 
 def _child_share(sizes: list[int]) -> list[int]:
@@ -197,11 +211,54 @@ def _child_share(sizes: list[int]) -> list[int]:
     return sorted(shares[0])
 
 
-def _fold_on_two_processes(paths: list[Path], sizes: list[int]) -> list | None:
-    """The reports of `paths`, a forked child folding its share and piping
-    back the pickled reports; None if anything fails on either side."""
-    theirs = _child_share(sizes)
-    ours = [i for i in range(len(paths)) if i not in theirs]
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _two_processes(floor: int, size: int, theirs):
+    """Run `theirs()` in a forked child and yield a function that waits for
+    it and returns the bytes `theirs()` returned, or None if it returned
+    None, raised or the child failed.  Yields None, forking nothing, for
+    `size` bytes of input below `floor`, with one usable CPU, without
+    `os.fork`, with a second thread (a forked child could find a lock held)
+    or without a pipe or process to spare.  A child not waited for by the
+    end of the block is killed; either way it is reaped."""
+    child = None
+    if (size >= floor and hasattr(os, "fork") and _usable_cpus() > 1
+            and threading.active_count() == 1):
+        child = _fork(theirs)
+    if child is None:
+        yield None
+        return
+    pid, read_end = child
+    waited = False
+
+    def wait():
+        nonlocal waited
+        try:
+            sent = pipe.read()
+        except OSError:  # the child is killed at the end of the block
+            return None
+        waited = True
+        return sent if _reap(pid) == 0 else None
+
+    with open(read_end, "rb") as pipe:
+        try:
+            yield wait
+        finally:
+            if not waited:
+                import signal  # only a child not waited for needs it
+
+                os.kill(pid, signal.SIGKILL)
+                _reap(pid)
+
+
+def _fork(theirs) -> tuple[int, int] | None:
+    """The pid of a child that runs `theirs()` and the read end of the pipe
+    it sends the bytes back on, or None if no pipe or process is to be had."""
     try:
         read_end, write_end = os.pipe()
     except OSError:  # out of file descriptors
@@ -212,35 +269,32 @@ def _fold_on_two_processes(paths: list[Path], sizes: list[int]) -> list | None:
         os.close(read_end)
         os.close(write_end)
         return None
-    if pid == 0:  # the child never returns; the parent raises its errors again
+    if pid == 0:  # the child never returns; it exits 0 once its bytes are sent
         status = 1
         try:
             os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pickle.dump([_fold(paths[i]) for i in theirs], pipe)
-            status = 0
+            sent = theirs()
+            if sent is not None:
+                with open(write_end, "wb") as pipe:
+                    pipe.write(sent)
+                status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    sent = None
+    return pid, read_end
+
+
+def _reap(pid: int) -> int | None:
+    """The wait status of child `pid`, once it has ended."""
     try:
-        with open(read_end, "rb") as pipe:
-            folded = {i: _fold(paths[i]) for i in ours}
-            sent = pipe.read()
-    except Exception:  # raised again by the read on one process
-        pass
-    finally:  # the pipe is closed, so a child still folding stops at its write
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored
-            status = None
-    if sent is None or status != 0:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored
         return None
-    folded.update(zip(theirs, pickle.loads(sent)))
-    return [folded[i] for i in range(len(paths))]
 
 
 def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date, dt.date]]:
+    import configparser  # only `fetch` reads a config file
+
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

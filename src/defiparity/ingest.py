@@ -21,9 +21,9 @@ error raised, and a row is named by the line it starts on.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import csv
 import datetime as dt
-import hashlib
 import io
 import itertools
 import json
@@ -77,10 +77,14 @@ class DataBundle:
 _RUN_BYTES = 1 << 16
 
 
-def _runs(fh):
-    """The rest of the binary file `fh` in runs of whole lines: `_RUN_BYTES`
-    and the rest of the line they end in (the last run ends with the file)."""
-    while run := fh.read(_RUN_BYTES) + fh.readline():
+def _runs(fh, size=-1):
+    """The next `size` bytes of the binary file `fh`, which end a line (by
+    default the rest of the file), in runs of whole lines: `_RUN_BYTES` and
+    the rest of the line they end in."""
+    while run := fh.read(_RUN_BYTES if size < 0 else min(_RUN_BYTES, size)):
+        if len(run) != size:
+            run += fh.readline()
+        size -= len(run)
         yield run
 
 
@@ -110,15 +114,15 @@ def _plain(run: bytes) -> bytes | None:
     return None if b'"' in run or b"\r" in run or b"\0" in run else run
 
 
-def _split_rows(runs, path, take):
+def _split_rows(runs, path, take, lines=0):
     """(line number, cells) for each row `csv.reader` gives for the text of
-    `runs`, the first a header line, named by the line it starts on; a
-    csv.Error or a byte that is not UTF-8 is a ParseError at its line.  Each
+    `runs`, named by the line it starts on: `lines` lines came before them,
+    and with none the first run is a header line.  A csv.Error or a byte that is not UTF-8 is a ParseError at its line.  Each
     later run `_plain` accepts is first offered to `take(run, lines before)`,
     which returns its line count if it consumed it, else 0; a run not taken is
     split on `\n` and commas here.  The first run `_plain` refuses and the rest
     go to one csv.reader, a line at a time as a text file gives them."""
-    runs, reader, lines = iter(runs), None, 0
+    runs, reader = iter(runs), None
     try:
         for run in runs:
             plain = _plain(run)
@@ -149,20 +153,27 @@ def _split_rows(runs, path, take):
                                           f"at byte {exc.start + 1} ({exc.reason})") from None
 
 
-def _read_rows(path, expected_header: list[str], take=lambda run, lines: 0):
+def _read_rows(path, expected_header: list[str], take=lambda run, lines: 0,
+               start=(0, 0)):
     """Yield (line number, stripped cells) for each non-blank row past the
     header, in file order.  The first line is a header that must equal
-    `expected_header`.  `take`, `_split_rows`' hook, takes no run by default."""
+    `expected_header`.  `take`, `_split_rows`' hook, takes no run by default.
+    `start`, a line start's byte offset and the lines before it, resumes a
+    read whose header and earlier lines were read elsewhere."""
     width = len(expected_header)
+    offset, lines = start
     with open(path, "rb") as fh:
-        rows = _split_rows(itertools.chain((fh.readline(),), _runs(fh)), path, take)
-        _, header = next(rows, (None, None))
-        if header is None:
-            raise ParseError(path, 1, "file is empty; a header row is required")
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
-            )
+        fh.seek(offset)
+        runs = _runs(fh) if lines else itertools.chain((fh.readline(),), _runs(fh))
+        rows = _split_rows(runs, path, take, lines)
+        if not lines:
+            _, header = next(rows, (None, None))
+            if header is None:
+                raise ParseError(path, 1, "file is empty; a header row is required")
+            if [h.strip() for h in header] != expected_header:
+                raise ParseError(
+                    path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
+                )
         for lineno, row in rows:
             cells = [cell.strip() for cell in row]
             if not any(cells):
@@ -274,8 +285,9 @@ def _plain_rows(run, index, day_of, keys, apys) -> bool:
     try:
         cells = run.decode("utf-8").replace("\n", ",").split(",")
         dates, ids, values = cells[0:-1:3], cells[1::3], cells[2::3]
-        for text in set(dates).difference(day_of):
-            day_of[text] = dt.date.fromisoformat(text).toordinal()
+        # all or none: which dates a partial fill held would hang on set order
+        day_of.update({text: dt.date.fromisoformat(text).toordinal()
+                       for text in set(dates).difference(day_of)})
         n = len(ids)
         run_keys = np.fromiter(map(index.__getitem__, ids), np.int64, n)
         run_keys |= np.fromiter(map(day_of.__getitem__, dates), np.int64, n)
@@ -289,6 +301,69 @@ def _plain_rows(run, index, day_of, keys, apys) -> bool:
     return True
 
 
+def _plain_columns(runs, index, day_of, keys, apys) -> int:
+    """The size of the leading runs of `runs` that are plain yields rows,
+    each taken a column at a time by `_plain_rows`."""
+    taken = 0
+    for run in runs:
+        plain = _plain(run)
+        if plain is None or not _plain_rows(plain, index, day_of, keys, apys):
+            break
+        taken += len(run)
+    return taken
+
+
+# the CLI's two-process helper while `defiparity backtest` reads its yields;
+# a library call finds None, so it reads on one process and never forks
+_two_processes = contextvars.ContextVar("two_processes", default=None)
+_PLAIN_HEADERS = (b"date,protocol_id,apy\n", b"date,protocol_id,apy\r\n")
+
+
+def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int, int]:
+    """Read yields file `path` a column at a time in two shares where
+    `two_processes` forks: a child takes the lines from the first line start
+    past the middle of the file and pipes back their keys and APYs as raw
+    bytes, appended to `keys` and `apys` after those of the lines before it,
+    read here.  Nothing forks unless the header line and the first run are
+    plain.  Returns the byte offset of the first line not read and the lines
+    before it, where the row path takes over: the end of the file; the start
+    of this process's first run that is not plain rows (a child is then
+    killed unread); the middle line start if the child's share is not all
+    plain rows or the child fails."""
+    with open(path, "rb") as fh:
+        if fh.readline() not in _PLAIN_HEADERS:
+            return 0, 0
+        header, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        fh.seek(size // 2)
+        fh.readline()
+        middle = fh.tell()
+        fh.seek(header)
+        runs = _runs(fh, middle - header)
+        reached = header + _plain_columns(itertools.islice(runs, 1), index, day_of, keys, apys)
+
+        def theirs():
+            their_keys, their_apys = array("q"), array("d")
+            with open(path, "rb") as own:
+                own.seek(middle)
+                if _plain_columns(_runs(own), index, day_of,
+                                  their_keys, their_apys) != size - middle:
+                    return None
+            return their_keys.tobytes() + their_apys.tobytes()
+
+        sent = None
+        if reached == fh.tell():  # the first run was plain rows
+            with two_processes(size, theirs) as wait:
+                if wait is not None:
+                    reached += _plain_columns(runs, index, day_of, keys, apys)
+                    sent = wait() if reached == middle else None
+    if sent is None:
+        return reached, 1 + len(keys)
+    half = len(sent) // 2
+    keys.frombytes(memoryview(sent)[:half])
+    apys.frombytes(memoryview(sent)[half:])
+    return size, 1 + len(keys)
+
+
 def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     """Read the long-format yields CSV into per-protocol series.
 
@@ -297,7 +372,9 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     a run of plain rows is read a column at a time, any other row by row: a
     plain row costs two lookups and one `float`, any other the checked parse.
     Both give typed columns (packed protocol/day key, APY) in file order.
-    Repeats are found on the sorted keys, each series is one slice of them,
+    Under `defiparity backtest` a large plain file is first read a column at
+    a time on two processes (`_split_columns`); the row path reads only what
+    they leave.  Repeats are found on the sorted keys, each series is one slice of them,
     and the FX CSV at `fx_path`, if given, is read last for the overlay.
     """
     order = sorted(set(ids))
@@ -315,8 +392,11 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
         _plain_rows(run, index, day_of, keys, apys)  # appends one row a line, or none
         return len(keys) - before
 
+    two_processes, start = _two_processes.get(), (0, 0)
+    if two_processes is not None:
+        start = _split_columns(path, two_processes, index, day_of, keys, apys)
     try:
-        for lineno, row in _read_rows(path, YIELDS_HEADER, take):
+        for lineno, row in _read_rows(path, YIELDS_HEADER, take, start):
             if skipped := lineno - 2 - len(keys) - len(blanks):
                 blanks += [len(keys)] * skipped
             date_text, pid, apy_text = row
@@ -532,6 +612,8 @@ def _fetch_rows(spec: FetchSpec, session, resource: str, key: str, path: str,
     URL and the item's index (a NonPositiveScore keeps its type).
     """
     url = spec.base_url.rstrip("/") + "/" + path.lstrip("/")
+    import hashlib  # only the fetch cache key needs it
+
     request = json.dumps([url, params], sort_keys=True).encode("utf-8")
     key = f"{key}_{hashlib.sha256(request).hexdigest()[:16]}"
     payload = _cache_read(spec, resource, key)

@@ -8,10 +8,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from defiparity import allocate, cli, report
+from defiparity import allocate, cli, ingest, report
 from defiparity.cli import main
 from defiparity.domain import WeightVector
-from defiparity.errors import NotConverged
+from defiparity.errors import DefiParityError, DuplicateObservation, NotConverged
 
 SCORES_CSV = (
     "protocol_id,name,chain,score,tvl\n"
@@ -631,6 +631,280 @@ class TestReportOnTwoProcesses:
             thread.join(10)
         assert not thread.is_alive()
         assert forks == []
+
+
+YIELD_IDS = ("aave", "curve", "yearn")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process read needs os.fork")
+class TestYieldsOnTwoProcesses:
+    """`backtest` reads a plain yields file of any size on two processes once
+    the yields size floor is 0 and two CPUs are usable: a forked child reads
+    the lines from the first line start past the middle of the file.  The
+    panel, error, line and exit code are those of the read on one process."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The wait status of each child the yields read forks, once reaped."""
+        statuses, reap = [], cli._reap
+
+        def recording_reap(pid):
+            statuses.append(reap(pid))
+            return statuses[-1]
+
+        monkeypatch.setattr(cli, "_reap", recording_reap)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        return statuses
+
+    @staticmethod
+    def lines(days=60):
+        """Bare-cell rows of the three ids over `days` days, date by date."""
+        start = dt.date(2021, 12, 1)
+        return [f"{(start + dt.timedelta(days=i)).isoformat()},{pid},{0.01 * (k + 1) + 1e-4 * i!r}"
+                for i in range(days) for k, pid in enumerate(YIELD_IDS)]
+
+    @staticmethod
+    def write(path, lines, newline="\n"):
+        path.write_bytes("".join(f"{line}{newline}" for line in ["date,protocol_id,apy", *lines])
+                         .encode("utf-8", "surrogateescape"))
+        return path
+
+    @staticmethod
+    def middle(path):
+        """The first line start past the middle of the file: the child's share."""
+        data = path.read_bytes()
+        return data.index(b"\n", len(data) // 2) + 1
+
+    @staticmethod
+    def load(monkeypatch, path, floor, fx=None):
+        """The panel the CLI reads from `path` with this size floor (the
+        library's read on one process if None), or the error it raises."""
+        try:
+            if floor is None:
+                result = ingest.load_yields(path, YIELD_IDS, fx)
+            else:
+                monkeypatch.setattr(cli, "TWO_PROCESS_YIELDS_BYTES", floor)
+                result = cli._load_yields(path, YIELD_IDS, fx)
+        except (DefiParityError, ValueError) as exc:
+            result = exc
+        with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+        return result
+
+    def serial_and_split(self, monkeypatch, forks, path, fx=None):
+        serial = self.load(monkeypatch, path, None, fx)
+        assert forks == []
+        split = self.load(monkeypatch, path, 0, fx)
+        assert len(forks) == 1
+        return serial, split
+
+    @staticmethod
+    def bits(result):
+        """A panel's ids, day ordinals and APY bit patterns, FX too; or an
+        error's type and message."""
+        if isinstance(result, Exception):
+            return type(result), str(result)
+
+        def of(series):
+            return series.ordinals.tobytes(), series.levels.tobytes()
+
+        return ([(pid, *of(s)) for pid, s in result.series.items()],
+                None if result.fx is None else of(result.fx))
+
+    @staticmethod
+    def spy_plain_rows(monkeypatch):
+        """Whether each run this process offers `_plain_rows` is taken, and
+        its line count."""
+        runs, plain_rows = [], ingest._plain_rows
+
+        def spy(run, *args):
+            runs.append((plain_rows(run, *args), run.count(b"\n")))
+            return runs[-1][0]
+
+        monkeypatch.setattr(ingest, "_plain_rows", spy)
+        return runs
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("run_bytes", [ingest._RUN_BYTES, 50])
+    def test_plain_file_gives_the_serial_panel(self, tmp_path, monkeypatch, forks,
+                                               newline, run_bytes):
+        write_inputs(tmp_path)
+        path = self.write(tmp_path / "plain.csv", self.lines(), newline)
+        monkeypatch.setattr(ingest, "_RUN_BYTES", run_bytes)
+        serial = self.load(monkeypatch, path, None, tmp_path / "fx.csv")
+        runs = self.spy_plain_rows(monkeypatch)
+        split = self.load(monkeypatch, path, 0, tmp_path / "fx.csv")
+        assert self.bits(split) == self.bits(serial)
+        assert serial.fx is not None and len(serial.series) == 3
+        assert forks == [0]
+        # every run here was taken a column at a time: the lines before the
+        # middle, the child's columns were used for the rest
+        data = path.read_bytes()
+        assert all(taken for taken, _ in runs)
+        assert sum(lines for _, lines in runs) == data.count(b"\n", 0, self.middle(path)) - 1
+
+    def test_duplicate_across_the_shares_names_the_serial_line(self, tmp_path, monkeypatch,
+                                                               forks):
+        lines = self.lines()
+        lines[-1] = lines[0]  # the child's last line repeats the parent's first
+        path = self.write(tmp_path / "yields.csv", lines)
+        serial, split = self.serial_and_split(monkeypatch, forks, path)
+        assert self.bits(split) == self.bits(serial)
+        assert isinstance(serial, DuplicateObservation)
+        assert str(serial).startswith(f"{path}:{len(lines) + 1}: duplicate observation")
+        assert forks == [0]
+
+    IRREGULAR = {
+        "unknown_id": lambda date, pid, apy: f"{date},zz,{apy}",
+        "bad_apy": lambda date, pid, apy: f"{date},{pid},abc",
+        "non_utf8": lambda date, pid, apy: f"{date},{pid}\udcff,{apy}",
+        "quoted_id": lambda date, pid, apy: f'{date},"{pid}",{apy}',
+        "blank_line": lambda date, pid, apy: f"\n{date},{pid},{apy}",
+        "percent": lambda date, pid, apy: f"{date},{pid},{float(apy) * 100!r}%",
+    }
+
+    @pytest.mark.parametrize("share", ["first-run", "parent", "child"])
+    @pytest.mark.parametrize("kind", sorted(IRREGULAR))
+    def test_irregular_line_gives_the_serial_outcome(self, tmp_path, monkeypatch, forks,
+                                                     kind, share):
+        """The line is in the parent's first run (nothing forks), its last
+        run (the child is killed unread) or the child's share."""
+        monkeypatch.setattr(ingest, "_RUN_BYTES", 100)
+        lines = self.lines()
+        path = self.write(tmp_path / "yields.csv", lines)
+        middle_line = path.read_bytes().count(b"\n", 0, self.middle(path)) - 1
+        i = {"first-run": 0, "parent": middle_line - 3, "child": len(lines) - 1}[share]
+        lines[i] = self.IRREGULAR[kind](*lines[i].split(","))
+        self.write(path, lines)
+        real_read_rows, starts = ingest._read_rows, []
+
+        def read_rows(path, header, take, start):
+            starts.append(start[0])
+            return real_read_rows(path, header, take, start)
+
+        monkeypatch.setattr(ingest, "_read_rows", read_rows)
+        serial = self.load(monkeypatch, path, None)
+        split = self.load(monkeypatch, path, 0)
+        assert self.bits(split) == self.bits(serial)
+        if kind in ("unknown_id", "bad_apy", "non_utf8"):
+            assert isinstance(serial, Exception) and f"{path}:{i + 2}" in str(serial)
+        else:
+            assert not isinstance(serial, Exception)
+        # the row path picks up where the columns stopped, never at byte 0
+        header, middle = len("date,protocol_id,apy\n"), self.middle(path)
+        assert starts[0] == 0
+        if share == "first-run":
+            assert starts[1:] == [header] and forks == []
+        elif share == "parent":
+            assert header < starts[1] < middle and len(forks) == 1
+        else:
+            assert starts[1:] == [middle] and len(forks) == 1
+            assert os.WEXITSTATUS(forks[0]) == 1  # its share is not plain rows
+
+    def test_split_on_the_last_line(self, tmp_path, monkeypatch, forks):
+        lines = self.lines(days=4)
+        date, pid, _ = lines[-2].split(",")
+        lines[-2] = f"{date},{pid},0.05{'0' * 400}"  # holds the middle byte
+        path = self.write(tmp_path / "yields.csv", lines)
+        assert path.read_bytes()[self.middle(path):] == f"{lines[-1]}\n".encode()
+        runs = self.spy_plain_rows(monkeypatch)
+        serial, split = self.serial_and_split(monkeypatch, forks, path)
+        assert self.bits(split) == self.bits(serial)
+        assert serial.series[pid].levels[-1] == 0.05
+        assert forks == [0]
+        # one run on one process, then the parent's share: all but the last line
+        assert runs == [(True, len(lines)), (True, len(lines) - 1)]
+
+    @pytest.mark.parametrize("end", ["exit-3", "killed"])
+    def test_child_that_fails_still_gives_the_panel(self, tmp_path, monkeypatch, forks, end):
+        path = self.write(tmp_path / "yields.csv", self.lines())
+        serial = self.load(monkeypatch, path, None)
+        parent, plain_columns = os.getpid(), ingest._plain_columns
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                if end == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(3)
+            return plain_columns(*args)
+
+        monkeypatch.setattr(ingest, "_plain_columns", failing_in_child)
+        assert self.bits(self.load(monkeypatch, path, 0)) == self.bits(serial)
+        assert len(forks) == 1
+        if end == "killed":
+            assert os.WIFSIGNALED(forks[0]) and os.WTERMSIG(forks[0]) == signal.SIGKILL
+        else:
+            assert os.WEXITSTATUS(forks[0]) == 3
+
+    @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "below-floor", "padded-header"])
+    def test_read_on_one_process(self, tmp_path, monkeypatch, forks, limit):
+        lines = self.lines()
+        path = self.write(tmp_path / "yields.csv", lines)
+        serial = self.load(monkeypatch, path, None)
+        floor = 0
+        if limit == "one-cpu":
+            monkeypatch.setattr(cli, "_usable_cpus", USABLE_CPUS)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif limit == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif limit == "below-floor":
+            floor = path.stat().st_size + 1
+        else:
+            path.write_bytes(path.read_bytes().replace(b"date,", b"date ,", 1))
+        assert self.bits(self.load(monkeypatch, path, floor)) == self.bits(serial)
+        assert forks == []
+
+    def test_read_on_one_process_with_a_second_thread(self, tmp_path, monkeypatch, forks):
+        path = self.write(tmp_path / "yields.csv", self.lines())
+        serial = self.load(monkeypatch, path, None)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(10,))
+        thread.start()
+        try:
+            assert self.bits(self.load(monkeypatch, path, 0)) == self.bits(serial)
+        finally:
+            done.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_library_read_never_forks(self, tmp_path, monkeypatch, forks):
+        path = self.write(tmp_path / "yields.csv", self.lines())
+        monkeypatch.setattr(cli, "TWO_PROCESS_YIELDS_BYTES", 0)
+        ingest.load_yields(path, YIELD_IDS)
+        assert forks == []
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_backtest_gives_the_serial_bytes_and_exit(self, tmp_path, monkeypatch, capsys,
+                                                      forks, bad):
+        start, end = write_inputs(tmp_path, third_protocol=True)
+        if bad:  # the child's last line
+            lines = (tmp_path / "yields.csv").read_text().splitlines()
+            lines[-1] = _cell(2, "abc")(lines[-1])
+            (tmp_path / "yields.csv").write_text("\n".join(lines) + "\n")
+        outcomes = []
+        for floor in (10 ** 12, 0):  # read on one process, then on two
+            monkeypatch.setattr(cli, "TWO_PROCESS_YIELDS_BYTES", floor)
+            out = tmp_path / f"out{floor}"
+            code = main([
+                "backtest", "--scores", str(tmp_path / "scores.csv"),
+                "--yields", str(tmp_path / "yields.csv"), "--fx", str(tmp_path / "fx.csv"),
+                "--method", "ew,tvl,erc", "--start", start.isoformat(),
+                "--end", end.isoformat(), "--out", str(out),
+            ])
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            files = {p.name: p.read_bytes() for p in out.glob("*")} if out.exists() else {}
+            outcomes.append((code, capsys.readouterr().err, files))
+        assert outcomes[0] == outcomes[1]
+        assert len(forks) == 1
+        code, err, files = outcomes[0]
+        if bad:
+            assert code == 2 and err.startswith(f"error: {tmp_path / 'yields.csv'}:")
+            assert not files
+        else:
+            assert code == 0 and not err and "ledger_erc.csv" in files
 
 
 class _Handler(BaseHTTPRequestHandler):

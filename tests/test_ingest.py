@@ -624,13 +624,14 @@ class TestFetchRemote:
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # only `fetch` talks HTTP, so the other commands should not pay for
-    # importing requests
+    # only `fetch` talks HTTP, hashes a cache key or reads a config file, so
+    # the other commands should not pay for importing what those need
     import defiparity
 
     src = str(Path(defiparity.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, defiparity.cli; print('requests' in sys.modules)"
+    probe = ("import sys, defiparity.cli; "
+             "print([m in sys.modules for m in ('requests', 'hashlib', 'configparser')])")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False, False]"

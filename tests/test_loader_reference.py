@@ -37,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defiparity import ingest
+from defiparity import cli, ingest
 from defiparity.errors import (
     DefiParityError,
     DuplicateObservation,
@@ -208,41 +208,73 @@ def write_plain(path, rows, draw):
     return where
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(rows=valid_rows(plain_apys), data=st.data())
-def test_plain_valid_files_load_equal(tmp_path_factory, rows, data):
+def load_on_two_processes(path, ids):
+    """The CLI's yields read with its size floor at 0 and two usable CPUs:
+    the lines from the first line start past the middle of the file are
+    read by a forked child."""
+    with mock.patch.object(cli, "TWO_PROCESS_YIELDS_BYTES", 0), \
+            mock.patch.object(cli, "_usable_cpus", lambda: 2):
+        return cli._load_yields(path, ids, None)
+
+
+def check_plain_valid_file(loader, tmp_path_factory, rows, data):
     path = tmp_path_factory.mktemp("plain") / "yields.csv"
     where = write_plain(path, rows, data.draw)
     with mock.patch.object(ingest, "_checked_yield_row",
                            wraps=ingest._checked_yield_row) as spy:
-        got = load_yields(path, IDS)
+        got = loader(path, IDS)
     assert got == reference_load_yields(path, IDS)
     # a file without blank lines is read a column at a time, with no checked
     # parse; in the row loop only the first row of each date text needs one
+    # (on two processes, one that the columns before it did not hold)
     has_blank = where != list(range(2, len(rows) + 2))
-    assert spy.call_count == (len({row[0] for row in rows}) if has_blank else 0)
+    dates = len({row[0] for row in rows}) if has_blank else 0
+    if loader is load_yields:
+        assert spy.call_count == dates
+    else:
+        assert spy.call_count <= dates
 
 
-@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 2), data=st.data())
-def test_plain_one_bad_row_same_error(tmp_path_factory, kind, rows, data):
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys), data=st.data())
+def test_plain_valid_files_load_equal(tmp_path_factory, rows, data):
+    check_plain_valid_file(load_yields, tmp_path_factory, rows, data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys), data=st.data())
+def test_plain_valid_files_load_equal_through_the_split(tmp_path_factory, rows, data):
+    check_plain_valid_file(load_on_two_processes, tmp_path_factory, rows, data)
+
+
+def check_plain_one_bad_row(loader, tmp_path_factory, kind, rows, data):
     i = data.draw(st.integers(1 if kind == "duplicate" else 0, len(rows) - 1))
     rows = [list(r) for r in rows]
     corrupt(rows, i, kind)
     path = tmp_path_factory.mktemp("plain_bad") / "yields.csv"
     where = write_plain(path, rows, data.draw)
-    got, want = outcome(load_yields, path), outcome(reference_load_yields, path)
+    got, want = outcome(loader, path), outcome(reference_load_yields, path)
     assert type(got) is CORRUPTIONS[kind]
     assert type(got) is type(want)
     assert str(got) == str(want)
     assert line_of(got) == where[i]
 
 
-@pytest.mark.parametrize("first", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 3), data=st.data())
-def test_plain_two_bad_rows_earlier_line_wins(tmp_path_factory, first, rows, data):
+@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 2), data=st.data())
+def test_plain_one_bad_row_same_error(tmp_path_factory, kind, rows, data):
+    check_plain_one_bad_row(load_yields, tmp_path_factory, kind, rows, data)
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 2), data=st.data())
+def test_plain_one_bad_row_same_error_through_the_split(tmp_path_factory, kind, rows, data):
+    check_plain_one_bad_row(load_on_two_processes, tmp_path_factory, kind, rows, data)
+
+
+def check_plain_two_bad_rows(loader, tmp_path_factory, first, rows, data):
     i = data.draw(st.integers(1, len(rows) - 2))
     j = data.draw(st.integers(i + 1, len(rows) - 1))
     second = data.draw(st.sampled_from(sorted(CORRUPTIONS)))
@@ -251,7 +283,7 @@ def test_plain_two_bad_rows_earlier_line_wins(tmp_path_factory, first, rows, dat
     corrupt(rows, j, second)
     path = tmp_path_factory.mktemp("plain_bad2") / "yields.csv"
     where = write_plain(path, rows, data.draw)
-    got, want = outcome(load_yields, path), outcome(reference_load_yields, path)
+    got, want = outcome(loader, path), outcome(reference_load_yields, path)
     assert type(got) is CORRUPTIONS[first]
     assert line_of(got) == where[i]
     if second == "field_count" and first != "field_count":
@@ -259,6 +291,21 @@ def test_plain_two_bad_rows_earlier_line_wins(tmp_path_factory, first, rows, dat
     else:
         assert type(got) is type(want)
         assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("first", sorted(CORRUPTIONS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 3), data=st.data())
+def test_plain_two_bad_rows_earlier_line_wins(tmp_path_factory, first, rows, data):
+    check_plain_two_bad_rows(load_yields, tmp_path_factory, first, rows, data)
+
+
+@pytest.mark.parametrize("first", sorted(CORRUPTIONS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=valid_rows(plain_apys).filter(lambda r: len(r) >= 3), data=st.data())
+def test_plain_two_bad_rows_earlier_line_wins_through_the_split(tmp_path_factory, first, rows,
+                                                                data):
+    check_plain_two_bad_rows(load_on_two_processes, tmp_path_factory, first, rows, data)
 
 
 # --- the columnar pass: a plain file a column at a time, any other by row ---

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import datetime as dt
 import functools
+import gc
 import json
 import os
 import pickle
@@ -28,6 +29,11 @@ from .backtest import (
 )
 from .errors import DefiParityError, NotConverged
 from .risk import build_risk_matrix, normalize
+
+# what the imports built lives as long as the process: the cyclic garbage
+# collector need not scan it again in each command, nor touch its pages in a
+# forked child (a collection that lands in a 5 ms `report` costs 2 ms)
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_INPUT = 2

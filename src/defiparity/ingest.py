@@ -15,7 +15,10 @@ decoded only as its rows are reached.  `_plain` decides once per run if it
 needs the csv module; the first run that does and the rest of the file go to
 one `csv.reader`.  The yields loader takes each run of plain rows a column at
 a time.  So rows are checked in file order, the first bad row or byte is the
-error raised, and a row is named by the line it starts on.
+error raised, and a row is named by the line it starts on.  Under
+`defiparity backtest` a large plain yields file is first read a column at a
+time in two halves on two processes (`_split_columns`), and `_read_rows`
+resumes where those columns stopped.
 """
 
 from __future__ import annotations
@@ -117,11 +120,12 @@ def _plain(run: bytes) -> bytes | None:
 def _split_rows(runs, path, take, lines=0):
     """(line number, cells) for each row `csv.reader` gives for the text of
     `runs`, named by the line it starts on: `lines` lines came before them,
-    and with none the first run is a header line.  A csv.Error or a byte that is not UTF-8 is a ParseError at its line.  Each
-    later run `_plain` accepts is first offered to `take(run, lines before)`,
-    which returns its line count if it consumed it, else 0; a run not taken is
-    split on `\n` and commas here.  The first run `_plain` refuses and the rest
-    go to one csv.reader, a line at a time as a text file gives them."""
+    and with none the first run is a header line.  A csv.Error or a byte
+    that is not UTF-8 is a ParseError at its line.  Each later run `_plain`
+    accepts is first offered to `take(run, lines before)`, which returns its
+    line count if it consumed it, else 0; a run not taken is split on `\n`
+    and commas here.  The first run `_plain` refuses and the rest go to one
+    csv.reader, a line at a time as a text file gives them."""
     runs, reader = iter(runs), None
     try:
         for run in runs:
@@ -285,7 +289,8 @@ def _plain_rows(run, index, day_of, keys, apys) -> bool:
     try:
         cells = run.decode("utf-8").replace("\n", ",").split(",")
         dates, ids, values = cells[0:-1:3], cells[1::3], cells[2::3]
-        # all or none: which dates a partial fill held would hang on set order
+        # all or none: a partial fill would hang on set order, and so would
+        # the dates the row path then parses again
         day_of.update({text: dt.date.fromisoformat(text).toordinal()
                        for text in set(dates).difference(day_of)})
         n = len(ids)

@@ -659,9 +659,9 @@ class TestYieldsOnTwoProcesses:
     @staticmethod
     def lines(days=60):
         """Bare-cell rows of the three ids over `days` days, date by date."""
-        start = dt.date(2021, 12, 1)
-        return [f"{(start + dt.timedelta(days=i)).isoformat()},{pid},{0.01 * (k + 1) + 1e-4 * i!r}"
-                for i in range(days) for k, pid in enumerate(YIELD_IDS)]
+        dates = [(dt.date(2021, 12, 1) + dt.timedelta(days=i)).isoformat() for i in range(days)]
+        return [f"{date},{pid},{0.01 * (k + 1) + 1e-4 * i!r}"
+                for i, date in enumerate(dates) for k, pid in enumerate(YIELD_IDS)]
 
     @staticmethod
     def write(path, lines, newline="\n"):

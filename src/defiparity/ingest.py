@@ -167,8 +167,11 @@ def _read_rows(path, expected_header: list[str], take=lambda run, lines: 0,
     width = len(expected_header)
     offset, lines = start
     with open(path, "rb") as fh:
-        fh.seek(offset)
-        runs = _runs(fh) if lines else itertools.chain((fh.readline(),), _runs(fh))
+        if lines:
+            fh.seek(offset)  # only a regular file gets here: a pipe has no offsets
+            runs = _runs(fh)
+        else:
+            runs = itertools.chain((fh.readline(),), _runs(fh))
         rows = _split_rows(runs, path, take, lines)
         if not lines:
             _, header = next(rows, (None, None))
@@ -334,7 +337,10 @@ def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int,
     before it, where the row path takes over: the end of the file; the start
     of this process's first run that is not plain rows (a child is then
     killed unread); the middle line start if the child's share is not all
-    plain rows or the child fails."""
+    plain rows or the child fails; byte 0 for a file that is not regular
+    (a pipe can be read only once) or whose header line is not plain."""
+    if not os.path.isfile(path):
+        return 0, 0
     with open(path, "rb") as fh:
         if fh.readline() not in _PLAIN_HEADERS:
             return 0, 0

@@ -869,6 +869,31 @@ class TestYieldsOnTwoProcesses:
         assert not thread.is_alive()
         assert forks == []
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_pipe_is_read_once_on_one_process(self, tmp_path, monkeypatch, forks):
+        """A pipe's bytes can be read only once, so the split never opens it."""
+        path = self.write(tmp_path / "yields.csv", self.lines())
+        serial = self.load(monkeypatch, path, None)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        results = []
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        def read():
+            results.append(self.load(monkeypatch, fifo, 0))
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert self.bits(results[0]) == self.bits(serial)
+        assert forks == []
+
     def test_library_read_never_forks(self, tmp_path, monkeypatch, forks):
         path = self.write(tmp_path / "yields.csv", self.lines())
         monkeypatch.setattr(cli, "TWO_PROCESS_YIELDS_BYTES", 0)

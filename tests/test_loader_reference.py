@@ -10,7 +10,10 @@ has the wrong field count it names that row instead.
 
 The same three checks run again on files of bare cells (no padding, no
 `%`), most of whose rows the loader reads without its checked parse, so its
-fast path and its sort-time duplicate check meet the reference too.
+fast path and its sort-time duplicate check meet the reference too.  They
+run a second time through the CLI's two-process read with its size floor at
+0, so that every file is split at its middle line, a forked child reading
+the lines past it.
 
 The last section checks the columnar pass: plain files, of one row, of
 several 64 KB runs or cut into runs of a few lines, with `\n` or `\r\n`

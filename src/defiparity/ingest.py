@@ -332,13 +332,13 @@ def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int,
     `two_processes` forks: a child takes the lines from the first line start
     past the middle of the file and pipes back their keys and APYs as raw
     bytes, appended to `keys` and `apys` after those of the lines before it,
-    read here.  Nothing forks unless the header line and the first run are
-    plain.  Returns the byte offset of the first line not read and the lines
-    before it, where the row path takes over: the end of the file; the start
-    of this process's first run that is not plain rows (a child is then
-    killed unread); the middle line start if the child's share is not all
-    plain rows or the child fails; byte 0 for a file that is not regular
-    (a pipe can be read only once) or whose header line is not plain."""
+    read here.  Returns the byte offset of the first line not read and the
+    lines before it; the row path reads the rest.  This process's columns
+    stop at its first run that is not plain rows (a child is then killed
+    unread); a child whose share is not all plain rows, or that fails,
+    leaves the rest from the middle line.  Nothing forks for a file that is
+    not regular (a pipe can be read only once), for a header line or first
+    run that is not plain, or where `two_processes` declines."""
     if not os.path.isfile(path):
         return 0, 0
     with open(path, "rb") as fh:

@@ -336,9 +336,9 @@ def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int,
     lines before it; the row path reads the rest.  This process's columns
     stop at its first run that is not plain rows (a child is then killed
     unread); a child whose share is not all plain rows, or that fails,
-    leaves the rest from the middle line.  Nothing forks for a file that is
-    not regular (a pipe can be read only once), for a header line or first
-    run that is not plain, or where `two_processes` declines."""
+    leaves the rest from the middle line.  No run is read here for a file
+    that is not regular (a pipe can be read only once), a header line that
+    is not plain, or where `two_processes` declines: returns (0, 0)."""
     if not os.path.isfile(path):
         return 0, 0
     with open(path, "rb") as fh:
@@ -349,8 +349,6 @@ def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int,
         fh.readline()
         middle = fh.tell()
         fh.seek(header)
-        runs = _runs(fh, middle - header)
-        reached = header + _plain_columns(itertools.islice(runs, 1), index, day_of, keys, apys)
 
         def theirs():
             their_keys, their_apys = array("q"), array("d")
@@ -361,12 +359,12 @@ def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int,
                     return None
             return their_keys.tobytes() + their_apys.tobytes()
 
-        sent = None
-        if reached == fh.tell():  # the first run was plain rows
-            with two_processes(size, theirs) as wait:
-                if wait is not None:
-                    reached += _plain_columns(runs, index, day_of, keys, apys)
-                    sent = wait() if reached == middle else None
+        with two_processes(size, theirs) as wait:
+            if wait is None:
+                return 0, 0
+            reached = header + _plain_columns(_runs(fh, middle - header),
+                                              index, day_of, keys, apys)
+            sent = wait() if reached == middle else None
     if sent is None:
         return reached, 1 + len(keys)
     half = len(sent) // 2

@@ -18,6 +18,7 @@ from defiparity.errors import (
     NotConverged,
     NotDiagonal,
     NotNormalized,
+    UniverseMismatch,
     ZeroTotalTvl,
 )
 from defiparity.risk import build_risk_matrix, normalize
@@ -121,6 +122,12 @@ class TestErcObjective:
         m = normalized_matrix([3.3])
         assert erc_objective(WeightVector(m.universe_ids, (1.0,)), m) == 0.0
 
+    def test_requires_the_matrix_ids(self):
+        m = normalized_matrix_from({"a": 1.0, "c": 2.0})
+        with pytest.raises(UniverseMismatch, match=r"^weights cover \('a', 'b'\) "
+                                                   r"but matrix covers \('a', 'c'\)$"):
+            erc_objective(WeightVector(("a", "b"), (0.5, 0.5)), m)
+
     def test_requires_normalized(self):
         m = build_risk_matrix(universe_of([1.0, 2.0]))
         with pytest.raises(NotNormalized):
@@ -150,6 +157,11 @@ class TestProjection:
     def test_empty_rejected(self):
         with pytest.raises(EmptyVector):
             project_to_simplex([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^projection input must be finite$"):
+            project_to_simplex([0.5, bad])
 
     def test_nearest_among_random_feasible_points(self):
         rng = np.random.default_rng(11)

@@ -388,6 +388,15 @@ class TestCompare:
         with pytest.raises(DateRangeMismatch):
             compare_backtests([a, b])
 
+    def test_no_ledgers_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least one ledger to compare$"):
+            compare_backtests([])
+
+    def test_duplicate_methods_rejected(self):
+        a, b = self.make_ledger("ew"), self.make_ledger("ew")
+        with pytest.raises(ValueError, match=r"^duplicate ledger methods: \('ew', 'ew'\)$"):
+            compare_backtests([a, b])
+
 
 @st.composite
 def relabelled_panels(draw):

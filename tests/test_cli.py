@@ -4,6 +4,7 @@ import json
 import os
 import signal
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -186,6 +187,39 @@ class TestBacktestCommand:
         ])
         assert code == 2
 
+    def test_no_method_exits_2(self, tmp_path, capsys):
+        start, end = write_inputs(tmp_path)
+        code = main([
+            "backtest",
+            "--scores", str(tmp_path / "scores.csv"),
+            "--yields", str(tmp_path / "yields.csv"),
+            "--method", ",",
+            "--start", start.isoformat(),
+            "--end", end.isoformat(),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no backtest method given\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_start_date_exits_2(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "backtest",
+                "--scores", str(tmp_path / "scores.csv"),
+                "--yields", str(tmp_path / "yields.csv"),
+                "--method", "ew",
+                "--start", "2022-13-01",
+                "--end", "2022-01-31",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "defiparity backtest: error: argument --start: "
+            "not an ISO date (YYYY-MM-DD): '2022-13-01'")
+        assert not (tmp_path / "out").exists()
+
     def fx_run(self, tmp_path, start, end):
         return main([
             "backtest",
@@ -358,6 +392,16 @@ class TestReportCommand:
 
     def test_missing_dir_exits_4(self, tmp_path, capsys):
         assert main(["report", "--ledger", str(tmp_path / "absent")]) == 4
+
+    def test_ledger_with_only_a_header_exits_2(self, tmp_path, capsys):
+        out_dir = self.run_backtest_cli(tmp_path)
+        path = out_dir / "ledger_ew.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ledger file {path} has no rows\n"
 
     def report_after_edit(self, tmp_path, capsys, index, edit):
         """Exit code and stderr of `report` once `edit` has replaced line
@@ -724,6 +768,19 @@ class TestYieldsOnTwoProcesses:
         monkeypatch.setattr(ingest, "_plain_rows", spy)
         return runs
 
+    @staticmethod
+    def spy_starts(monkeypatch):
+        """The `start` of each `_read_rows` call: the byte offset the row path
+        reads from and the lines before it."""
+        starts, read_rows = [], ingest._read_rows
+
+        def spy(path, header, take, start):
+            starts.append(start)
+            return read_rows(path, header, take, start)
+
+        monkeypatch.setattr(ingest, "_read_rows", spy)
+        return starts
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("run_bytes", [ingest._RUN_BYTES, 50])
     def test_plain_file_gives_the_serial_panel(self, tmp_path, monkeypatch, forks,
@@ -767,8 +824,8 @@ class TestYieldsOnTwoProcesses:
     @pytest.mark.parametrize("kind", sorted(IRREGULAR))
     def test_irregular_line_gives_the_serial_outcome(self, tmp_path, monkeypatch, forks,
                                                      kind, share):
-        """The line is in the parent's first run (nothing forks), its last
-        run (the child is killed unread) or the child's share."""
+        """The line is in the parent's first run or its last run (the child is
+        killed unread), or in the child's share."""
         monkeypatch.setattr(ingest, "_RUN_BYTES", 100)
         lines = self.lines()
         path = self.write(tmp_path / "yields.csv", lines)
@@ -776,15 +833,19 @@ class TestYieldsOnTwoProcesses:
         i = {"first-run": 0, "parent": middle_line - 3, "child": len(lines) - 1}[share]
         lines[i] = self.IRREGULAR[kind](*lines[i].split(","))
         self.write(path, lines)
-        real_read_rows, starts = ingest._read_rows, []
+        if share == "first-run":  # the child is still reading when it is killed
+            parent, plain_columns = os.getpid(), ingest._plain_columns
 
-        def read_rows(path, header, take, start):
-            starts.append(start[0])
-            return real_read_rows(path, header, take, start)
+            def slow_in_child(*args):
+                if os.getpid() != parent:
+                    time.sleep(30)
+                return plain_columns(*args)
 
-        monkeypatch.setattr(ingest, "_read_rows", read_rows)
+            monkeypatch.setattr(ingest, "_plain_columns", slow_in_child)
+        starts = self.spy_starts(monkeypatch)
         serial = self.load(monkeypatch, path, None)
         split = self.load(monkeypatch, path, 0)
+        starts = [offset for offset, _ in starts]
         assert self.bits(split) == self.bits(serial)
         if kind in ("unknown_id", "bad_apy", "non_utf8"):
             assert isinstance(serial, Exception) and f"{path}:{i + 2}" in str(serial)
@@ -794,7 +855,8 @@ class TestYieldsOnTwoProcesses:
         header, middle = len("date,protocol_id,apy\n"), self.middle(path)
         assert starts[0] == 0
         if share == "first-run":
-            assert starts[1:] == [header] and forks == []
+            assert starts[1:] == [header] and len(forks) == 1
+            assert os.WIFSIGNALED(forks[0]) and os.WTERMSIG(forks[0]) == signal.SIGKILL
         elif share == "parent":
             assert header < starts[1] < middle and len(forks) == 1
         else:
@@ -854,6 +916,20 @@ class TestYieldsOnTwoProcesses:
             path.write_bytes(path.read_bytes().replace(b"date,", b"date ,", 1))
         assert self.bits(self.load(monkeypatch, path, floor)) == self.bits(serial)
         assert forks == []
+
+    def test_read_below_the_floor_is_the_library_read(self, tmp_path, monkeypatch, forks):
+        """Below the floor nothing is read before the row path, which starts
+        at the top: a first run that is not plain rows (a blank line after the
+        header) is offered to `_plain_rows` once, as in a library call."""
+        lines = self.lines()
+        path = self.write(tmp_path / "yields.csv", ["", *lines])
+        serial = self.load(monkeypatch, path, None)
+        runs, starts = self.spy_plain_rows(monkeypatch), self.spy_starts(monkeypatch)
+        split = self.load(monkeypatch, path, path.stat().st_size + 1)
+        assert self.bits(split) == self.bits(serial)
+        assert not isinstance(serial, Exception) and len(serial.series) == 3
+        assert starts == [(0, 0)] and forks == []
+        assert runs == [(False, len(lines) + 1)]  # the one run past the header
 
     def test_read_on_one_process_with_a_second_thread(self, tmp_path, monkeypatch, forks):
         path = self.write(tmp_path / "yields.csv", self.lines())
@@ -1053,6 +1129,12 @@ class TestFetchCommand:
         config.write_text(config.read_text().replace("ttl_seconds = 3600", f"ttl_seconds = {ttl}"))
         assert main(["fetch", "--config", str(config), "--out", str(tmp_path / "b")]) == 2
         assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+        assert not (tmp_path / "b").exists()
+
+    def test_missing_config_exits_4(self, tmp_path, capsys):
+        config = tmp_path / "absent.ini"
+        assert main(["fetch", "--config", str(config), "--out", str(tmp_path / "b")]) == 4
+        assert capsys.readouterr().err == f"error: config file not found: {config}\n"
         assert not (tmp_path / "b").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):

@@ -96,6 +96,10 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(("a",), (0.5, 0.5))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"^weight vector must not be empty$"):
+            WeightVector((), ())
+
     def test_tiny_drift_tolerated(self):
         WeightVector(("a", "b"), (0.5 + 1e-12, 0.5 - 1e-12))
 

@@ -323,6 +323,18 @@ class StubSession:
         return StubResponse(None, status_code=404)
 
 
+class ScriptedSession:
+    """Answers each request with the next of `responses`."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.calls = 0
+
+    def get(self, url, params=None, timeout=None):
+        self.calls += 1
+        return self.responses.pop(0)
+
+
 D0 = dt.date(2022, 1, 1)
 RANGE = (D0, dt.date(2022, 1, 5))
 
@@ -532,6 +544,22 @@ class TestFetchRemote:
             fetch_remote(spec, ("aave",), RANGE, session=session)
         assert len(session.calls) == 1
 
+    def test_server_error_retried_then_succeeds(self, tmp_path):
+        session = ScriptedSession([StubResponse(None, status_code=503), StubResponse([{}])])
+        url = "https://yields.example/scores"
+        assert ingest._http_get(make_spec(tmp_path), session, url, {}) == [{}]
+        assert session.calls == 2
+
+    def test_invalid_json_is_a_network_error(self, tmp_path):
+        invalid = json.JSONDecodeError("Expecting value", "<html>", 0)
+        session = ScriptedSession([StubResponse(invalid)])
+        url = "https://yields.example/scores"
+        with pytest.raises(NetworkError) as exc:
+            ingest._http_get(make_spec(tmp_path), session, url, {})
+        assert str(exc.value) == (f"GET {url} returned invalid JSON: "
+                                  "Expecting value: line 1 column 1 (char 0)")
+        assert session.calls == 1  # not retried
+
     def test_partial_payload_never_read_as_hit(self, tmp_path):
         # a payload without its meta sidecar is a miss, not a hit
         bundle = sample_bundle()
@@ -589,6 +617,15 @@ class TestFetchRemote:
                 make_spec(tmp_path, **{name: value})
         make_spec(tmp_path, cache_ttl=0.0, retry_backoff=0.0, timeout=0.5)
         make_spec(tmp_path, cache_ttl=math.inf)  # a cache that never expires
+
+    def test_negative_max_retries_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^max_retries must be >= 0$"):
+            make_spec(tmp_path, max_retries=-1)
+
+    def test_yields_endpoint_required(self, tmp_path):
+        with pytest.raises(ValueError,
+                           match=r"^endpoints must define at least 'scores' and 'yields'$"):
+            make_spec(tmp_path, endpoints={"scores": "/scores", "fx": "/fx"})
 
     def test_future_dated_cache_refetches(self, tmp_path):
         # an entry stamped after now (the clock stepped back) is a miss,

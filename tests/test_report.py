@@ -20,6 +20,8 @@ from defiparity.backtest import (
 from defiparity.domain import DatedSeries, ProtocolRecord, WeightVector, validate_universe
 from defiparity.errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
 from defiparity.report import (
+    MonthlyReport,
+    MonthlyReportRow,
     _write_comparison_csv,
     emit_outputs,
     format_monthly,
@@ -181,7 +183,24 @@ def multi_method_ledgers(days=62):
     ]
 
 
+class TestReportInvariants:
+    def test_ratio_must_equal_perf_over_risk(self):
+        with pytest.raises(ValueError, match=r"^ratio must equal perf / avg_risk$"):
+            MonthlyReportRow(dt.date(2022, 1, 31), perf=0.01, avg_risk=0.5, ratio=1.0)
+
+    def test_months_must_be_contiguous(self):
+        rows = tuple(MonthlyReportRow(month_end, 0.01, 0.5, 0.02)
+                     for month_end in (dt.date(2022, 1, 31), dt.date(2022, 3, 31)))
+        with pytest.raises(ValueError, match=r"^report months must be contiguous$"):
+            MonthlyReport("ew", rows)
+
+
 class TestEmitOutputs:
+    def test_no_ledgers_refused(self, tmp_path):
+        with pytest.raises(EmptyLedger, match=r"^refusing to emit outputs for empty ledgers$"):
+            emit_outputs([], [], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_writes_expected_files_deterministically(self, tmp_path):
         ledgers = multi_method_ledgers()
         reports = [monthly_report(l) for l in ledgers]

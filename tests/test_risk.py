@@ -4,6 +4,7 @@ import pytest
 from defiparity.domain import ProtocolRecord, WeightVector, validate_universe
 from defiparity.errors import AlreadyNormalized, NotNormalized, UniverseMismatch, ZeroMatrix
 from defiparity.risk import (
+    RiskDecomposition,
     RiskMatrix,
     build_risk_matrix,
     normalize,
@@ -46,6 +47,15 @@ class TestBuild:
     def test_positive_diagonal_required(self):
         with pytest.raises(ValueError):
             RiskMatrix(("a", "b"), np.diag([1.0, 0.0]))
+
+    def test_square_matrix_required(self):
+        with pytest.raises(ValueError, match=r"^risk matrix must be square$"):
+            RiskMatrix(("a", "b"), np.ones(2))
+
+    def test_matrix_must_match_the_universe(self):
+        with pytest.raises(ValueError,
+                           match=r"^risk matrix dimension must equal universe size$"):
+            RiskMatrix(("a",), np.eye(2))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="at least one protocol"):
@@ -116,6 +126,10 @@ class TestContributions:
         d = risk_contributions(w, m)
         assert d.contributions == pytest.approx((0.15, 0.20), abs=1e-15)
         assert d.total == pytest.approx(0.35, abs=1e-15)
+
+    def test_total_must_equal_the_sum(self):
+        with pytest.raises(ValueError, match=r"^total must equal the sum of contributions$"):
+            RiskDecomposition((0.15, 0.20), 0.5)
 
     def test_single_asset(self):
         m = matrix_of([0.37])

@@ -15,10 +15,11 @@ decoded only as its rows are reached.  `_plain` decides once per run if it
 needs the csv module; the first run that does and the rest of the file go to
 one `csv.reader`.  The yields loader takes each run of plain rows a column at
 a time.  So rows are checked in file order, the first bad row or byte is the
-error raised, and a row is named by the line it starts on.  Under
-`defiparity backtest` a large plain yields file is first read a column at a
-time in two halves on two processes (`_split_columns`), and `_read_rows`
-resumes where those columns stopped.
+error raised, and a row is named by the line it starts on.  `defiparity
+backtest` first decides whether to split a large plain yields file: if so,
+two processes read its halves a column at a time (`_split_columns`) and
+`_read_rows` resumes where those columns stopped; if not, the file is read
+from its top, as a library call reads it.
 """
 
 from __future__ import annotations

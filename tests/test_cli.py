@@ -845,7 +845,7 @@ class TestYieldsOnTwoProcesses:
         starts = self.spy_starts(monkeypatch)
         serial = self.load(monkeypatch, path, None)
         split = self.load(monkeypatch, path, 0)
-        starts = [offset for offset, _ in starts]
+        offsets = [offset for offset, _ in starts]
         assert self.bits(split) == self.bits(serial)
         if kind in ("unknown_id", "bad_apy", "non_utf8"):
             assert isinstance(serial, Exception) and f"{path}:{i + 2}" in str(serial)
@@ -853,14 +853,14 @@ class TestYieldsOnTwoProcesses:
             assert not isinstance(serial, Exception)
         # the row path picks up where the columns stopped, never at byte 0
         header, middle = len("date,protocol_id,apy\n"), self.middle(path)
-        assert starts[0] == 0
+        assert offsets[0] == 0
         if share == "first-run":
-            assert starts[1:] == [header] and len(forks) == 1
+            assert offsets[1:] == [header] and len(forks) == 1
             assert os.WIFSIGNALED(forks[0]) and os.WTERMSIG(forks[0]) == signal.SIGKILL
         elif share == "parent":
-            assert header < starts[1] < middle and len(forks) == 1
+            assert header < offsets[1] < middle and len(forks) == 1
         else:
-            assert starts[1:] == [middle] and len(forks) == 1
+            assert offsets[1:] == [middle] and len(forks) == 1
             assert os.WEXITSTATUS(forks[0]) == 1  # its share is not plain rows
 
     def test_split_on_the_last_line(self, tmp_path, monkeypatch, forks):

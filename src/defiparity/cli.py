@@ -52,6 +52,14 @@ TWO_PROCESS_BYTES = 1 << 20
 # pairs; `churn`'s 1.9 MB, whose 600-day backtest pays the fork's copy-on-write
 # faults for longer, were faster in 4/20, 7/20 and 13/20 on three runs.
 TWO_PROCESS_YIELDS_BYTES = 4 << 20
+# `backtest` writes outputs that format at least this many float reprs on two
+# processes (`report._output_writes`: a ledger's weights counted once per set,
+# once for an EW set).  On the same VM, `churn`'s outputs cut to 60, 90, 120,
+# 150 and 180 days (5 840 to 25 856 reprs) were written faster on two in 7/12,
+# 7/12, 7/12, 9/12 and 9/12 fresh-process pairs (paired medians -1.3, -1.7,
+# -1.3, -5.8 and -14.0 ms of 66-120 ms); `paper`'s 5 915 and `window`'s 1 442
+# in 6/12 each.
+TWO_PROCESS_REPRS = 20_000
 
 
 def _parse_iso_date(text: str) -> dt.date:
@@ -152,7 +160,7 @@ def cmd_backtest(args) -> int:
                                 apy_convention=args.apy_convention)
         ledgers.append(run_backtest(config, universe, panel))
     reports = [report.monthly_report(ledger) for ledger in ledgers]
-    written = report.emit_outputs(ledgers, reports, args.out)
+    written = _emit_outputs(ledgers, reports, args.out)
     for path in written:
         print(path)
     return EXIT_OK
@@ -167,6 +175,16 @@ def _load_yields(path, ids, fx_path) -> YieldPanel:
         return ingest.load_yields(path, ids, fx_path)
     finally:
         ingest._two_processes.reset(token)
+
+
+def _emit_outputs(ledgers, reports, out_dir) -> list[Path]:
+    """`report.emit_outputs`, large outputs written on two processes
+    (`_run_jobs`, by float reprs formatted)."""
+    token = report._run_jobs.set(functools.partial(_run_jobs, TWO_PROCESS_REPRS))
+    try:
+        return report.emit_outputs(ledgers, reports, out_dir)
+    finally:
+        report._run_jobs.reset(token)
 
 
 def cmd_report(args) -> int:
@@ -184,37 +202,47 @@ def _fold(path) -> report.MonthlyReport:
 
 
 def _monthly_reports(paths: list[Path]) -> list[report.MonthlyReport]:
-    """The monthly report of each ledger, in path order.  Two or more large
-    ledgers are read on two processes; if either side fails, every ledger is
-    read again here in path order, so the error raised is the one a read on
-    one process raises."""
+    """The monthly report of each ledger, in path order; two or more large
+    ledgers are read on two processes (`_run_jobs`, by size in bytes)."""
     try:
         sizes = [p.stat().st_size for p in paths]
     except OSError:  # reading the ledger raises it, in its turn
-        sizes = []
-    if len(sizes) > 1:
-        theirs = _child_share(sizes)
+        return [_fold(p) for p in paths]
+    return _run_jobs(TWO_PROCESS_BYTES,
+                     [(functools.partial(_fold, p), size) for p, size in zip(paths, sizes)])
+
+
+def _run_jobs(floor: int, jobs: list) -> list:
+    """The result of each of `jobs`, (function, cost) pairs, in order.  Two
+    or more jobs whose costs sum to at least `floor` run on two processes
+    (`_two_processes`): a forked child runs a share with about half the cost
+    (`_child_share`) and pipes back its results pickled.  If either side
+    fails, every job runs again here in order, so the error raised is the
+    one a run on one process raises."""
+    costs = [cost for _, cost in jobs]
+    if len(jobs) > 1:
+        theirs = _child_share(costs)
         try:
-            with _two_processes(TWO_PROCESS_BYTES, sum(sizes), lambda: pickle.dumps(
-                    [_fold(paths[i]) for i in theirs])) as wait:
+            with _two_processes(floor, sum(costs), lambda: pickle.dumps(
+                    [jobs[i][0]() for i in theirs])) as wait:
                 if wait is not None:
-                    folded = {i: _fold(p) for i, p in enumerate(paths) if i not in theirs}
+                    done = {i: job() for i, (job, _) in enumerate(jobs) if i not in theirs}
                     if (sent := wait()) is not None:
-                        folded.update(zip(theirs, pickle.loads(sent)))
-                        return [folded[i] for i in range(len(paths))]
-        except Exception:  # raised again by the read on one process
+                        done.update(zip(theirs, pickle.loads(sent)))
+                        return [done[i] for i in range(len(jobs))]
+        except Exception:  # raised again by the run on one process
             pass
-    return [_fold(p) for p in paths]
+    return [job() for job, _ in jobs]
 
 
-def _child_share(sizes: list[int]) -> list[int]:
-    """Indices of the ledgers the second process reads: largest first, each
-    ledger joins the share with fewer bytes so far; this one gets the largest."""
+def _child_share(costs: list[int]) -> list[int]:
+    """Indices of the jobs the second process runs: costliest first, each job
+    joins the share with the lower cost so far; this one gets the costliest."""
     shares, loads = ([], []), [0, 0]
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
         side = loads[1] < loads[0]
         shares[side].append(i)
-        loads[side] += sizes[i]
+        loads[side] += costs[i]
     return sorted(shares[0])
 
 
@@ -228,10 +256,10 @@ def _usable_cpus() -> int:
 def _two_processes(floor: int, size: int, theirs):
     """Run `theirs()` in a forked child and yield a function that waits for
     it and returns the bytes `theirs()` returned, or None if it returned
-    None, raised or the child failed.  Yields None, forking nothing, for
-    `size` bytes of input below `floor`, with one usable CPU, without
-    `os.fork`, with a second thread (a forked child could find a lock held)
-    or without a pipe or process to spare.  A child not waited for by the
+    None, raised or the child failed.  Yields None, forking nothing, for a
+    `size` of work (input bytes, or float reprs written) below `floor`, with
+    one usable CPU, without `os.fork`, with a second thread (a forked child
+    could find a lock held) or without a pipe or process to spare.  A child not waited for by the
     end of the block is killed; either way it is reaped."""
     child = None
     if (size >= floor and hasattr(os, "fork") and _usable_cpus() > 1

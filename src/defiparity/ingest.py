@@ -328,23 +328,24 @@ _two_processes = contextvars.ContextVar("two_processes", default=None)
 _PLAIN_HEADERS = (b"date,protocol_id,apy\n", b"date,protocol_id,apy\r\n")
 
 
-def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int, int]:
+def _split_columns(path, two_processes, index, day_of, keys, apys):
     """Read yields file `path` a column at a time in two shares where
     `two_processes` forks: a child takes the lines from the first line start
     past the middle of the file and pipes back their keys and APYs as raw
     bytes, appended to `keys` and `apys` after those of the lines before it,
     read here.  Returns the byte offset of the first line not read and the
-    lines before it; the row path reads the rest.  This process's columns
-    stop at its first run that is not plain rows (a child is then killed
-    unread); a child whose share is not all plain rows, or that fails,
+    lines before it, from which the row path reads the rest, and those lines
+    again if this process refused the run there, else None.  This process's
+    columns stop at its first run that is not plain rows (a child is then
+    killed unread); a child whose share is not all plain rows, or that fails,
     leaves the rest from the middle line.  No run is read here for a file
     that is not regular (a pipe can be read only once), a header line that
-    is not plain, or where `two_processes` declines: returns (0, 0)."""
+    is not plain, or where `two_processes` declines: returns (0, 0), None."""
     if not os.path.isfile(path):
-        return 0, 0
+        return (0, 0), None
     with open(path, "rb") as fh:
         if fh.readline() not in _PLAIN_HEADERS:
-            return 0, 0
+            return (0, 0), None
         header, size = fh.tell(), os.fstat(fh.fileno()).st_size
         fh.seek(size // 2)
         fh.readline()
@@ -362,16 +363,17 @@ def _split_columns(path, two_processes, index, day_of, keys, apys) -> tuple[int,
 
         with two_processes(size, theirs) as wait:
             if wait is None:
-                return 0, 0
+                return (0, 0), None
             reached = header + _plain_columns(_runs(fh, middle - header),
                                               index, day_of, keys, apys)
             sent = wait() if reached == middle else None
+    lines = 1 + len(keys)
     if sent is None:
-        return reached, 1 + len(keys)
+        return (reached, lines), lines if reached < middle else None
     half = len(sent) // 2
     keys.frombytes(memoryview(sent)[:half])
     apys.frombytes(memoryview(sent)[half:])
-    return size, 1 + len(keys)
+    return (size, 1 + len(keys)), None
 
 
 def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
@@ -384,8 +386,9 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     Both give typed columns (packed protocol/day key, APY) in file order.
     Under `defiparity backtest` a large plain file is first read a column at
     a time on two processes (`_split_columns`); the row path reads only what
-    they leave.  Repeats are found on the sorted keys, each series is one slice of them,
-    and the FX CSV at `fx_path`, if given, is read last for the overlay.
+    they leave, and `take` does not offer `_plain_rows` a run it refused
+    there.  Repeats are found on the sorted keys, each series is one slice of
+    them, and the FX CSV at `fx_path`, if given, is read last for the overlay.
     """
     order = sorted(set(ids))
     # the row path strips cells, so an id with outer whitespace could only
@@ -397,14 +400,16 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     add_key, add_apy, inf = keys.append, apys.append, math.inf
 
     def take(run, lines):  # `lines` lines, the header among them, came before `run`
+        if lines == refused:  # `_split_columns` offered this run to `_plain_rows`
+            return 0
         blanks.extend([len(keys)] * (lines - 1 - len(keys) - len(blanks)))
         before = len(keys)
         _plain_rows(run, index, day_of, keys, apys)  # appends one row a line, or none
         return len(keys) - before
 
-    two_processes, start = _two_processes.get(), (0, 0)
+    two_processes, start, refused = _two_processes.get(), (0, 0), None
     if two_processes is not None:
-        start = _split_columns(path, two_processes, index, day_of, keys, apys)
+        start, refused = _split_columns(path, two_processes, index, day_of, keys, apys)
     try:
         for lineno, row in _read_rows(path, YIELDS_HEADER, take, start):
             if skipped := lineno - 2 - len(keys) - len(blanks):

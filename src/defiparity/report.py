@@ -8,8 +8,10 @@ rendered tables.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import datetime as dt
+import functools
 import io
 import json
 import math
@@ -213,12 +215,62 @@ def _write_comparison_csv(table: ComparisonTable, path: Path) -> None:
         fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
 
 
-def _plot_data(table: ComparisonTable) -> dict:
+def _write_plot_data(table: ComparisonTable, path: Path) -> None:
     dates = [d.isoformat() for d in table.dates]
-    return {"methods": {m: {
+    data = {"methods": {m: {
         "dates": dates, "value_stable": table.values_stable[m],
         "value_usd": table.values_usd[m], "portfolio_risk": table.risks[m],
     } for m in table.methods}}
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    path.write_text(payload + "\n", encoding="utf-8")
+
+
+def _ledger_cost(ledger: BacktestLedger) -> int:
+    """The float reprs `_write_ledger_csv` formats for `ledger`: four a day,
+    and each set's weights once, one for an EW set (its weights are equal)."""
+    weights = (len(ledger.set_weights) if ledger.method == "ew"
+               else sum(len(vector) for vector in ledger.set_weights))
+    return 4 * len(ledger.days) + weights
+
+
+def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
+                   out_dir) -> tuple[list[Path], list]:
+    """Check the outputs and make `out_dir`; then the paths `emit_outputs`
+    returns, and each file's write with its cost (the float reprs it
+    formats), in the order `emit_outputs` writes them."""
+    if not ledgers:
+        raise EmptyLedger("refusing to emit outputs for empty ledgers")
+    if not reports or any(not r.rows for r in reports):
+        raise EmptyLedger("refusing to emit outputs for an empty report")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ordered = sorted(ledgers, key=lambda l: l.method)
+    paths = [out / f"ledger_{ledger.method}.csv" for ledger in ordered]
+    ids_cells: dict[tuple[str, ...], str] = {}
+    writes = [(functools.partial(_write_ledger_csv, ledger, path, ids_cells),
+               _ledger_cost(ledger)) for ledger, path in zip(ordered, paths)]
+    # built where first written from, after the ledgers, as a mismatch raises
+    table = functools.cache(lambda: compare_backtests(ordered))
+    comparison, monthly, plot = (out / name for name in (
+        "comparison.csv", "monthly_report.csv", "plot_data.json"))
+    figures = len(ordered) * len(ordered[0].days)
+    months = sum(len(r.rows) for r in reports)
+    writes += [
+        (lambda: _write_comparison_csv(table(), comparison), 4 * figures),
+        (lambda: monthly.write_text(format_monthly(reports, "csv"), encoding="utf-8",
+                                    newline=""), 3 * months),
+        (lambda: _write_plot_data(table(), plot), 3 * figures),
+    ]
+    return paths + [comparison, monthly, plot], writes
+
+
+def _in_order(jobs: list) -> list:
+    return [job() for job, _ in jobs]
+
+
+# what runs the output writes: the CLI's two-process runner while `defiparity
+# backtest` writes; a library call finds `_in_order`, so it never forks
+_run_jobs = contextvars.ContextVar("run_jobs", default=_in_order)
 
 
 def emit_outputs(
@@ -228,27 +280,13 @@ def emit_outputs(
 ) -> list[Path]:
     """Write per-method ledgers, a comparison CSV, the monthly report CSV and
     plot-ready JSON into `out_dir`; byte content is deterministic for fixed
-    inputs.  Returns the written paths.
+    inputs.  Returns the written paths.  The writes run in that order on one
+    process; under `defiparity backtest` large outputs are written on two
+    (`cli._run_jobs`).
     """
-    if not ledgers:
-        raise EmptyLedger("refusing to emit outputs for empty ledgers")
-    if not reports or any(not r.rows for r in reports):
-        raise EmptyLedger("refusing to emit outputs for an empty report")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(ledgers, key=lambda l: l.method)
-    written = [out / f"ledger_{ledger.method}.csv" for ledger in ordered]
-    ids_cells: dict[tuple[str, ...], str] = {}
-    for ledger, path in zip(ordered, written):
-        _write_ledger_csv(ledger, path, ids_cells)
-    table = compare_backtests(ordered)
-    comparison, monthly, plot = (out / name for name in (
-        "comparison.csv", "monthly_report.csv", "plot_data.json"))
-    _write_comparison_csv(table, comparison)
-    monthly.write_text(format_monthly(reports, "csv"), encoding="utf-8", newline="")
-    payload = json.dumps(_plot_data(table), sort_keys=True, separators=(",", ":"))
-    plot.write_text(payload + "\n", encoding="utf-8")
-    return written + [comparison, monthly, plot]
+    written, writes = _output_writes(ledgers, reports, out_dir)
+    _run_jobs.get()(writes)
+    return written
 
 
 # --- ledger round-trip (used by the report CLI command) -------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import datetime as dt
 import json
@@ -677,6 +678,173 @@ class TestReportOnTwoProcesses:
         assert forks == []
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process write needs os.fork")
+class TestOutputsOnTwoProcesses:
+    """`backtest` writes outputs of any size on two processes once the reprs
+    floor is 0 and two CPUs are usable: a forked child writes a share of the
+    files.  The files, stdout, error line and exit code are those of the
+    writes on one process."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The wait status of each child the writes fork, once reaped."""
+        statuses, reap = [], cli._reap
+
+        def recording_reap(pid):
+            statuses.append(reap(pid))
+            return statuses[-1]
+
+        monkeypatch.setattr(cli, "_reap", recording_reap)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        return statuses
+
+    @staticmethod
+    def backtest(monkeypatch, capsys, base, name, floor, method="ew,tvl,erc"):
+        """The exit code, stdout and stderr (the output directory read as
+        `<out>`) and the files of a backtest of the fixture in `base` into
+        the new directory `name`, with this reprs floor.  Stdout is a
+        block-buffered file that holds unwritten text when a child forks."""
+        if not (base / "scores.csv").exists():
+            write_inputs(base, third_protocol=True)
+        start, end = dt.date(2021, 12, 1), dt.date(2022, 2, 13)
+        out, stdout = base / name, base / f"{name}.stdout"
+        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", floor)
+        capsys.readouterr()
+        with open(stdout, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            fh.write("before ")  # flushed once, by this process
+            code = main([
+                "backtest", "--scores", str(base / "scores.csv"),
+                "--yields", str(base / "yields.csv"), "--fx", str(base / "fx.csv"),
+                "--method", method, "--start", start.isoformat(), "--end", end.isoformat(),
+                "--out", str(out),
+            ])
+        with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+        return (code, stdout.read_text().replace(str(out), "<out>"),
+                capsys.readouterr().err.replace(str(out), "<out>"), files)
+
+    def serial_and_split(self, monkeypatch, capsys, forks, base, method="ew,tvl,erc"):
+        serial = self.backtest(monkeypatch, capsys, base, "serial", 10 ** 12, method)
+        assert forks == []
+        split = self.backtest(monkeypatch, capsys, base, "split", 0, method)
+        assert len(forks) == 1
+        return serial, split
+
+    @staticmethod
+    def child_writes(monkeypatch, names):
+        """Give the child the writes of these files (in the order of
+        `emit_outputs`: ledgers by method, comparison, monthly, plot)."""
+        order = ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv", "comparison.csv",
+                 "monthly_report.csv", "plot_data.json"]
+        monkeypatch.setattr(cli, "_child_share", lambda costs: sorted(map(order.index, names)))
+
+    @pytest.mark.parametrize("method", ["ew,tvl,erc", "erc"])
+    def test_outputs_equal_the_serial_bytes(self, tmp_path, monkeypatch, capsys, forks, method):
+        serial, split = self.serial_and_split(monkeypatch, capsys, forks, tmp_path, method)
+        assert split == serial
+        code, out, err, files = serial
+        names = [f"ledger_{m}.csv" for m in sorted(method.split(","))] + [
+            "comparison.csv", "monthly_report.csv", "plot_data.json"]
+        assert code == 0 and not err and sorted(files) == sorted(names)
+        assert out == "before " + "".join(f"<out>/{name}\n" for name in names)
+        assert forks == [0]
+
+    def test_child_takes_a_share_of_the_cost(self, tmp_path):
+        start, end = write_inputs(tmp_path, third_protocol=True)
+        universe = ingest.load_scores(tmp_path / "scores.csv")
+        panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
+        ledgers = [cli.run_backtest(cli.BacktestConfig(start, end, m), universe, panel)
+                   for m in ("erc", "ew", "tvl")]
+        paths, writes = report._output_writes(
+            ledgers, [report.monthly_report(l) for l in ledgers], tmp_path / "out")
+        costs = [cost for _, cost in writes]
+        # 75 days, so 3 months; two sets, of 2 and 3 protocols, one EW weight each
+        assert costs == [300 + 5, 300 + 2, 300 + 5, 900, 27, 675]
+        child = cli._child_share(costs)
+        assert [paths[i].name for i in child] == [
+            "ledger_tvl.csv", "comparison.csv", "monthly_report.csv"]
+
+    @pytest.mark.parametrize("end", ["exit-3", "killed"])
+    def test_child_that_fails_still_gives_the_outputs(self, tmp_path, monkeypatch, capsys,
+                                                      forks, end):
+        """The child dies as it writes ledger_erc.csv, half of which is on
+        disk when it is killed; every file is written again here."""
+        serial = self.backtest(monkeypatch, capsys, tmp_path, "serial", 10 ** 12)
+        self.child_writes(monkeypatch, ["ledger_erc.csv", "comparison.csv"])
+        parent, write = os.getpid(), report._write_ledger_csv
+        partial = tmp_path / "partial"
+
+        def failing_in_child(ledger, path, ids_cells):
+            if os.getpid() != parent:
+                if end == "exit-3":
+                    os._exit(3)
+                write(ledger, path, ids_cells)
+                path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+                partial.write_bytes(path.read_bytes())
+                os.kill(os.getpid(), signal.SIGKILL)
+            write(ledger, path, ids_cells)
+
+        monkeypatch.setattr(report, "_write_ledger_csv", failing_in_child)
+        assert self.backtest(monkeypatch, capsys, tmp_path, "split", 0) == serial
+        assert len(forks) == 1
+        if end == "killed":
+            assert os.WIFSIGNALED(forks[0]) and os.WTERMSIG(forks[0]) == signal.SIGKILL
+            assert 0 < len(partial.read_bytes()) < len(serial[3]["ledger_erc.csv"])
+        else:
+            assert os.WEXITSTATUS(forks[0]) == 3
+
+    def test_oserror_here_gives_the_serial_error(self, tmp_path, monkeypatch, capsys, forks):
+        """comparison.csv, which this process writes, is a directory; the
+        child writes ledger_erc.csv and is killed or has exited."""
+        self.child_writes(monkeypatch, ["ledger_erc.csv"])
+        outcomes = []
+        for name, floor in (("serial", 10 ** 12), ("split", 0)):
+            (tmp_path / name / "comparison.csv").mkdir(parents=True)
+            outcomes.append(self.backtest(monkeypatch, capsys, tmp_path, name, floor))
+        assert outcomes[0] == outcomes[1]
+        assert len(forks) == 1
+        code, out, err, files = outcomes[0]
+        assert code == 4 and out == "before "
+        assert err.startswith("error: [Errno 21] Is a directory: ") and "comparison.csv" in err
+        assert sorted(files) == ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv"]
+
+    @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "second-thread", "below-floor"])
+    def test_writes_on_one_process(self, tmp_path, monkeypatch, capsys, forks, limit):
+        serial = self.backtest(monkeypatch, capsys, tmp_path, "serial", 10 ** 12)
+        floor, done = 0, threading.Event()
+        thread = threading.Thread(target=done.wait, args=(10,))
+        if limit == "one-cpu":
+            monkeypatch.setattr(cli, "_usable_cpus", USABLE_CPUS)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            assert cli._usable_cpus() == 1
+        elif limit == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif limit == "second-thread":
+            thread.start()
+        else:
+            floor = 300 + 5 + 300 + 2 + 300 + 5 + 900 + 27 + 675 + 1  # the outputs' cost + 1
+        try:
+            assert self.backtest(monkeypatch, capsys, tmp_path, "split", floor) == serial
+        finally:
+            done.set()
+            if thread.is_alive():
+                thread.join(10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_library_call_never_forks(self, tmp_path, monkeypatch, forks):
+        start, end = write_inputs(tmp_path)
+        universe = ingest.load_scores(tmp_path / "scores.csv")
+        panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
+        ledgers = [cli.run_backtest(cli.BacktestConfig(start, end, m), universe, panel)
+                   for m in ("erc", "tvl")]
+        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", 0)
+        report.emit_outputs(ledgers, [report.monthly_report(l) for l in ledgers], tmp_path)
+        assert forks == []
+
+
 YIELD_IDS = ("aave", "curve", "yearn")
 
 
@@ -930,6 +1098,27 @@ class TestYieldsOnTwoProcesses:
         assert not isinstance(serial, Exception) and len(serial.series) == 3
         assert starts == [(0, 0)] and forks == []
         assert runs == [(False, len(lines) + 1)]  # the one run past the header
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_refused_run_is_offered_once(self, tmp_path, monkeypatch, forks, bad):
+        """The CI's `early` copy: a blank line after the header and a `%` APY
+        on row 1 (and a bad APY on the last line).  This process refuses its
+        first run, so the child is killed; the row path resumes at the header
+        and offers `_plain_rows` each later run, but not that one again."""
+        monkeypatch.setattr(ingest, "_RUN_BYTES", 100)
+        lines = self.lines()
+        lines[0] = self.IRREGULAR["percent"](*lines[0].split(","))
+        if bad:
+            lines[-1] = self.IRREGULAR["bad_apy"](*lines[-1].split(","))
+        path = self.write(tmp_path / "yields.csv", ["", *lines])
+        serial = self.load(monkeypatch, path, None)
+        runs = self.spy_plain_rows(monkeypatch)
+        split = self.load(monkeypatch, path, 0)
+        assert self.bits(split) == self.bits(serial)
+        assert isinstance(serial, Exception) == bad and len(forks) == 1
+        # one offer a run: together they hold every line past the header once
+        assert [taken for taken, _ in runs] == [False, *[True] * (len(runs) - 2), not bad]
+        assert sum(count for _, count in runs) == len(lines) + 1
 
     def test_read_on_one_process_with_a_second_thread(self, tmp_path, monkeypatch, forks):
         path = self.write(tmp_path / "yields.csv", self.lines())

@@ -12,7 +12,11 @@ as a plain sequential loop and the hashes do not depend on the SIMD width.
 import csv
 import datetime as dt
 import hashlib
+import os
 
+import pytest
+
+from defiparity import cli
 from defiparity.cli import main
 
 START = dt.date(2022, 1, 20)
@@ -111,6 +115,18 @@ def test_backtest_outputs_match_golden_hashes(tmp_path):
 
 def test_simple_365_outputs_match_golden_hashes(tmp_path):
     assert backtest_digests(tmp_path, "--apy-convention", "simple_365") == GOLDEN_SIMPLE_365
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process write needs os.fork")
+def test_outputs_written_on_two_processes_match_golden_hashes(tmp_path, monkeypatch):
+    """A forked child writes a share of the files when their cost is at
+    least the floor, here 0, and two CPUs are usable."""
+    statuses, reap = [], cli._reap
+    monkeypatch.setattr(cli, "_reap", lambda pid: statuses.append(reap(pid)) or statuses[-1])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", 0)
+    assert backtest_digests(tmp_path) == GOLDEN
+    assert statuses == [0]
 
 
 # --- metamorphic properties of the whole command, byte for byte -----------------

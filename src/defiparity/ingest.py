@@ -328,7 +328,8 @@ _two_processes = contextvars.ContextVar("two_processes", default=None)
 _PLAIN_HEADERS = (b"date,protocol_id,apy\n", b"date,protocol_id,apy\r\n")
 
 
-def _split_columns(path, two_processes, index, day_of, keys, apys):
+def _split_columns(path, two_processes, index, day_of, keys,
+                   apys) -> tuple[tuple[int, int], int | None]:
     """Read yields file `path` a column at a time in two shares where
     `two_processes` forks: a child takes the lines from the first line start
     past the middle of the file and pipes back their keys and APYs as raw

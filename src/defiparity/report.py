@@ -249,7 +249,8 @@ def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
     ids_cells: dict[tuple[str, ...], str] = {}
     writes = [(functools.partial(_write_ledger_csv, ledger, path, ids_cells),
                _ledger_cost(ledger)) for ledger, path in zip(ordered, paths)]
-    # built where first written from, after the ledgers, as a mismatch raises
+    # built by the first write that needs it, so that a DateRangeMismatch is
+    # raised after the ledgers are written
     table = functools.cache(lambda: compare_backtests(ordered))
     comparison, monthly, plot = (out / name for name in (
         "comparison.csv", "monthly_report.csv", "plot_data.json"))

@@ -704,9 +704,7 @@ class TestOutputsOnTwoProcesses:
         `<out>`) and the files of a backtest of the fixture in `base` into
         the new directory `name`, with this reprs floor.  Stdout is a
         block-buffered file that holds unwritten text when a child forks."""
-        if not (base / "scores.csv").exists():
-            write_inputs(base, third_protocol=True)
-        start, end = dt.date(2021, 12, 1), dt.date(2022, 2, 13)
+        start, end = write_inputs(base, third_protocol=True)
         out, stdout = base / name, base / f"{name}.stdout"
         monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", floor)
         capsys.readouterr()
@@ -724,12 +722,9 @@ class TestOutputsOnTwoProcesses:
         return (code, stdout.read_text().replace(str(out), "<out>"),
                 capsys.readouterr().err.replace(str(out), "<out>"), files)
 
-    def serial_and_split(self, monkeypatch, capsys, forks, base, method="ew,tvl,erc"):
-        serial = self.backtest(monkeypatch, capsys, base, "serial", 10 ** 12, method)
-        assert forks == []
-        split = self.backtest(monkeypatch, capsys, base, "split", 0, method)
-        assert len(forks) == 1
-        return serial, split
+    # the fixture's output costs in the order written: 75 days, so 3 months;
+    # two sets, of 2 and 3 protocols, one EW weight each
+    COSTS = [300 + 5, 300 + 2, 300 + 5, 900, 27, 675]
 
     @staticmethod
     def child_writes(monkeypatch, names):
@@ -741,8 +736,9 @@ class TestOutputsOnTwoProcesses:
 
     @pytest.mark.parametrize("method", ["ew,tvl,erc", "erc"])
     def test_outputs_equal_the_serial_bytes(self, tmp_path, monkeypatch, capsys, forks, method):
-        serial, split = self.serial_and_split(monkeypatch, capsys, forks, tmp_path, method)
-        assert split == serial
+        serial = self.backtest(monkeypatch, capsys, tmp_path, "serial", 10 ** 12, method)
+        assert forks == []
+        assert self.backtest(monkeypatch, capsys, tmp_path, "split", 0, method) == serial
         code, out, err, files = serial
         names = [f"ledger_{m}.csv" for m in sorted(method.split(","))] + [
             "comparison.csv", "monthly_report.csv", "plot_data.json"]
@@ -759,8 +755,7 @@ class TestOutputsOnTwoProcesses:
         paths, writes = report._output_writes(
             ledgers, [report.monthly_report(l) for l in ledgers], tmp_path / "out")
         costs = [cost for _, cost in writes]
-        # 75 days, so 3 months; two sets, of 2 and 3 protocols, one EW weight each
-        assert costs == [300 + 5, 300 + 2, 300 + 5, 900, 27, 675]
+        assert costs == self.COSTS
         child = cli._child_share(costs)
         assert [paths[i].name for i in child] == [
             "ledger_tvl.csv", "comparison.csv", "monthly_report.csv"]
@@ -824,7 +819,7 @@ class TestOutputsOnTwoProcesses:
         elif limit == "second-thread":
             thread.start()
         else:
-            floor = 300 + 5 + 300 + 2 + 300 + 5 + 900 + 27 + 675 + 1  # the outputs' cost + 1
+            floor = sum(self.COSTS) + 1
         try:
             assert self.backtest(monkeypatch, capsys, tmp_path, "split", floor) == serial
         finally:

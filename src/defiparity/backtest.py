@@ -241,7 +241,26 @@ class BacktestRow:
         return self.weights.universe_ids
 
 
-FIGURES_ERROR = "ledger figures must be finite, risk >= 0 (on {})"  # the reader's row check too
+def check_figures(date, ret: float, value: float, usd: float | None, risk: float) -> None:
+    """Raise a ValueError unless a day's return, value, USD value (None
+    without FX) and risk are finite and its risk is >= 0."""
+    if not (math.isfinite(ret) and math.isfinite(value) and (usd is None or math.isfinite(usd))
+            and 0.0 <= risk < math.inf):
+        raise ValueError(f"ledger figures must be finite, risk >= 0 (on {date})")
+
+
+def check_ledger_days(days, returns, values) -> None:
+    """Raise a ValueError at the first day (ordinal) that does not follow the
+    day before, whose value does not accrue from the last as `prev * (1 + r)`,
+    or whose value is not > 0, in that order; over lists of plain numbers."""
+    for i, (day, r, v) in enumerate(zip(days, returns, values)):
+        if i and day - days[i - 1] != 1:
+            raise ValueError("ledger must hold one row per consecutive day")
+        expected = values[i - 1] * (1.0 + r)
+        if i and not abs(v - expected) <= 1e-12 * abs(expected):
+            raise ValueError(f"accrual identity violated on {dt.date.fromordinal(day)}")
+        if not v > 0:
+            raise ValueError(f"portfolio value must stay > 0 (on {dt.date.fromordinal(day)})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,24 +295,11 @@ class BacktestLedger:
         if any(c is not None and c.shape != (n,) for c in columns) or not (  # a set < 0 wraps
                 self.set_of_day.view(np.uintp) < len(self.set_weights)).all():
             raise ValueError("ledger columns must hold one entry per day, and a set of each")
-        values, risks = self.values_stable, self.risks
-        ok = np.isfinite(self.returns) & np.isfinite(values) & np.isfinite(risks) & (risks >= 0)
-        if self.values_usd is not None:
-            ok &= np.isfinite(self.values_usd)
-        if not ok.all():
-            raise ValueError(FIGURES_ERROR.format(self.dates[int(ok.argmin())]))
-        # per day, in the per-day loop's order: the day follows the last, the
-        # value accrues from the last as `prev * (1 + r)`, the value is > 0
-        expected = values[:-1] * (1.0 + self.returns[1:])
-        holds = np.ones((n, 3), dtype=bool)
-        holds[1:, 0] = self.days[1:] - self.days[:-1] == 1
-        holds[1:, 1] = abs(values[1:] - expected) <= 1e-12 * abs(expected)
-        holds[:, 2] = values > 0
-        if not holds.all():
-            day, check = divmod(int(holds.argmin()), 3)  # the first day that fails, its first check
-            raise ValueError(("ledger must hold one row per consecutive day",
-                              f"accrual identity violated on {self.dates[day]}",
-                              f"portfolio value must stay > 0 (on {self.dates[day]})")[check])
+        returns, values = self.returns.tolist(), self.values_stable.tolist()
+        usds = [None] * n if self.values_usd is None else self.values_usd.tolist()
+        for figures in zip(self.dates, returns, values, usds, self.risks.tolist()):
+            check_figures(*figures)
+        check_ledger_days(self.days.tolist(), returns, values)
 
     def __eq__(self, other):
         return isinstance(other, BacktestLedger) and (

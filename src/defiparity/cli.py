@@ -42,9 +42,9 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
 # `report` reads ledgers whose sizes sum to at least this many bytes on two
-# processes.  On a 2-vCPU VM, three `churn` ledgers cut to 0.9-1.3 MB broke
-# even on two processes, and the `paper` (0.34 MB) and `window` (0.57 MB)
-# ledgers took 3-5 ms longer there than their 5-7 ms on one.
+# processes.  On a 2-vCPU VM, `churn`'s ledgers cut to 0.43, 1.0, 1.06, 2.0 and
+# 4.0 MB were read faster there in 3, 11, 8, 13 and 14 of 15 fresh-process pairs;
+# `paper`'s (0.42 MB) and `window`'s (0.59 MB) took 2.6 and 3.3 ms longer there.
 TWO_PROCESS_BYTES = 1 << 20
 # `backtest` reads a plain yields file of at least this many bytes on two
 # processes.  On the same VM, `window`'s yields cut to 1, 1.5, 2 and 3 MB made
@@ -197,19 +197,15 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _fold(path) -> report.MonthlyReport:
-    return report.monthly_report(report.read_ledger_csv(path))
-
-
 def _monthly_reports(paths: list[Path]) -> list[report.MonthlyReport]:
     """The monthly report of each ledger, in path order; two or more large
     ledgers are read on two processes (`_run_jobs`, by size in bytes)."""
     try:
         sizes = [p.stat().st_size for p in paths]
     except OSError:  # reading the ledger raises it, in its turn
-        return [_fold(p) for p in paths]
-    return _run_jobs(TWO_PROCESS_BYTES,
-                     [(functools.partial(_fold, p), size) for p, size in zip(paths, sizes)])
+        return [report.read_monthly_report(p) for p in paths]
+    return _run_jobs(TWO_PROCESS_BYTES, [(functools.partial(report.read_monthly_report, p), size)
+                                         for p, size in zip(paths, sizes)])
 
 
 def _run_jobs(floor: int, jobs: list) -> list:

@@ -89,6 +89,27 @@ def validate_universe(protocols: Iterable[ProtocolRecord]) -> Universe:
     return Universe(tuple(sorted(protocols, key=lambda p: p.protocol_id)))
 
 
+def check_weights(size: int, values: tuple[float, ...]) -> None:
+    """Raise a ValueError unless `values` are `size` finite weights in [0, 1]
+    that sum to 1, each within WEIGHT_SUM_TOL."""
+    if size != len(values):
+        raise ValueError("weight vector length must equal universe size")
+    if not values:
+        raise ValueError("weight vector must not be empty")
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # finite weights whose partial sums overflow
+        total = math.inf
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 (got {total!r})")
+    # C-level passes; the Python walk runs only to name the first bad weight
+    if not (all(map(math.isfinite, values)) and min(values) >= -WEIGHT_SUM_TOL
+            and max(values) <= 1.0 + WEIGHT_SUM_TOL):
+        for w in values:
+            if not math.isfinite(w) or w < -WEIGHT_SUM_TOL or w > 1.0 + WEIGHT_SUM_TOL:
+                raise ValueError(f"weight {w!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Simplex-constrained allocation over an ordered protocol id list."""
@@ -97,22 +118,7 @@ class WeightVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.universe_ids) != len(self.values):
-            raise ValueError("weight vector length must equal universe size")
-        if not self.values:
-            raise ValueError("weight vector must not be empty")
-        try:
-            total = math.fsum(self.values)
-        except OverflowError:  # finite weights whose partial sums overflow
-            total = math.inf
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 (got {total!r})")
-        # C-level passes; the Python walk runs only to name the first bad weight
-        if not (all(map(math.isfinite, self.values)) and min(self.values) >= -WEIGHT_SUM_TOL
-                and max(self.values) <= 1.0 + WEIGHT_SUM_TOL):
-            for w in self.values:
-                if not math.isfinite(w) or w < -WEIGHT_SUM_TOL or w > 1.0 + WEIGHT_SUM_TOL:
-                    raise ValueError(f"weight {w!r} outside [0, 1]")
+        check_weights(len(self.universe_ids), self.values)
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.universe_ids, self.values))

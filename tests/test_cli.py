@@ -628,7 +628,8 @@ class TestReportOnTwoProcesses:
             self, tmp_path, monkeypatch, capsys, forks, end):
         out = self.ledgers(tmp_path)
         serial = self.report(monkeypatch, capsys, out, "json", floor=10 ** 12)
-        parent, read = os.getpid(), report.read_ledger_csv
+        parent, read = os.getpid(), report.read_monthly_report
+        statuses, reap = [], cli._reap
 
         def failing_in_child(path):
             if os.getpid() != parent:
@@ -637,9 +638,12 @@ class TestReportOnTwoProcesses:
                 os._exit(3)
             return read(path)
 
-        monkeypatch.setattr(report, "read_ledger_csv", failing_in_child)
+        monkeypatch.setattr(report, "read_monthly_report", failing_in_child)
+        monkeypatch.setattr(cli, "_reap", lambda pid: statuses.append(reap(pid)) or statuses[-1])
         assert self.report(monkeypatch, capsys, out, "json", floor=0) == serial
         assert len(forks) == 1
+        assert [os.waitstatus_to_exitcode(s) for s in statuses] == [
+            -signal.SIGKILL if end == "killed" else 3]
 
     @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "one-ledger", "below-floor"])
     def test_read_on_one_process(self, tmp_path, monkeypatch, capsys, forks, limit):

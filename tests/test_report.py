@@ -18,7 +18,13 @@ from defiparity.backtest import (
     run_backtest,
 )
 from defiparity.domain import DatedSeries, ProtocolRecord, WeightVector, validate_universe
-from defiparity.errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
+from defiparity.errors import (
+    DefiParityError,
+    EmptyLedger,
+    MonthMisalignment,
+    ParseError,
+    ZeroRisk,
+)
 from defiparity.report import (
     MonthlyReport,
     MonthlyReportRow,
@@ -30,8 +36,10 @@ from defiparity.report import (
     monthly_report,
     perf_risk_ratio,
     read_ledger_csv,
+    read_monthly_report,
     render_report_table,
 )
+from test_golden import backtest_digests
 
 D0 = dt.date(2021, 12, 1)
 
@@ -578,3 +586,123 @@ def test_value_usd_on_some_rows_only_named_at_the_first_row_that_differs(tmp_pat
     with pytest.raises(ParseError) as exc:
         read_ledger_csv(path)
     assert str(exc.value) == f"{path}:{line}: value_usd must be given on every row or on none"
+
+
+# --- the report pass: monthly_report(read_ledger_csv(path)), folded as read ----
+
+
+def bits(report: MonthlyReport):
+    """A monthly report with each figure as its exact bits."""
+    return report.method, [(row.month_end, *map(float.hex, (row.perf, row.avg_risk, row.ratio)))
+                           for row in report.rows]
+
+
+def assert_pass_equals_the_ledger_fold(path):
+    assert bits(read_monthly_report(path)) == bits(monthly_report(read_ledger_csv(path)))
+
+
+def test_report_pass_equals_the_ledger_fold_on_the_golden_fixture(tmp_path):
+    backtest_digests(tmp_path)
+    paths = sorted((tmp_path / "out").glob("ledger_*.csv"))
+    assert [p.name for p in paths] == ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv"]
+    for path in paths:
+        assert_pass_equals_the_ledger_fold(path)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(engine_ledgers(), equal_or_zero_tvl_ledgers()))
+def test_report_pass_equals_the_ledger_fold_on_drawn_runs(ledgers):
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(ledgers, [monthly_report(l) for l in ledgers], out)
+        for ledger in ledgers:
+            path = f"{out}/ledger_{ledger.method}.csv"
+            assert_pass_equals_the_ledger_fold(path)
+            assert bits(read_monthly_report(path)) == bits(monthly_report(ledger))
+
+
+def long_ledger_lines(tmp_path):
+    """The ERC ledger lines of a 130-day run without FX in which "c" enters
+    on day 40 (lines 1-40 hold two ids, lines 41-130 three), and its path."""
+    universe = validate_universe([
+        ProtocolRecord("a", 1.0), ProtocolRecord("b", 4.0), ProtocolRecord("c", 2.0),
+    ])
+    series = {pid: DatedSeries.from_pairs(
+        (D0 + dt.timedelta(days=i), 0.01 * (k + 1)) for i in range(first, 130))
+        for k, (pid, first) in enumerate([("a", 0), ("b", 0), ("c", 40)])}
+    ledger = run_backtest(BacktestConfig(D0, D0 + dt.timedelta(days=129), "erc"),
+                          universe, YieldPanel(series=series))
+    emit_outputs([ledger], [monthly_report(ledger)], tmp_path)
+    path = tmp_path / "ledger_erc.csv"
+    return path, path.read_text().splitlines()
+
+
+def set_cell(lines, index, cell, value):
+    cells = lines[index].split(",")
+    cells[cell] = value
+    lines[index] = ",".join(cells)
+
+
+def break_copy(lines, kind):
+    """Break `lines` in place as `kind` says; the file line the error names,
+    None for an error found only once every row is read."""
+    if kind == "bad float":
+        set_cell(lines, 30, 1, "1.0x")
+        return 31
+    if kind == "weights over 1 by 1e-8":
+        set_cell(lines, 70, 6, "0.25;0.25;0.50000001")
+        return 71
+    if kind == "a weight of -0.1":
+        set_cell(lines, 20, 6, "-0.1;1.1")
+        return 21
+    if kind == "fewer weights than ids":
+        set_cell(lines, 50, 6, lines[50].split(",")[6].rsplit(";", 1)[0])
+        return 51
+    if kind == "a skipped day":
+        del lines[60]
+        return None
+    if kind == "accrual break, then a bad float":
+        set_cell(lines, 5, 2, repr(float(lines[5].split(",")[2]) * 1.001))
+        set_cell(lines, 100, 4, "abc")
+        return 101
+    if kind == "value 0":
+        set_cell(lines, 80, 1, "-1.0")
+        set_cell(lines, 80, 2, "0.0")
+        return None
+    if kind == "first return -1":
+        set_cell(lines, 1, 1, "-1.0")
+        return None
+    if kind == "USD on some rows only":
+        set_cell(lines, 90, 3, lines[90].split(",")[2])
+        return 91
+    assert kind == "header only"
+    del lines[1:]
+    return None
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("bad float", "could not convert string to float: '1.0x'"),
+    ("weights over 1 by 1e-8", "weights must sum to 1 (got 1.00000001)"),
+    ("a weight of -0.1", "weight -0.1 outside [0, 1]"),
+    ("fewer weights than ids", "weight vector length must equal universe size"),
+    ("a skipped day", "ledger must hold one row per consecutive day"),
+    ("accrual break, then a bad float", "could not convert string to float: 'abc'"),
+    ("value 0", "portfolio value must stay > 0 (on 2022-02-18)"),
+    ("first return -1", "float division by zero"),
+    ("USD on some rows only", "value_usd must be given on every row or on none"),
+    ("header only", "has no rows"),
+])
+def test_report_pass_raises_the_ledger_folds_error_on_a_broken_copy(tmp_path, kind, message):
+    path, lines = long_ledger_lines(tmp_path)
+    line = break_copy(lines, kind)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DefiParityError) as expected:
+        monthly_report(read_ledger_csv(path))
+    with pytest.raises(DefiParityError) as got:
+        read_monthly_report(path)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert message in str(got.value)
+    if kind == "header only":
+        assert isinstance(got.value, EmptyLedger)
+    else:  # a row's error names its line, one found after every row only the file
+        assert isinstance(got.value, ParseError) and got.value.line == line

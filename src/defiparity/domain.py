@@ -102,9 +102,9 @@ def check_weights(size: int, values: tuple[float, ...]) -> None:
         total = math.inf
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1 (got {total!r})")
-    # C-level passes; the Python walk runs only to name the first bad weight
-    if not (all(map(math.isfinite, values)) and min(values) >= -WEIGHT_SUM_TOL
-            and max(values) <= 1.0 + WEIGHT_SUM_TOL):
+    # the sum is NaN if a weight is NaN (an infinite one failed the test above);
+    # C-level passes, and the Python walk runs only to name the first bad weight
+    if math.isnan(total) or min(values) < -WEIGHT_SUM_TOL or max(values) > 1.0 + WEIGHT_SUM_TOL:
         for w in values:
             if not math.isfinite(w) or w < -WEIGHT_SUM_TOL or w > 1.0 + WEIGHT_SUM_TOL:
                 raise ValueError(f"weight {w!r} outside [0, 1]")

@@ -311,8 +311,8 @@ def _ledger_rows(path, new_set):
                 s = sets.get(last)
             if s is None:  # equal text parses to equal floats
                 n, first = ids.count(";") + 1, weights.partition(";")[0]
-                if weights == ";".join([first] * n):  # one weight, repeated
-                    new_set(ids, (float(first),) * n)
+                if len(weights) == n * len(first) + n - 1 and weights == ";".join([first] * n):
+                    new_set(ids, (float(first),) * n)  # one weight, repeated
                 else:
                     new_set(ids, tuple(map(float, weights.split(";"))))
                 s = sets[last] = len(sets)

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from defiparity import allocate, cli, ingest, report
+from defiparity.backtest import BacktestLedger
 from defiparity.cli import main
 from defiparity.domain import WeightVector
 from defiparity.errors import DefiParityError, DuplicateObservation, NotConverged
@@ -388,6 +389,18 @@ class TestReportCommand:
     def test_csv_stdout_equals_monthly_report_csv(self, tmp_path, capsys):
         out_dir = self.run_backtest_cli(tmp_path)
         capsys.readouterr()
+        assert main(["report", "--ledger", str(out_dir), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (out_dir / "monthly_report.csv").read_text()
+
+    def test_builds_no_ledger_or_weight_vector(self, tmp_path, capsys, monkeypatch):
+        out_dir = self.run_backtest_cli(tmp_path)
+        capsys.readouterr()
+
+        def refuse(self):
+            raise AssertionError(f"report built a {type(self).__name__}")
+
+        monkeypatch.setattr(BacktestLedger, "__post_init__", refuse)
+        monkeypatch.setattr(WeightVector, "__post_init__", refuse)
         assert main(["report", "--ledger", str(out_dir), "--format", "csv"]) == 0
         assert capsys.readouterr().out == (out_dir / "monthly_report.csv").read_text()
 

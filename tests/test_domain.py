@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defiparity.domain import (
+    WEIGHT_SUM_TOL,
     DatedSeries,
     ProtocolRecord,
     Universe,
     WeightVector,
+    check_weights,
     validate_universe,
 )
 from defiparity.errors import DuplicateId, DuplicateObservation, EmptyUniverse, NonPositiveScore
@@ -117,6 +119,52 @@ class TestWeightVector:
         ids = tuple("abcd"[:len(values)])
         with pytest.raises(ValueError, match=rf"^weight {first_bad} outside \[0, 1\]$"):
             WeightVector(ids, values)
+
+
+def reference_weights_error(values):
+    """The error of checking `values` one weight at a time, None if none."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    except ValueError as exc:  # inf and -inf
+        return str(exc)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        return f"weights must sum to 1 (got {total!r})"
+    for w in values:
+        if not math.isfinite(w) or w < -WEIGHT_SUM_TOL or w > 1.0 + WEIGHT_SUM_TOL:
+            return f"weight {w!r} outside [0, 1]"
+    return None
+
+
+@st.composite
+def near_simplex_vectors(draw):
+    """Weights that sum to 1, some then replaced by NaN, an infinity, a huge,
+    negative or just-out-of-bounds value, or shifted between two weights."""
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
+    values = [r / math.fsum(raw) for r in raw]
+    special = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -1e-8, -1e-10,
+                               1.0 + 1e-8, 1.0 + 1e-10, -0.0, 0.0, 1.0])
+    for i, j, value, shift in draw(st.lists(st.tuples(
+            st.integers(0, len(values) - 1), st.integers(0, len(values) - 1), special,
+            st.booleans()), max_size=3)):
+        if shift:
+            values[i], values[j] = values[i] + 0.3, values[j] - 0.3
+        else:
+            values[i] = value
+    return tuple(values)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_simplex_vectors())
+def test_check_weights_raises_what_checking_each_weight_in_turn_raises(values):
+    expected = reference_weights_error(values)
+    if expected is None:
+        check_weights(len(values), values)
+    else:
+        with pytest.raises(ValueError) as exc:
+            check_weights(len(values), values)
+        assert str(exc.value) == expected
 
 
 class TestDatedSeries:

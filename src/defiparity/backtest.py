@@ -249,20 +249,6 @@ def check_figures(date, ret: float, value: float, usd: float | None, risk: float
         raise ValueError(f"ledger figures must be finite, risk >= 0 (on {date})")
 
 
-def check_ledger_days(days, returns, values) -> None:
-    """Raise a ValueError at the first day (ordinal) that does not follow the
-    day before, whose value does not accrue from the last as `prev * (1 + r)`,
-    or whose value is not > 0, in that order; over lists of plain numbers."""
-    for i, (day, r, v) in enumerate(zip(days, returns, values)):
-        if i and day - days[i - 1] != 1:
-            raise ValueError("ledger must hold one row per consecutive day")
-        expected = values[i - 1] * (1.0 + r)
-        if i and not abs(v - expected) <= 1e-12 * abs(expected):
-            raise ValueError(f"accrual identity violated on {dt.date.fromordinal(day)}")
-        if not v > 0:
-            raise ValueError(f"portfolio value must stay > 0 (on {dt.date.fromordinal(day)})")
-
-
 @dataclass(frozen=True, eq=False)
 class BacktestLedger:
     """One method's run as columns, one entry per day: the day ordinals
@@ -299,7 +285,17 @@ class BacktestLedger:
         usds = [None] * n if self.values_usd is None else self.values_usd.tolist()
         for figures in zip(self.dates, returns, values, usds, self.risks.tolist()):
             check_figures(*figures)
-        check_ledger_days(self.days.tolist(), returns, values)
+        # per day, in this order: the day follows the last, the value accrues
+        # from the last as `prev * (1 + r)`, the value is > 0
+        days = self.days.tolist()
+        for i, (day, r, v) in enumerate(zip(days, returns, values)):
+            if i and day - days[i - 1] != 1:
+                raise ValueError("ledger must hold one row per consecutive day")
+            expected = values[i - 1] * (1.0 + r) if i else v  # day 0 has no last value
+            if not abs(v - expected) <= 1e-12 * abs(expected):
+                raise ValueError(f"accrual identity violated on {dt.date.fromordinal(day)}")
+            if not v > 0:
+                raise ValueError(f"portfolio value must stay > 0 (on {dt.date.fromordinal(day)})")
 
     def __eq__(self, other):
         return isinstance(other, BacktestLedger) and (

@@ -197,15 +197,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _fold(path) -> report.MonthlyReport:
+    return report.monthly_report(report.read_ledger_csv(path))
+
+
 def _monthly_reports(paths: list[Path]) -> list[report.MonthlyReport]:
     """The monthly report of each ledger, in path order; two or more large
     ledgers are read on two processes (`_run_jobs`, by size in bytes)."""
     try:
         sizes = [p.stat().st_size for p in paths]
     except OSError:  # reading the ledger raises it, in its turn
-        return [report.read_monthly_report(p) for p in paths]
-    return _run_jobs(TWO_PROCESS_BYTES, [(functools.partial(report.read_monthly_report, p), size)
-                                         for p, size in zip(paths, sizes)])
+        return [_fold(p) for p in paths]
+    return _run_jobs(TWO_PROCESS_BYTES,
+                     [(functools.partial(_fold, p), size) for p, size in zip(paths, sizes)])
 
 
 def _run_jobs(floor: int, jobs: list) -> list:

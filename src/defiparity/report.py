@@ -17,8 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backtest import (BacktestLedger, ComparisonTable, check_figures, check_ledger_days,
-                       compare_backtests)
+from .backtest import BacktestLedger, ComparisonTable, check_figures, compare_backtests
 from .domain import WeightVector, check_weights
 from .errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
 from .ingest import _read_rows
@@ -26,34 +25,30 @@ from .ingest import _read_rows
 RATIO_TOL = 1e-9
 
 
-def _fold_months(rows) -> tuple[list[tuple[dt.date, float]], list[tuple[dt.date, float]]]:
-    """(month end, compounded return) and (month end, mean risk) per calendar
-    month, folded from (date, return, risk) rows of consecutive days as they
-    come; a month starts on the first day or on a 1st."""
-    months = []  # [last date, growth, risks] of each month
-    for date, r, k in rows:
-        if date.day == 1 or not months:
-            months.append([date, 1.0, []])
-        month = months[-1]
-        month[0] = date
-        month[1] *= 1.0 + r
-        month[2].append(k)
-    return ([(end, growth - 1.0) for end, growth, _ in months],
-            [(end, sum(risks) / len(risks)) for end, _, risks in months])
-
-
-def _ledger_days(ledger: BacktestLedger):
-    return zip(ledger.dates, ledger.returns.tolist(), ledger.risks.tolist())
+def _month_groups(ledger: BacktestLedger) -> list[tuple[int, int, dt.date]]:
+    """(start, stop, last date) of each calendar month's run of ledger days,
+    which are consecutive: a month starts on the first day or on a 1st."""
+    dates = ledger.dates
+    starts = [i for i, date in enumerate(dates) if date.day == 1 or not i]
+    return [(a, b, dates[b - 1]) for a, b in zip(starts, starts[1:] + [len(dates)])]
 
 
 def monthly_performance(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Compounded return per calendar month, keyed by the month's last row date."""
-    return _fold_months(_ledger_days(ledger))[0]
+    returns, out = ledger.returns.tolist(), []
+    for start, stop, month_end in _month_groups(ledger):
+        growth = 1.0
+        for r in returns[start:stop]:  # in sequence, as a day-by-day fold would
+            growth *= 1.0 + r
+        out.append((month_end, growth - 1.0))
+    return out
 
 
 def monthly_avg_risk(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Arithmetic mean of the daily portfolio risk per calendar month."""
-    return _fold_months(_ledger_days(ledger))[1]
+    risks = ledger.risks.tolist()
+    return [(month_end, sum(risks[start:stop]) / (stop - start))
+            for start, stop, month_end in _month_groups(ledger)]
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,9 @@ def perf_risk_ratio(
 
 def monthly_report(ledger: BacktestLedger) -> MonthlyReport:
     """Full monthly report (perf, avg risk, ratio) for one ledger."""
-    return perf_risk_ratio(*_fold_months(_ledger_days(ledger)), method=ledger.method)
+    return perf_risk_ratio(
+        monthly_performance(ledger), monthly_avg_risk(ledger), method=ledger.method
+    )
 
 
 def render_report_table(reports: list[MonthlyReport]) -> str:
@@ -295,14 +292,34 @@ def emit_outputs(
 # --- ledger round-trip (used by the report CLI command) -------------------------
 
 
-def _ledger_rows(path, new_set):
-    """(date, return, value, USD value or None, risk, set number) of each row
-    of a ledger CSV, checked as the loaders check theirs (a ParseError names
-    its `path:line`; `new_set(ids, weights)` checks each new set's weights);
-    then EmptyLedger, or a ParseError naming the file (no initial value, a broken invariant)."""
+class _ReadWeights:
+    """A read ledger's `set_weights`: one `WeightVector` per set, built from
+    the set's ids cell and its weights, already checked, when first looked up."""
+
+    def __init__(self, cells: list[tuple[str, tuple[float, ...]]]):
+        self._cells, self._vectors = cells, [None] * len(cells)
+
+    def __len__(self):
+        return len(self._cells)
+
+    def __getitem__(self, s: int) -> WeightVector:
+        vector = self._vectors[s]
+        if vector is None:
+            ids, values = self._cells[s]
+            vector = self._vectors[s] = WeightVector(tuple(ids.split(";")), values)
+        return vector
+
+
+def read_ledger_csv(path) -> BacktestLedger:
+    """Rebuild a ledger from a CSV written by emit_outputs.  Rows get the
+    input loaders' checks; a ParseError names the `path:line` of a row that
+    does not parse, or the file when the rows break a ledger invariant.
+    Each set's weights are checked as read; its `WeightVector` is built when first looked up.
+    """
+    method = Path(path).stem.removeprefix("ledger_")
+    days, returns, values, usds, risks, set_of_day = [], [], [], [], [], []
     sets: dict[tuple[str, str], int] = {}  # (ids, weights) text -> set number
-    last = s = usd_rows = None  # a row repeating the text before skips hashing it
-    read = []  # (day ordinal, return, value) of each row
+    cells, last = [], None  # a row repeating the text before skips hashing it
     for lineno, (date, ret, stable, usd, risk, ids, weights) in _read_rows(path, LEDGER_FIELDS):
         try:
             day = dt.date.fromisoformat(date)
@@ -312,47 +329,30 @@ def _ledger_rows(path, new_set):
             if s is None:  # equal text parses to equal floats
                 n, first = ids.count(";") + 1, weights.partition(";")[0]
                 if len(weights) == n * len(first) + n - 1 and weights == ";".join([first] * n):
-                    new_set(ids, (float(first),) * n)  # one weight, repeated
+                    parsed = (float(first),) * n  # one weight, repeated
                 else:
-                    new_set(ids, tuple(map(float, weights.split(";"))))
+                    parsed = tuple(map(float, weights.split(";")))
+                check_weights(n, parsed)
+                cells.append((ids, parsed))
                 s = sets[last] = len(sets)
             r, v, u, k = float(ret), float(stable), float(usd) if usd else None, float(risk)
             check_figures(day, r, v, u, k)
-            if usd_rows is not None and bool(usd) != usd_rows:
+            if days and bool(usd) != bool(usds):
                 raise ValueError("value_usd must be given on every row or on none")
-            usd_rows = bool(usd)
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-        read.append((day.toordinal(), r, v))
-        yield day, r, v, u, k, s
-    if not read:
+        days.append(day.toordinal())
+        returns.append(r)
+        values.append(v)
+        risks.append(k)
+        set_of_day.append(s)
+        if usd:
+            usds.append(u)
+    if not days:
         raise EmptyLedger(f"ledger file {path} has no rows")
-    days, returns, values = zip(*read)
     try:
-        values[0] / (1.0 + returns[0])  # the initial value read_ledger_csv keeps
-        check_ledger_days(days, returns, values)
+        initial = values[0] / (1.0 + returns[0])
+        return BacktestLedger(method, initial, days, returns, values, usds or None, risks,
+                              set_of_day, _ReadWeights(cells))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, None, str(exc)) from None
-
-
-def read_monthly_report(path) -> MonthlyReport:
-    """`monthly_report(read_ledger_csv(path))`, folded as the rows are read, with
-    the same checks and errors, but no ledger, weight vector or id tuple."""
-    rows = _ledger_rows(path, lambda ids, weights: check_weights(ids.count(";") + 1, weights))
-    return perf_risk_ratio(*_fold_months((date, r, k) for date, r, _, _, k, _ in rows),
-                           method=Path(path).stem.removeprefix("ledger_"))
-
-
-def read_ledger_csv(path) -> BacktestLedger:
-    """Rebuild a ledger from a CSV written by emit_outputs.  Rows get the
-    input loaders' checks; a ParseError names the `path:line` of a row that
-    does not parse, or the file when the rows break a ledger invariant.
-    """
-    set_weights = []
-    rows = _ledger_rows(path, lambda ids, weights: set_weights.append(
-        WeightVector(tuple(ids.split(";")), weights)))
-    dates, returns, values, usds, risks, set_of_day = zip(*rows)
-    return BacktestLedger(Path(path).stem.removeprefix("ledger_"), values[0] / (1.0 + returns[0]),
-                          [date.toordinal() for date in dates], returns, values,
-                          None if usds[0] is None else usds, risks, set_of_day,
-                          tuple(set_weights))

@@ -11,7 +11,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from defiparity import allocate, cli, ingest, report
-from defiparity.backtest import BacktestLedger
 from defiparity.cli import main
 from defiparity.domain import WeightVector
 from defiparity.errors import DefiParityError, DuplicateObservation, NotConverged
@@ -392,14 +391,13 @@ class TestReportCommand:
         assert main(["report", "--ledger", str(out_dir), "--format", "csv"]) == 0
         assert capsys.readouterr().out == (out_dir / "monthly_report.csv").read_text()
 
-    def test_builds_no_ledger_or_weight_vector(self, tmp_path, capsys, monkeypatch):
+    def test_builds_no_weight_vector(self, tmp_path, capsys, monkeypatch):
         out_dir = self.run_backtest_cli(tmp_path)
         capsys.readouterr()
 
         def refuse(self):
-            raise AssertionError(f"report built a {type(self).__name__}")
+            raise AssertionError("report built a WeightVector")
 
-        monkeypatch.setattr(BacktestLedger, "__post_init__", refuse)
         monkeypatch.setattr(WeightVector, "__post_init__", refuse)
         assert main(["report", "--ledger", str(out_dir), "--format", "csv"]) == 0
         assert capsys.readouterr().out == (out_dir / "monthly_report.csv").read_text()
@@ -641,7 +639,7 @@ class TestReportOnTwoProcesses:
             self, tmp_path, monkeypatch, capsys, forks, end):
         out = self.ledgers(tmp_path)
         serial = self.report(monkeypatch, capsys, out, "json", floor=10 ** 12)
-        parent, read = os.getpid(), report.read_monthly_report
+        parent, read = os.getpid(), report.read_ledger_csv
         statuses, reap = [], cli._reap
 
         def failing_in_child(path):
@@ -651,7 +649,7 @@ class TestReportOnTwoProcesses:
                 os._exit(3)
             return read(path)
 
-        monkeypatch.setattr(report, "read_monthly_report", failing_in_child)
+        monkeypatch.setattr(report, "read_ledger_csv", failing_in_child)
         monkeypatch.setattr(cli, "_reap", lambda pid: statuses.append(reap(pid)) or statuses[-1])
         assert self.report(monkeypatch, capsys, out, "json", floor=0) == serial
         assert len(forks) == 1

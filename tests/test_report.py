@@ -36,7 +36,6 @@ from defiparity.report import (
     monthly_report,
     perf_risk_ratio,
     read_ledger_csv,
-    read_monthly_report,
     render_report_table,
 )
 from test_golden import backtest_digests
@@ -588,7 +587,7 @@ def test_value_usd_on_some_rows_only_named_at_the_first_row_that_differs(tmp_pat
     assert str(exc.value) == f"{path}:{line}: value_usd must be given on every row or on none"
 
 
-# --- the report pass: monthly_report(read_ledger_csv(path)), folded as read ----
+# --- the read ledger: weight vectors built when looked up, every check kept ----
 
 
 def bits(report: MonthlyReport):
@@ -597,27 +596,40 @@ def bits(report: MonthlyReport):
                            for row in report.rows]
 
 
-def assert_pass_equals_the_ledger_fold(path):
-    assert bits(read_monthly_report(path)) == bits(monthly_report(read_ledger_csv(path)))
-
-
-def test_report_pass_equals_the_ledger_fold_on_the_golden_fixture(tmp_path):
+def test_read_ledgers_fold_to_the_golden_monthly_report(tmp_path):
     backtest_digests(tmp_path)
     paths = sorted((tmp_path / "out").glob("ledger_*.csv"))
     assert [p.name for p in paths] == ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv"]
-    for path in paths:
-        assert_pass_equals_the_ledger_fold(path)
+    reports = [monthly_report(read_ledger_csv(path)) for path in paths]
+    assert format_monthly(reports, "csv") == (tmp_path / "out" / "monthly_report.csv").read_text()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.one_of(engine_ledgers(), equal_or_zero_tvl_ledgers()))
-def test_report_pass_equals_the_ledger_fold_on_drawn_runs(ledgers):
+def test_read_ledger_has_the_runs_weight_vectors_and_report(ledgers):
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(ledgers, [monthly_report(l) for l in ledgers], out)
         for ledger in ledgers:
-            path = f"{out}/ledger_{ledger.method}.csv"
-            assert_pass_equals_the_ledger_fold(path)
-            assert bits(read_monthly_report(path)) == bits(monthly_report(ledger))
+            read = read_ledger_csv(f"{out}/ledger_{ledger.method}.csv")
+            assert bits(monthly_report(read)) == bits(monthly_report(ledger))
+            # equal sets are written alike, so they read back as one
+            assert ({*map(read.set_weights.__getitem__, range(len(read.set_weights)))}
+                    == {*ledger.set_weights})
+            assert [read.set_weights[s] for s in read.set_of_day.tolist()] == [
+                ledger.set_weights[s] for s in ledger.set_of_day.tolist()]
+
+
+def test_read_ledger_builds_each_weight_vector_once_when_first_looked_up(tmp_path, monkeypatch):
+    path, _ = long_ledger_lines(tmp_path)
+    built, check = [], WeightVector.__post_init__
+    monkeypatch.setattr(WeightVector, "__post_init__", lambda self: built.append(self) or check(self))
+    ledger = read_ledger_csv(path)
+    monthly_report(ledger)
+    assert built == [] and len(ledger.set_weights) == 2
+    assert ledger.set_weights[1] is ledger.set_weights[-1]
+    assert built == [ledger.set_weights[1]] and built[0].universe_ids == ("a", "b", "c")
+    assert [row.active_ids for row in ledger.rows] == [("a", "b")] * 40 + [("a", "b", "c")] * 90
+    assert len(built) == 2
 
 
 def long_ledger_lines(tmp_path):
@@ -689,20 +701,19 @@ def break_copy(lines, kind):
     ("value 0", "portfolio value must stay > 0 (on 2022-02-18)"),
     ("first return -1", "float division by zero"),
     ("USD on some rows only", "value_usd must be given on every row or on none"),
-    ("header only", "has no rows"),
+    ("header only", None),
 ])
-def test_report_pass_raises_the_ledger_folds_error_on_a_broken_copy(tmp_path, kind, message):
+def test_broken_copy_gives_its_error_and_line(tmp_path, kind, message):
+    """Every row error is found before a ledger invariant is checked, and is
+    named by its `path:line`; an invariant's error names the file."""
     path, lines = long_ledger_lines(tmp_path)
     line = break_copy(lines, kind)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DefiParityError) as expected:
+    with pytest.raises(DefiParityError) as exc:
         monthly_report(read_ledger_csv(path))
-    with pytest.raises(DefiParityError) as got:
-        read_monthly_report(path)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
-    assert message in str(got.value)
     if kind == "header only":
-        assert isinstance(got.value, EmptyLedger)
-    else:  # a row's error names its line, one found after every row only the file
-        assert isinstance(got.value, ParseError) and got.value.line == line
+        assert type(exc.value) is EmptyLedger
+        assert str(exc.value) == f"ledger file {path} has no rows"
+    else:
+        assert type(exc.value) is ParseError and exc.value.line == line
+        assert str(exc.value) == f"{path if line is None else f'{path}:{line}'}: {message}"

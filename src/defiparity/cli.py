@@ -42,9 +42,9 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
 # `report` reads ledgers whose sizes sum to at least this many bytes on two
-# processes.  On a 2-vCPU VM, `churn`'s ledgers cut to 0.43, 1.0, 1.06, 2.0 and
-# 4.0 MB were read faster there in 3, 11, 8, 13 and 14 of 15 fresh-process pairs;
-# `paper`'s (0.42 MB) and `window`'s (0.59 MB) took 2.6 and 3.3 ms longer there.
+# processes.  On a 2-vCPU VM, `churn`'s ledgers cut to 1.0, 2.0 and 4.0 MB, and
+# whole (6.8 MB), were read faster there in 11, 14, 15 and 15 of 15 fresh-process
+# pairs; `paper`'s (0.34 MB) and `window`'s (0.57 MB) took 2.0 and 3.4 ms longer.
 TWO_PROCESS_BYTES = 1 << 20
 # `backtest` reads a plain yields file of at least this many bytes on two
 # processes.  On the same VM, `window`'s yields cut to 1, 1.5, 2 and 3 MB made

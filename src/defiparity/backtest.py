@@ -265,7 +265,7 @@ class BacktestLedger:
     values_usd: np.ndarray | None = field(repr=False)
     risks: np.ndarray = field(repr=False)
     set_of_day: np.ndarray = field(repr=False)
-    set_weights: tuple[WeightVector, ...] = field(repr=False)
+    set_weights: Sequence[WeightVector] = field(repr=False)  # read ledgers build on lookup
 
     def __post_init__(self):
         for name, dtype in (("days", np.int64), ("returns", float), ("values_stable", float),

@@ -38,7 +38,6 @@ from defiparity.report import (
     read_ledger_csv,
     render_report_table,
 )
-from test_golden import backtest_digests
 
 D0 = dt.date(2021, 12, 1)
 
@@ -334,6 +333,12 @@ def engine_ledgers(draw):
             for method in ("ew", "tvl", "erc")]
 
 
+def bits(report: MonthlyReport):
+    """A monthly report with each figure as its exact bits."""
+    return report.method, [(row.month_end, *map(float.hex, (row.perf, row.avg_risk, row.ratio)))
+                           for row in report.rows]
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(engine_ledgers())
 def test_ledger_csv_round_trip(ledgers):
@@ -343,6 +348,7 @@ def test_ledger_csv_round_trip(ledgers):
             reloaded = read_ledger_csv(f"{out}/ledger_{ledger.method}.csv")
             assert reloaded.method == ledger.method
             assert reloaded.rows == ledger.rows
+            assert bits(monthly_report(reloaded)) == bits(monthly_report(ledger))
 
 
 @st.composite
@@ -588,35 +594,6 @@ def test_value_usd_on_some_rows_only_named_at_the_first_row_that_differs(tmp_pat
 
 
 # --- the read ledger: weight vectors built when looked up, every check kept ----
-
-
-def bits(report: MonthlyReport):
-    """A monthly report with each figure as its exact bits."""
-    return report.method, [(row.month_end, *map(float.hex, (row.perf, row.avg_risk, row.ratio)))
-                           for row in report.rows]
-
-
-def test_read_ledgers_fold_to_the_golden_monthly_report(tmp_path):
-    backtest_digests(tmp_path)
-    paths = sorted((tmp_path / "out").glob("ledger_*.csv"))
-    assert [p.name for p in paths] == ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv"]
-    reports = [monthly_report(read_ledger_csv(path)) for path in paths]
-    assert format_monthly(reports, "csv") == (tmp_path / "out" / "monthly_report.csv").read_text()
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.one_of(engine_ledgers(), equal_or_zero_tvl_ledgers()))
-def test_read_ledger_has_the_runs_weight_vectors_and_report(ledgers):
-    with tempfile.TemporaryDirectory() as out:
-        emit_outputs(ledgers, [monthly_report(l) for l in ledgers], out)
-        for ledger in ledgers:
-            read = read_ledger_csv(f"{out}/ledger_{ledger.method}.csv")
-            assert bits(monthly_report(read)) == bits(monthly_report(ledger))
-            # equal sets are written alike, so they read back as one
-            assert ({*map(read.set_weights.__getitem__, range(len(read.set_weights)))}
-                    == {*ledger.set_weights})
-            assert [read.set_weights[s] for s in read.set_of_day.tolist()] == [
-                ledger.set_weights[s] for s in ledger.set_of_day.tolist()]
 
 
 def test_read_ledger_builds_each_weight_vector_once_when_first_looked_up(tmp_path, monkeypatch):

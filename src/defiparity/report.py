@@ -14,6 +14,7 @@ import datetime as dt
 import functools
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -292,7 +293,7 @@ def emit_outputs(
 # --- ledger round-trip (used by the report CLI command) -------------------------
 
 
-class _ReadWeights:
+class _ReadWeights(Sequence):
     """A read ledger's `set_weights`: one `WeightVector` per set, built from
     the set's ids cell and its weights, already checked, when first looked up."""
 
@@ -314,7 +315,6 @@ def read_ledger_csv(path) -> BacktestLedger:
     """Rebuild a ledger from a CSV written by emit_outputs.  Rows get the
     input loaders' checks; a ParseError names the `path:line` of a row that
     does not parse, or the file when the rows break a ledger invariant.
-    Each set's weights are checked as read; its `WeightVector` is built when first looked up.
     """
     method = Path(path).stem.removeprefix("ledger_")
     days, returns, values, usds, risks, set_of_day = [], [], [], [], [], []

@@ -285,8 +285,7 @@ class BacktestLedger:
         usds = [None] * n if self.values_usd is None else self.values_usd.tolist()
         for figures in zip(self.dates, returns, values, usds, self.risks.tolist()):
             check_figures(*figures)
-        # per day, in this order: the day follows the last, the value accrues
-        # from the last as `prev * (1 + r)`, the value is > 0
+        # per day, in this order: consecutive days, accrual `prev * (1 + r)`, value > 0
         days = self.days.tolist()
         for i, (day, r, v) in enumerate(zip(days, returns, values)):
             if i and day - days[i - 1] != 1:

@@ -294,8 +294,7 @@ def emit_outputs(
 
 
 class _ReadWeights(Sequence):
-    """A read ledger's `set_weights`: one `WeightVector` per set, built from
-    the set's ids cell and its weights, already checked, when first looked up."""
+    """A read ledger's `set_weights`: each set's `WeightVector`, built when first looked up."""
 
     def __init__(self, cells: list[tuple[str, tuple[float, ...]]]):
         self._cells, self._vectors = cells, [None] * len(cells)
@@ -303,7 +302,9 @@ class _ReadWeights(Sequence):
     def __len__(self):
         return len(self._cells)
 
-    def __getitem__(self, s: int) -> WeightVector:
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            return tuple(map(self.__getitem__, range(len(self))[s]))
         vector = self._vectors[s]
         if vector is None:
             ids, values = self._cells[s]

@@ -607,6 +607,7 @@ def test_read_ledger_builds_each_weight_vector_once_when_first_looked_up(tmp_pat
     assert built == [ledger.set_weights[1]] and built[0].universe_ids == ("a", "b", "c")
     assert [row.active_ids for row in ledger.rows] == [("a", "b")] * 40 + [("a", "b", "c")] * 90
     assert len(built) == 2
+    assert ledger.set_weights[::-1] == tuple(built) == tuple(reversed(ledger.set_weights))
 
 
 def long_ledger_lines(tmp_path):

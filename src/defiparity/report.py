@@ -167,8 +167,17 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def _figure_cells(ledger: BacktestLedger) -> tuple[list[str] | None, ...]:
+    """A ledger's dates as ISO strings and its daily return, value, USD value
+    (None without FX) and risk as reprs; the figures are finite
+    (`check_figures`), so each repr is also the figure's JSON."""
+    return (list(map(dt.date.isoformat, ledger.dates)), *(
+        None if column is None else list(map(repr, column.tolist())) for column in (
+            ledger.returns, ledger.values_stable, ledger.values_usd, ledger.risks)))
+
+
 def _write_ledger_csv(ledger: BacktestLedger, path: Path,
-                      ids_cells: dict[tuple[str, ...], str]) -> None:
+                      ids_cells: dict[tuple[str, ...], str], cells: tuple) -> None:
     # lines are built by hand and written as they are built: dates and float
     # reprs never need quoting.  Each set's ids and weights cells are built
     # once, id cells once per run (kept in `ids_cells` across its ledgers);
@@ -182,47 +191,46 @@ def _write_ledger_csv(ledger: BacktestLedger, path: Path,
         same = values.count(values[0]) == len(values)
         set_cells.append(ids_cell + "," + ";".join([repr(values[0])] * len(values) if same
                                                    else map(repr, values)))
-    usd = ([""] * len(ledger.days) if ledger.values_usd is None
-           else map(repr, ledger.values_usd.tolist()))
+    dates, returns, values, usds, risks = cells
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(LEDGER_FIELDS) + "\n")
-        for date, ret, stable, usd_cell, risk, s in zip(
-                ledger.dates, ledger.returns.tolist(), ledger.values_stable.tolist(), usd,
-                ledger.risks.tolist(), ledger.set_of_day.tolist()):
-            fh.write(f"{date.isoformat()},{ret!r},{stable!r},{usd_cell},{risk!r},{set_cells[s]}\n")
+        for date, ret, stable, usd, risk, s in zip(
+                dates, returns, values, usds or [""] * len(dates), risks,
+                ledger.set_of_day.tolist()):
+            fh.write(f"{date},{ret},{stable},{usd},{risk},{set_cells[s]}\n")
 
 
-def _write_comparison_csv(table: ComparisonTable, path: Path) -> None:
-    # the body is built by hand, one list of cells per column: dates and float
-    # reprs never need quoting.  The header holds the method names, so csv
-    # writes it
+def _write_comparison_csv(table: ComparisonTable, cells: list[tuple], path: Path) -> None:
+    # the body is built by hand, one list of cells per column, from each
+    # method's figure cells (`_figure_cells`): dates and float reprs never need
+    # quoting.  The header holds the method names, so csv writes it
     first = table.methods[0]
-    header, columns = ["date"], [[d.isoformat() for d in table.dates]]
-    for m in table.methods:
+    header, columns = ["date"], [cells[0][0]]
+    for m, (_, _, values, usd, risks) in zip(table.methods, cells):
         header.append(f"value_stable_{m}")
-        columns.append(list(map(repr, table.values_stable[m])))
-        usd = table.values_usd[m]
-        if any(v is not None for v in usd):
+        columns.append(values)
+        if usd is not None:
             header.append(f"value_usd_{m}")
-            columns.append(["" if v is None else repr(v) for v in usd])
+            columns.append(usd)
         header.append(f"risk_{m}")
-        columns.append(list(map(repr, table.risks[m])))
+        columns.append(risks)
     for m in table.methods[1:]:
         header.append(f"value_diff_{m}_vs_{first}")
-        columns.append(list(map(repr, table.value_difference(m, first))))
+        columns.append(map(repr, table.value_difference(m, first)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _write_plot_data(table: ComparisonTable, path: Path) -> None:
-    dates = [d.isoformat() for d in table.dates]
-    data = {"methods": {m: {
-        "dates": dates, "value_stable": table.values_stable[m],
-        "value_usd": table.values_usd[m], "portfolio_risk": table.risks[m],
-    } for m in table.methods}}
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    path.write_text(payload + "\n", encoding="utf-8")
+def _write_plot_data(methods: Sequence[str], cells: list[tuple], path: Path) -> None:
+    # json.dumps(data, sort_keys=True, separators=(",", ":")) of the figure
+    # cells, built by hand: `methods` are sorted, a missing USD value is null
+    items = (json.dumps(m) + ':{"dates":["' + '","'.join(dates) + '"],"portfolio_risk":['
+             + ",".join(risks) + '],"value_stable":[' + ",".join(values) + '],"value_usd":['
+             + ",".join(["null"] * len(dates) if usd is None else usd) + "]}"
+             for m, (dates, _, values, usd, risks) in zip(methods, cells))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write('{"methods":{' + ",".join(items) + "}}\n")
 
 
 def _ledger_cost(ledger: BacktestLedger) -> int:
@@ -237,7 +245,7 @@ def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
                    out_dir) -> tuple[list[Path], list]:
     """Check the outputs and make `out_dir`; then the paths `emit_outputs`
     returns, and each file's write with its cost (the float reprs it
-    formats), in the order `emit_outputs` writes them."""
+    writes), in the order `emit_outputs` writes them."""
     if not ledgers:
         raise EmptyLedger("refusing to emit outputs for empty ledgers")
     if not reports or any(not r.rows for r in reports):
@@ -247,8 +255,10 @@ def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
     ordered = sorted(ledgers, key=lambda l: l.method)
     paths = [out / f"ledger_{ledger.method}.csv" for ledger in ordered]
     ids_cells: dict[tuple[str, ...], str] = {}
-    writes = [(functools.partial(_write_ledger_csv, ledger, path, ids_cells),
-               _ledger_cost(ledger)) for ledger, path in zip(ordered, paths)]
+    # each ledger's figure cells, formatted once by each process that writes them
+    cells = [functools.cache(functools.partial(_figure_cells, ledger)) for ledger in ordered]
+    writes = [(lambda i=i: _write_ledger_csv(ordered[i], paths[i], ids_cells, cells[i]()),
+               _ledger_cost(ordered[i])) for i in range(len(ordered))]
     # built by the first write that needs it, so that a DateRangeMismatch is
     # raised after the ledgers are written
     table = functools.cache(lambda: compare_backtests(ordered))
@@ -257,10 +267,10 @@ def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
     figures = len(ordered) * len(ordered[0].days)
     months = sum(len(r.rows) for r in reports)
     writes += [
-        (lambda: _write_comparison_csv(table(), comparison), 4 * figures),
+        (lambda: _write_comparison_csv(table(), [c() for c in cells], comparison), 4 * figures),
         (lambda: monthly.write_text(format_monthly(reports, "csv"), encoding="utf-8",
                                     newline=""), 3 * months),
-        (lambda: _write_plot_data(table(), plot), 3 * figures),
+        (lambda: _write_plot_data(table().methods, [c() for c in cells], plot), 3 * figures),
     ]
     return paths + [comparison, monthly, plot], writes
 

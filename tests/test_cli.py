@@ -13,7 +13,12 @@ import pytest
 from defiparity import allocate, cli, ingest, report
 from defiparity.cli import main
 from defiparity.domain import WeightVector
-from defiparity.errors import DefiParityError, DuplicateObservation, NotConverged
+from defiparity.errors import (
+    DateRangeMismatch,
+    DefiParityError,
+    DuplicateObservation,
+    NotConverged,
+)
 
 SCORES_CSV = (
     "protocol_id,name,chain,score,tvl\n"
@@ -785,15 +790,15 @@ class TestOutputsOnTwoProcesses:
         parent, write = os.getpid(), report._write_ledger_csv
         partial = tmp_path / "partial"
 
-        def failing_in_child(ledger, path, ids_cells):
+        def failing_in_child(ledger, path, ids_cells, cells):
             if os.getpid() != parent:
                 if end == "exit-3":
                     os._exit(3)
-                write(ledger, path, ids_cells)
+                write(ledger, path, ids_cells, cells)
                 path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
                 partial.write_bytes(path.read_bytes())
                 os.kill(os.getpid(), signal.SIGKILL)
-            write(ledger, path, ids_cells)
+            write(ledger, path, ids_cells, cells)
 
         monkeypatch.setattr(report, "_write_ledger_csv", failing_in_child)
         assert self.backtest(monkeypatch, capsys, tmp_path, "split", 0) == serial
@@ -818,6 +823,30 @@ class TestOutputsOnTwoProcesses:
         assert code == 4 and out == "before "
         assert err.startswith("error: [Errno 21] Is a directory: ") and "comparison.csv" in err
         assert sorted(files) == ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv"]
+
+    @pytest.mark.parametrize("floor", [10 ** 12, 0])
+    def test_date_range_mismatch_raised_after_the_ledgers(self, tmp_path, monkeypatch, forks,
+                                                          floor):
+        """Ledgers over different date ranges, on one process or two: each
+        ledger file is written with its own dates, then DateRangeMismatch is
+        raised before comparison.csv or plot_data.json is written."""
+        start, end = write_inputs(tmp_path)
+        universe = ingest.load_scores(tmp_path / "scores.csv")
+        panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
+        ledgers = [cli.run_backtest(cli.BacktestConfig(first, end, m), universe, panel)
+                   for m, first in (("erc", start), ("ew", start + dt.timedelta(days=1)),
+                                    ("tvl", start))]
+        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", floor)
+        out = tmp_path / "out"
+        with pytest.raises(DateRangeMismatch, match=r"^ledger 'ew' covers "):
+            cli._emit_outputs(ledgers, [report.monthly_report(l) for l in ledgers], out)
+        assert len(forks) == (floor == 0)
+        for ledger in ledgers:
+            lines = (out / f"ledger_{ledger.method}.csv").read_text().splitlines()[1:]
+            assert [line.split(",", 1)[0] for line in lines] == [
+                d.isoformat() for d in ledger.dates]
+        assert not (out / "comparison.csv").exists()
+        assert not (out / "plot_data.json").exists()
 
     @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "second-thread", "below-floor"])
     def test_writes_on_one_process(self, tmp_path, monkeypatch, capsys, forks, limit):

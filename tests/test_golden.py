@@ -64,6 +64,23 @@ GOLDEN_SIMPLE_365 = {
         "b1023b49e0b96aa9946ddedaed1ddd65845cc0f86873a52aff9f988933e408b7",
 }
 
+# the same fixture without --fx: no value_usd columns in comparison.csv, empty
+# USD cells in the ledgers and null USD lists in plot_data.json
+GOLDEN_NO_FX = {
+    "comparison.csv":
+        "b33c38c07b12de895c15c16d20cf747ddf74b459d9dae39c966a4ae7f8ee3630",
+    "ledger_erc.csv":
+        "1ca7fe1b950752a83bacffe33141d6195361eb381aa999ca6c8d4d1ebd426be2",
+    "ledger_ew.csv":
+        "3ed1eb6bd97810cd082e71e72f132b6e8f621005bcced7f0e3f74fcf9468fabd",
+    "ledger_tvl.csv":
+        "24b532a208f159e6b81e531131827d0c64767c4121086187310d617fe7bbc10c",
+    "monthly_report.csv":
+        "7c824d0c29239f942cc8ed498e84483a496ede7772e789a03adbcef2ce019599",
+    "plot_data.json":
+        "73dd288d233d51c228132e952ee1ced20d92a6d9d0561e4e776f961b5426b32d",
+}
+
 
 def write_fixture(base):
     with open(base / "scores.csv", "w", newline="") as fh:
@@ -88,8 +105,9 @@ def write_fixture(base):
                 writer.writerow([date, f"{1.0 + 0.0005 * ((i % 5) - 2):.4f}"])
 
 
-def backtest_digests(base, *options):
-    """The sha256 of each file `backtest` writes for the fixture in `base`."""
+def backtest_digests(base, *options, fx=True):
+    """The sha256 of each file `backtest` writes for the fixture in `base`,
+    with its FX file unless `fx` is false."""
     write_fixture(base)
     out = base / "out"
     end = START + dt.timedelta(days=DAYS - 1)
@@ -97,7 +115,7 @@ def backtest_digests(base, *options):
         "backtest",
         "--scores", str(base / "scores.csv"),
         "--yields", str(base / "yields.csv"),
-        "--fx", str(base / "fx.csv"),
+        *(["--fx", str(base / "fx.csv")] if fx else []),
         "--method", "ew,tvl,erc",
         "--start", START.isoformat(),
         "--end", end.isoformat(),
@@ -117,6 +135,10 @@ def test_simple_365_outputs_match_golden_hashes(tmp_path):
     assert backtest_digests(tmp_path, "--apy-convention", "simple_365") == GOLDEN_SIMPLE_365
 
 
+def test_outputs_without_fx_match_golden_hashes(tmp_path):
+    assert backtest_digests(tmp_path, fx=False) == GOLDEN_NO_FX
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process write needs os.fork")
 def test_outputs_written_on_two_processes_match_golden_hashes(tmp_path, monkeypatch):
     """A forked child writes a share of the files when their cost is at
@@ -125,8 +147,11 @@ def test_outputs_written_on_two_processes_match_golden_hashes(tmp_path, monkeypa
     monkeypatch.setattr(cli, "_reap", lambda pid: statuses.append(reap(pid)) or statuses[-1])
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", 0)
-    assert backtest_digests(tmp_path) == GOLDEN
-    assert statuses == [0]
+    for sub in ("fx", "no-fx"):
+        (tmp_path / sub).mkdir()
+    assert backtest_digests(tmp_path / "fx") == GOLDEN
+    assert backtest_digests(tmp_path / "no-fx", fx=False) == GOLDEN_NO_FX
+    assert statuses == [0, 0]
 
 
 # --- metamorphic properties of the whole command, byte for byte -----------------

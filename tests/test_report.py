@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime as dt
 import io
+import json
 import math
 import tempfile
 from unittest import mock
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 from defiparity.backtest import (
     BacktestConfig,
+    BacktestLedger,
     BacktestRow,
     ComparisonTable,
     YieldPanel,
+    compare_backtests,
     run_backtest,
 )
 from defiparity.domain import DatedSeries, ProtocolRecord, WeightVector, validate_universe
@@ -449,13 +452,77 @@ def comparison_tables(draw):
     )
 
 
+def figure_cells(table: ComparisonTable, m: str) -> tuple:
+    """Method `m`'s figure cells as `_write_comparison_csv` takes them: no
+    returns, and a USD column only where some value is given ("" for None)."""
+    usd = table.values_usd[m]
+    return ([d.isoformat() for d in table.dates], None, list(map(repr, table.values_stable[m])),
+            ["" if v is None else repr(v) for v in usd] if any(v is not None for v in usd)
+            else None, list(map(repr, table.risks[m])))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(comparison_tables())
 def test_comparison_csv_equals_csv_writer_output(table):
     with tempfile.TemporaryDirectory() as out:
-        _write_comparison_csv(table, f"{out}/comparison.csv")
+        cells = [figure_cells(table, m) for m in table.methods]
+        _write_comparison_csv(table, cells, f"{out}/comparison.csv")
         with open(f"{out}/comparison.csv", newline="", encoding="utf-8") as fh:
             assert fh.read() == comparison_csv_by_writer(table)
+
+
+def plot_data_by_json(table: ComparisonTable) -> str:
+    """plot_data.json for `table`, through json.dumps."""
+    dates = [d.isoformat() for d in table.dates]
+    data = {"methods": {m: {
+        "dates": dates, "value_stable": table.values_stable[m],
+        "value_usd": table.values_usd[m], "portfolio_risk": table.risks[m],
+    } for m in table.methods}}
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def library_ledgers(draw):
+    """One to four ledgers over one date range, built through the library:
+    methods named with JSON escapes, non-ASCII and the CSV delimiter, whose
+    order matters; each with USD values or none; -0.0 returns, USD values
+    and risks, and figures whose repr has an exponent."""
+    methods = draw(st.lists(st.text(alphabet='ab"\\\xe9\U0001f600,', min_size=1, max_size=3),
+                            min_size=1, max_size=4, unique=True))
+    days = draw(st.integers(1, 12))
+    start = D0 + dt.timedelta(days=draw(st.integers(0, 40)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    ledgers = []
+    for method in methods:
+        initial = draw(st.sampled_from([1.0, 1e-05, 2.5e16]) | st.floats(1e-300, 1e300))
+        returns = draw(st.lists(st.just(-0.0) | st.floats(-0.5, 0.5), min_size=days,
+                                max_size=days))
+        values = []
+        for r in returns:
+            values.append((values[-1] if values else initial) * (1.0 + r))
+        usd = draw(st.none() | st.lists(st.just(-0.0) | finite, min_size=days, max_size=days))
+        risks = draw(st.lists(st.just(-0.0) | st.floats(0.0, allow_infinity=False),
+                              min_size=days, max_size=days))
+        ledgers.append(BacktestLedger(
+            method, initial, [start.toordinal() + i for i in range(days)], returns, values, usd,
+            risks, [0] * days, [WeightVector(("a",), (1.0,))]))
+    return ledgers
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(engine_ledgers(), library_ledgers()))
+def test_shared_figure_cells_equal_the_oracles(ledgers):
+    """comparison.csv is what csv.writer writes and plot_data.json what
+    json.dumps writes, for the table `compare_backtests` builds."""
+    month = ledgers[0].dates[-1]
+    reports = [perf_risk_ratio([(month, 0.01)], [(month, 0.5)], "m")]
+    table = compare_backtests(sorted(ledgers, key=lambda l: l.method))
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(ledgers, reports, out)
+        for name, want in (("comparison.csv", comparison_csv_by_writer(table)),
+                           ("plot_data.json", plot_data_by_json(table))):
+            with open(f"{out}/{name}", newline="", encoding="utf-8") as fh:
+                assert fh.read() == want
 
 
 def each_row_parsed(path) -> tuple[BacktestRow, ...]:

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 input/validation error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime as dt
 import functools
 import gc
@@ -24,7 +23,6 @@ from .backtest import (
     APY_CONVENTIONS,
     METHODS,
     BacktestConfig,
-    YieldPanel,
     run_backtest,
 )
 from .errors import DefiParityError, NotConverged
@@ -46,20 +44,6 @@ EXIT_IO = 4
 # whole (6.8 MB), were read faster there in 11, 14, 15 and 15 of 15 fresh-process
 # pairs; `paper`'s (0.34 MB) and `window`'s (0.57 MB) took 2.0 and 3.4 ms longer.
 TWO_PROCESS_BYTES = 1 << 20
-# `backtest` reads a plain yields file of at least this many bytes on two
-# processes.  On the same VM, `window`'s yields cut to 1, 1.5, 2 and 3 MB made
-# a 31-day backtest faster on two in 7/15, 13/20, 19/20 and 20/20 fresh-process
-# pairs; `churn`'s 1.9 MB, whose 600-day backtest pays the fork's copy-on-write
-# faults for longer, were faster in 4/20, 7/20 and 13/20 on three runs.
-TWO_PROCESS_YIELDS_BYTES = 4 << 20
-# `backtest` writes outputs that format at least this many float reprs on two
-# processes (`report._output_writes`: a ledger's weights counted once per set,
-# once for an EW set).  On the same VM, `churn`'s outputs cut to 60, 90, 120,
-# 150 and 180 days (5 840 to 25 856 reprs) were written faster on two in 7/12,
-# 7/12, 7/12, 9/12 and 9/12 fresh-process pairs (paired medians -1.3, -1.7,
-# -1.3, -5.8 and -14.0 ms of 66-120 ms); `paper`'s 5 915 and `window`'s 1 442
-# in 6/12 each.
-TWO_PROCESS_REPRS = 20_000
 
 
 def _parse_iso_date(text: str) -> dt.date:
@@ -151,40 +135,24 @@ def cmd_backtest(args) -> int:
     if not methods:
         raise ValueError("no backtest method given")
 
-    universe = ingest.load_scores(args.scores)
-    panel = _load_yields(args.yields, universe.ids, args.fx or None)
-
-    ledgers = []
-    for method in methods:
-        config = BacktestConfig(args.start, args.end, method, max_gap_fill_days=args.gap_fill,
-                                apy_convention=args.apy_convention)
-        ledgers.append(run_backtest(config, universe, panel))
-    reports = [report.monthly_report(ledger) for ledger in ledgers]
-    written = _emit_outputs(ledgers, reports, args.out)
+    # the yields read and the output writes may run on two processes
+    token = ingest._run_jobs.set(_run_jobs)
+    try:
+        universe = ingest.load_scores(args.scores)
+        panel = ingest.load_yields(args.yields, universe.ids, args.fx or None)
+        ledgers = []
+        for method in methods:
+            config = BacktestConfig(args.start, args.end, method,
+                                    max_gap_fill_days=args.gap_fill,
+                                    apy_convention=args.apy_convention)
+            ledgers.append(run_backtest(config, universe, panel))
+        reports = [report.monthly_report(ledger) for ledger in ledgers]
+        written = report.emit_outputs(ledgers, reports, args.out)
+    finally:
+        ingest._run_jobs.reset(token)
     for path in written:
         print(path)
     return EXIT_OK
-
-
-def _load_yields(path, ids, fx_path) -> YieldPanel:
-    """`ingest.load_yields`, a large plain file read on two processes
-    (`ingest._split_columns`)."""
-    token = ingest._two_processes.set(
-        functools.partial(_two_processes, TWO_PROCESS_YIELDS_BYTES))
-    try:
-        return ingest.load_yields(path, ids, fx_path)
-    finally:
-        ingest._two_processes.reset(token)
-
-
-def _emit_outputs(ledgers, reports, out_dir) -> list[Path]:
-    """`report.emit_outputs`, large outputs written on two processes
-    (`_run_jobs`, by float reprs formatted)."""
-    token = report._run_jobs.set(functools.partial(_run_jobs, TWO_PROCESS_REPRS))
-    try:
-        return report.emit_outputs(ledgers, reports, out_dir)
-    finally:
-        report._run_jobs.reset(token)
 
 
 def cmd_report(args) -> int:
@@ -208,36 +176,53 @@ def _monthly_reports(paths: list[Path]) -> list[report.MonthlyReport]:
         sizes = [p.stat().st_size for p in paths]
     except OSError:  # reading the ledger raises it, in its turn
         return [_fold(p) for p in paths]
-    return _run_jobs(TWO_PROCESS_BYTES,
-                     [(functools.partial(_fold, p), size) for p, size in zip(paths, sizes)])
+    jobs = [(functools.partial(_fold, p), size) for p, size in zip(paths, sizes)]
+    return _run_jobs(TWO_PROCESS_BYTES, jobs) or [job() for job, _ in jobs]
 
 
-def _run_jobs(floor: int, jobs: list) -> list:
-    """The result of each of `jobs`, (function, cost) pairs, in order.  Two
-    or more jobs whose costs sum to at least `floor` run on two processes
-    (`_two_processes`): a forked child runs a share with about half the cost
-    (`_child_share`) and pipes back its results pickled.  If either side
-    fails, every job runs again here in order, so the error raised is the
-    one a run on one process raises."""
+def _run_jobs(floor: int, jobs: list) -> list | None:
+    """The result of each of `jobs`, (function, cost) pairs, in order, run on
+    two processes: a forked child runs a share with about half the cost
+    (`_child_share`) and pipes back its results pickled, and this process
+    runs the rest.  None, with no job run, for fewer than two jobs, costs
+    (input bytes, or float reprs written) that sum to less than `floor`, one
+    usable CPU, no `os.fork`, a second thread (a forked child could find a
+    lock held) or no pipe or process to spare.  None too if either side
+    fails, so that the caller's run on one process raises the error.  On
+    every exit the child has ended: it is killed if not waited for, and
+    reaped."""
     costs = [cost for _, cost in jobs]
-    if len(jobs) > 1:
-        theirs = _child_share(costs)
-        try:
-            with _two_processes(floor, sum(costs), lambda: pickle.dumps(
-                    [jobs[i][0]() for i in theirs])) as wait:
-                if wait is not None:
-                    done = {i: job() for i, (job, _) in enumerate(jobs) if i not in theirs}
-                    if (sent := wait()) is not None:
-                        done.update(zip(theirs, pickle.loads(sent)))
-                        return [done[i] for i in range(len(jobs))]
-        except Exception:  # raised again by the run on one process
-            pass
-    return [job() for job, _ in jobs]
+    if (len(jobs) < 2 or sum(costs) < floor or not hasattr(os, "fork")
+            or _usable_cpus() < 2 or threading.active_count() > 1):
+        return None
+    theirs = _child_share(costs)
+    child = _fork(lambda: pickle.dumps([jobs[i][0]() for i in theirs]))
+    if child is None:
+        return None
+    pid, read_end = child
+    waited = False
+    try:
+        with open(read_end, "rb") as pipe:
+            done = {i: job() for i, (job, _) in enumerate(jobs) if i not in theirs}
+            sent = pipe.read()
+        waited = True
+        if _reap(pid) != 0:
+            return None
+        done.update(zip(theirs, pickle.loads(sent)))
+        return [done[i] for i in range(len(jobs))]
+    except Exception:  # raised again by the caller's run on one process
+        return None
+    finally:
+        if not waited:
+            import signal  # only a child not waited for needs it
+
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid)
 
 
 def _child_share(costs: list[int]) -> list[int]:
     """Indices of the jobs the second process runs: costliest first, each job
-    joins the share with the lower cost so far; this one gets the costliest."""
+    joins the share with the lower cost so far; the child gets the costliest."""
     shares, loads = ([], []), [0, 0]
     for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
         side = loads[1] < loads[0]
@@ -252,48 +237,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _two_processes(floor: int, size: int, theirs):
-    """Run `theirs()` in a forked child and yield a function that waits for
-    it and returns the bytes `theirs()` returned, or None if it returned
-    None, raised or the child failed.  Yields None, forking nothing, for a
-    `size` of work (input bytes, or float reprs written) below `floor`, with
-    one usable CPU, without `os.fork`, with a second thread (a forked child
-    could find a lock held) or without a pipe or process to spare.  A child not waited for by the
-    end of the block is killed; either way it is reaped."""
-    child = None
-    if (size >= floor and hasattr(os, "fork") and _usable_cpus() > 1
-            and threading.active_count() == 1):
-        child = _fork(theirs)
-    if child is None:
-        yield None
-        return
-    pid, read_end = child
-    waited = False
-
-    def wait():
-        nonlocal waited
-        try:
-            sent = pipe.read()
-        except OSError:  # the child is killed at the end of the block
-            return None
-        waited = True
-        return sent if _reap(pid) == 0 else None
-
-    with open(read_end, "rb") as pipe:
-        try:
-            yield wait
-        finally:
-            if not waited:
-                import signal  # only a child not waited for needs it
-
-                os.kill(pid, signal.SIGKILL)
-                _reap(pid)
-
-
 def _fork(theirs) -> tuple[int, int] | None:
     """The pid of a child that runs `theirs()` and the read end of the pipe
-    it sends the bytes back on, or None if no pipe or process is to be had."""
+    it sends the bytes `theirs()` returns on, or None if no pipe or process
+    is to be had."""
     try:
         read_end, write_end = os.pipe()
     except OSError:  # out of file descriptors
@@ -309,10 +256,9 @@ def _fork(theirs) -> tuple[int, int] | None:
         try:
             os.close(read_end)
             sent = theirs()
-            if sent is not None:
-                with open(write_end, "wb") as pipe:
-                    pipe.write(sent)
-                status = 0
+            with open(write_end, "wb") as pipe:
+                pipe.write(sent)
+            status = 0
         finally:
             os._exit(status)
     os.close(write_end)

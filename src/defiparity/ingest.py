@@ -16,10 +16,10 @@ needs the csv module; the first run that does and the rest of the file go to
 one `csv.reader`.  The yields loader takes each run of plain rows a column at
 a time.  So rows are checked in file order, the first bad row or byte is the
 error raised, and a row is named by the line it starts on.  `defiparity
-backtest` first decides whether to split a large plain yields file: if so,
-two processes read its halves a column at a time (`_split_columns`) and
-`_read_rows` resumes where those columns stopped; if not, the file is read
-from its top, as a library call reads it.
+backtest` may first read a large plain yields file's two halves a column at
+a time on two processes (`_split_columns`); a half with a run that is not
+plain rows, or a failed process, leaves the file to be read from its top,
+as a library call reads it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import bisect
 import contextvars
 import csv
 import datetime as dt
+import functools
 import io
 import itertools
 import json
@@ -118,16 +119,15 @@ def _plain(run: bytes) -> bytes | None:
     return None if b'"' in run or b"\r" in run or b"\0" in run else run
 
 
-def _split_rows(runs, path, take, lines=0):
+def _split_rows(runs, path, take):
     """(line number, cells) for each row `csv.reader` gives for the text of
-    `runs`, named by the line it starts on: `lines` lines came before them,
-    and with none the first run is a header line.  A csv.Error or a byte
-    that is not UTF-8 is a ParseError at its line.  Each later run `_plain`
-    accepts is first offered to `take(run, lines before)`, which returns its
-    line count if it consumed it, else 0; a run not taken is split on `\n`
-    and commas here.  The first run `_plain` refuses and the rest go to one
-    csv.reader, a line at a time as a text file gives them."""
-    runs, reader = iter(runs), None
+    `runs`, the first a header line, named by the line it starts on; a
+    csv.Error or a byte that is not UTF-8 is a ParseError at its line.  Each
+    later run `_plain` accepts is first offered to `take(run, lines before)`,
+    which returns its line count if it consumed it, else 0; a run not taken is
+    split on `\n` and commas here.  The first run `_plain` refuses and the rest
+    go to one csv.reader, a line at a time as a text file gives them."""
+    runs, reader, lines = iter(runs), None, 0
     try:
         for run in runs:
             plain = _plain(run)
@@ -158,30 +158,20 @@ def _split_rows(runs, path, take, lines=0):
                                           f"at byte {exc.start + 1} ({exc.reason})") from None
 
 
-def _read_rows(path, expected_header: list[str], take=lambda run, lines: 0,
-               start=(0, 0)):
+def _read_rows(path, expected_header: list[str], take=lambda run, lines: 0):
     """Yield (line number, stripped cells) for each non-blank row past the
     header, in file order.  The first line is a header that must equal
-    `expected_header`.  `take`, `_split_rows`' hook, takes no run by default.
-    `start`, a line start's byte offset and the lines before it, resumes a
-    read whose header and earlier lines were read elsewhere."""
+    `expected_header`.  `take`, `_split_rows`' hook, takes no run by default."""
     width = len(expected_header)
-    offset, lines = start
     with open(path, "rb") as fh:
-        if lines:
-            fh.seek(offset)  # only a regular file gets here: a pipe has no offsets
-            runs = _runs(fh)
-        else:
-            runs = itertools.chain((fh.readline(),), _runs(fh))
-        rows = _split_rows(runs, path, take, lines)
-        if not lines:
-            _, header = next(rows, (None, None))
-            if header is None:
-                raise ParseError(path, 1, "file is empty; a header row is required")
-            if [h.strip() for h in header] != expected_header:
-                raise ParseError(
-                    path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
-                )
+        rows = _split_rows(itertools.chain((fh.readline(),), _runs(fh)), path, take)
+        _, header = next(rows, (None, None))
+        if header is None:
+            raise ParseError(path, 1, "file is empty; a header row is required")
+        if [h.strip() for h in header] != expected_header:
+            raise ParseError(
+                path, 1, f"expected header {','.join(expected_header)!r}, got {header!r}"
+            )
         for lineno, row in rows:
             cells = [cell.strip() for cell in row]
             if not any(cells):
@@ -310,71 +300,58 @@ def _plain_rows(run, index, day_of, keys, apys) -> bool:
     return True
 
 
-def _plain_columns(runs, index, day_of, keys, apys) -> int:
-    """The size of the leading runs of `runs` that are plain yields rows,
-    each taken a column at a time by `_plain_rows`."""
-    taken = 0
-    for run in runs:
-        plain = _plain(run)
-        if plain is None or not _plain_rows(plain, index, day_of, keys, apys):
-            break
-        taken += len(run)
-    return taken
+def _plain_columns(path, start, stop, index, day_of) -> bytes:
+    """The packed keys and then the APYs of the lines of yields file `path`
+    in bytes [start, stop), which start and end lines, as raw bytes; each run
+    is taken a column at a time by `_plain_rows`.  Raises ValueError at the
+    first run that is not plain rows."""
+    keys, apys = array("q"), array("d")
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for run in _runs(fh, stop - start):
+            plain = _plain(run)
+            if plain is None or not _plain_rows(plain, index, day_of, keys, apys):
+                raise ValueError(f"{path}: not plain yields rows")
+    return b"".join((keys, apys))
 
 
-# the CLI's two-process helper while `defiparity backtest` reads its yields;
-# a library call finds None, so it reads on one process and never forks
-_two_processes = contextvars.ContextVar("two_processes", default=None)
+# `defiparity backtest` reads a plain yields file of at least this many bytes on
+# two processes.  On a 2-vCPU VM, `window`'s yields cut to 1, 1.5, 2 and 3 MB made
+# a 31-day backtest faster on two in 7/15, 13/20, 19/20 and 20/20 fresh-process
+# pairs; `churn`'s 1.9 MB, whose 600-day backtest pays the fork's copy-on-write
+# faults for longer, were faster in 4/20, 7/20 and 13/20 on three runs.
+TWO_PROCESS_YIELDS_BYTES = 4 << 20
+# the CLI's two-process runner (`cli._run_jobs`) while `defiparity backtest`
+# reads its yields and writes its outputs; a library call finds None, so it
+# never forks
+_run_jobs = contextvars.ContextVar("run_jobs", default=None)
 _PLAIN_HEADERS = (b"date,protocol_id,apy\n", b"date,protocol_id,apy\r\n")
 
 
-def _split_columns(path, two_processes, index, day_of, keys,
-                   apys) -> tuple[tuple[int, int], int | None]:
-    """Read yields file `path` a column at a time in two shares where
-    `two_processes` forks: a child takes the lines from the first line start
-    past the middle of the file and pipes back their keys and APYs as raw
-    bytes, appended to `keys` and `apys` after those of the lines before it,
-    read here.  Returns the byte offset of the first line not read and the
-    lines before it, from which the row path reads the rest, and those lines
-    again if this process refused the run there, else None.  This process's
-    columns stop at its first run that is not plain rows (a child is then
-    killed unread); a child whose share is not all plain rows, or that fails,
-    leaves the rest from the middle line.  No run is read here for a file
-    that is not regular (a pipe can be read only once), a header line that
-    is not plain, or where `two_processes` declines: returns (0, 0), None."""
-    if not os.path.isfile(path):
-        return (0, 0), None
+def _split_columns(path, index, day_of) -> list[bytes] | None:
+    """The columns (`_plain_columns`) of yields file `path` in two jobs that
+    `_run_jobs` runs on two processes: the lines from the header to the first
+    line start past the middle of the file, read here, and the rest, read
+    by a child.  None, opening nothing, in a library call or where `path` is
+    not a regular file (a pipe can be read only once); None where its header
+    line is not plain, and where the runner declines or either job fails, as
+    at a run that is not plain rows."""
+    run_jobs = _run_jobs.get()
+    if run_jobs is None or not os.path.isfile(path):
+        return None
     with open(path, "rb") as fh:
         if fh.readline() not in _PLAIN_HEADERS:
-            return (0, 0), None
+            return None
         header, size = fh.tell(), os.fstat(fh.fileno()).st_size
         fh.seek(size // 2)
         fh.readline()
         middle = fh.tell()
-        fh.seek(header)
-
-        def theirs():
-            their_keys, their_apys = array("q"), array("d")
-            with open(path, "rb") as own:
-                own.seek(middle)
-                if _plain_columns(_runs(own), index, day_of,
-                                  their_keys, their_apys) != size - middle:
-                    return None
-            return their_keys.tobytes() + their_apys.tobytes()
-
-        with two_processes(size, theirs) as wait:
-            if wait is None:
-                return (0, 0), None
-            reached = header + _plain_columns(_runs(fh, middle - header),
-                                              index, day_of, keys, apys)
-            sent = wait() if reached == middle else None
-    lines = 1 + len(keys)
-    if sent is None:
-        return (reached, lines), lines if reached < middle else None
-    half = len(sent) // 2
-    keys.frombytes(memoryview(sent)[:half])
-    apys.frombytes(memoryview(sent)[half:])
-    return (size, 1 + len(keys)), None
+    # the child takes the costlier job: costing the second half at the file's
+    # size (what the floor bounds) leaves the first half, and its first
+    # run, to this process
+    return run_jobs(TWO_PROCESS_YIELDS_BYTES, [
+        (functools.partial(_plain_columns, path, header, middle, index, day_of), 0),
+        (functools.partial(_plain_columns, path, middle, size, index, day_of), size)])
 
 
 def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
@@ -386,10 +363,11 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     plain row costs two lookups and one `float`, any other the checked parse.
     Both give typed columns (packed protocol/day key, APY) in file order.
     Under `defiparity backtest` a large plain file is first read a column at
-    a time on two processes (`_split_columns`); the row path reads only what
-    they leave, and `take` does not offer `_plain_rows` a run it refused
-    there.  Repeats are found on the sorted keys, each series is one slice of
-    them, and the FX CSV at `fx_path`, if given, is read last for the overlay.
+    a time on two processes (`_split_columns`); if either half holds a run
+    that is not plain rows, or a process fails, the file is read here from
+    its top, as a library call reads it.  Repeats are found on the sorted
+    keys, each series is one slice of them, and the FX CSV at `fx_path`, if
+    given, is read last for the overlay.
     """
     order = sorted(set(ids))
     # the row path strips cells, so an id with outer whitespace could only
@@ -401,32 +379,34 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     add_key, add_apy, inf = keys.append, apys.append, math.inf
 
     def take(run, lines):  # `lines` lines, the header among them, came before `run`
-        if lines == refused:  # `_split_columns` offered this run to `_plain_rows`
-            return 0
         blanks.extend([len(keys)] * (lines - 1 - len(keys) - len(blanks)))
         before = len(keys)
         _plain_rows(run, index, day_of, keys, apys)  # appends one row a line, or none
         return len(keys) - before
 
-    two_processes, start, refused = _two_processes.get(), (0, 0), None
-    if two_processes is not None:
-        start, refused = _split_columns(path, two_processes, index, day_of, keys, apys)
-    try:
-        for lineno, row in _read_rows(path, YIELDS_HEADER, take, start):
-            if skipped := lineno - 2 - len(keys) - len(blanks):
-                blanks += [len(keys)] * skipped
-            date_text, pid, apy_text = row
-            try:
-                key, apy = index[pid] | day_of[date_text], float(apy_text)
-            except (KeyError, ValueError):
-                apy = math.nan  # not a plain row
-            if not -1.0 < apy < inf:
-                key, apy = _checked_yield_row(row, path, lineno, index, day_of)
-            add_key(key)
-            add_apy(apy)
-    except DefiParityError:
-        _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
-        raise
+    columns = _split_columns(path, index, day_of)
+    if columns is not None:
+        for sent in columns:  # each job's keys, then its APYs
+            half = len(sent) // 2
+            keys.frombytes(memoryview(sent)[:half])
+            apys.frombytes(memoryview(sent)[half:])
+    else:
+        try:
+            for lineno, row in _read_rows(path, YIELDS_HEADER, take):
+                if skipped := lineno - 2 - len(keys) - len(blanks):
+                    blanks += [len(keys)] * skipped
+                date_text, pid, apy_text = row
+                try:
+                    key, apy = index[pid] | day_of[date_text], float(apy_text)
+                except (KeyError, ValueError):
+                    apy = math.nan  # not a plain row
+                if not -1.0 < apy < inf:
+                    key, apy = _checked_yield_row(row, path, lineno, index, day_of)
+                add_key(key)
+                add_apy(apy)
+        except DefiParityError:
+            _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
+            raise
     by_key, packed = _sorted_keys(keys, blanks, path, order)
     values = np.frombuffer(apys, dtype=np.float64)[by_key]
     del keys, apys, by_key

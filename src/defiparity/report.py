@@ -8,7 +8,6 @@ rendered tables.
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import datetime as dt
 import functools
@@ -21,7 +20,7 @@ from pathlib import Path
 from .backtest import BacktestLedger, ComparisonTable, check_figures, compare_backtests
 from .domain import WeightVector, check_weights
 from .errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
-from .ingest import _read_rows
+from .ingest import _read_rows, _run_jobs
 
 RATIO_TOL = 1e-9
 
@@ -233,6 +232,15 @@ def _write_plot_data(methods: Sequence[str], cells: list[tuple], path: Path) -> 
         fh.write('{"methods":{' + ",".join(items) + "}}\n")
 
 
+# `defiparity backtest` writes outputs that format at least this many float reprs
+# on two processes (`_output_writes`: a ledger's weights counted once per set,
+# once for an EW set).  On a 2-vCPU VM, `churn`'s outputs cut to 60, 90, 120, 150
+# and 180 days (5 840 to 25 856 reprs) were written faster on two in 7/12, 7/12,
+# 7/12, 9/12 and 9/12 fresh-process pairs (paired medians -1.3, -1.7, -1.3, -5.8
+# and -14.0 ms of 66-120 ms); `paper`'s 5 915 and `window`'s 1 442 in 6/12 each.
+TWO_PROCESS_REPRS = 20_000
+
+
 def _ledger_cost(ledger: BacktestLedger) -> int:
     """The float reprs `_write_ledger_csv` formats for `ledger`: four a day,
     and each set's weights once, one for an EW set (its weights are equal)."""
@@ -275,15 +283,6 @@ def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
     return paths + [comparison, monthly, plot], writes
 
 
-def _in_order(jobs: list) -> list:
-    return [job() for job, _ in jobs]
-
-
-# what runs the output writes: the CLI's two-process runner while `defiparity
-# backtest` writes; a library call finds `_in_order`, so it never forks
-_run_jobs = contextvars.ContextVar("run_jobs", default=_in_order)
-
-
 def emit_outputs(
     ledgers: list[BacktestLedger],
     reports: list[MonthlyReport],
@@ -293,10 +292,14 @@ def emit_outputs(
     plot-ready JSON into `out_dir`; byte content is deterministic for fixed
     inputs.  Returns the written paths.  The writes run in that order on one
     process; under `defiparity backtest` large outputs are written on two
-    (`cli._run_jobs`).
+    (`ingest._run_jobs`), and if either process fails, all of them again in
+    order here.
     """
     written, writes = _output_writes(ledgers, reports, out_dir)
-    _run_jobs.get()(writes)
+    run_jobs = _run_jobs.get()
+    if run_jobs is None or run_jobs(TWO_PROCESS_REPRS, writes) is None:
+        for write, _ in writes:
+            write()
     return written
 
 

@@ -1,8 +1,11 @@
 # Anchors pytest's rootdir and puts tests/ on sys.path so test modules can
 # share helpers by plain import.
 
+import contextvars
+
 import pytest
 
+from defiparity import cli, ingest
 from defiparity.backtest import YieldPanel
 
 
@@ -26,3 +29,11 @@ def panel_builds(monkeypatch):
 
     monkeypatch.setattr(YieldPanel, "__post_init__", counting)
     return built
+
+
+def under_backtest(fn, *args):
+    """`fn(*args)` handed the CLI's two-process runner, as `defiparity
+    backtest` hands it to `load_yields` and `emit_outputs`."""
+    context = contextvars.copy_context()
+    context.run(ingest._run_jobs.set, cli._run_jobs)
+    return context.run(fn, *args)

@@ -19,6 +19,7 @@ from defiparity.errors import (
     DuplicateObservation,
     NotConverged,
 )
+from conftest import under_backtest
 
 SCORES_CSV = (
     "protocol_id,name,chain,score,tvl\n"
@@ -537,6 +538,26 @@ class TestReportCommand:
 USABLE_CPUS = cli._usable_cpus
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process runner needs os.fork")
+def test_interrupt_in_this_share_kills_the_child(monkeypatch):
+    """A KeyboardInterrupt in this process's share propagates, and the child,
+    still running its share, is killed and reaped first."""
+    statuses, reap = [], cli._reap
+    monkeypatch.setattr(cli, "_reap", lambda pid: statuses.append(reap(pid)) or statuses[-1])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):  # the child takes the costlier job
+        cli._run_jobs(0, [(lambda: time.sleep(30), 2), (interrupted, 1)])
+    assert time.monotonic() - started < 20
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [-signal.SIGKILL]
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process read needs os.fork")
 class TestReportOnTwoProcesses:
     """`report` reads a ledger set of any size on two processes once the
@@ -726,7 +747,7 @@ class TestOutputsOnTwoProcesses:
         block-buffered file that holds unwritten text when a child forks."""
         start, end = write_inputs(base, third_protocol=True)
         out, stdout = base / name, base / f"{name}.stdout"
-        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", floor)
+        monkeypatch.setattr(report, "TWO_PROCESS_REPRS", floor)
         capsys.readouterr()
         with open(stdout, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
             fh.write("before ")  # flushed once, by this process
@@ -836,10 +857,11 @@ class TestOutputsOnTwoProcesses:
         ledgers = [cli.run_backtest(cli.BacktestConfig(first, end, m), universe, panel)
                    for m, first in (("erc", start), ("ew", start + dt.timedelta(days=1)),
                                     ("tvl", start))]
-        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", floor)
+        monkeypatch.setattr(report, "TWO_PROCESS_REPRS", floor)
         out = tmp_path / "out"
         with pytest.raises(DateRangeMismatch, match=r"^ledger 'ew' covers "):
-            cli._emit_outputs(ledgers, [report.monthly_report(l) for l in ledgers], out)
+            under_backtest(report.emit_outputs, ledgers,
+                           [report.monthly_report(l) for l in ledgers], out)
         assert len(forks) == (floor == 0)
         for ledger in ledgers:
             lines = (out / f"ledger_{ledger.method}.csv").read_text().splitlines()[1:]
@@ -879,7 +901,7 @@ class TestOutputsOnTwoProcesses:
         panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
         ledgers = [cli.run_backtest(cli.BacktestConfig(start, end, m), universe, panel)
                    for m in ("erc", "tvl")]
-        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", 0)
+        monkeypatch.setattr(report, "TWO_PROCESS_REPRS", 0)
         report.emit_outputs(ledgers, [report.monthly_report(l) for l in ledgers], tmp_path)
         assert forks == []
 
@@ -934,8 +956,8 @@ class TestYieldsOnTwoProcesses:
             if floor is None:
                 result = ingest.load_yields(path, YIELD_IDS, fx)
             else:
-                monkeypatch.setattr(cli, "TWO_PROCESS_YIELDS_BYTES", floor)
-                result = cli._load_yields(path, YIELD_IDS, fx)
+                monkeypatch.setattr(ingest, "TWO_PROCESS_YIELDS_BYTES", floor)
+                result = under_backtest(ingest.load_yields, path, YIELD_IDS, fx)
         except (DefiParityError, ValueError) as exc:
             result = exc
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
@@ -976,17 +998,23 @@ class TestYieldsOnTwoProcesses:
         return runs
 
     @staticmethod
-    def spy_starts(monkeypatch):
-        """The `start` of each `_read_rows` call: the byte offset the row path
-        reads from and the lines before it."""
-        starts, read_rows = [], ingest._read_rows
+    def spy_reads(monkeypatch):
+        """In call order: the start byte of each column job this process runs,
+        and the path and header of each `_read_rows` call (each reads from
+        the top)."""
+        reads, plain_columns, read_rows = [], ingest._plain_columns, ingest._read_rows
 
-        def spy(path, header, take, start):
-            starts.append(start)
-            return read_rows(path, header, take, start)
+        def spy_columns(path, start, *args):
+            reads.append(start)
+            return plain_columns(path, start, *args)
 
-        monkeypatch.setattr(ingest, "_read_rows", spy)
-        return starts
+        def spy_rows(path, header, take):
+            reads.append((path, header))
+            return read_rows(path, header, take)
+
+        monkeypatch.setattr(ingest, "_plain_columns", spy_columns)
+        monkeypatch.setattr(ingest, "_read_rows", spy_rows)
+        return reads
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("run_bytes", [ingest._RUN_BYTES, 50])
@@ -1032,7 +1060,8 @@ class TestYieldsOnTwoProcesses:
     def test_irregular_line_gives_the_serial_outcome(self, tmp_path, monkeypatch, forks,
                                                      kind, share):
         """The line is in the parent's first run or its last run (the child is
-        killed unread), or in the child's share."""
+        killed unread), or in the child's share.  Either way the file is then
+        read from its top, as the library reads it."""
         monkeypatch.setattr(ingest, "_RUN_BYTES", 100)
         lines = self.lines()
         path = self.write(tmp_path / "yields.csv", lines)
@@ -1049,25 +1078,22 @@ class TestYieldsOnTwoProcesses:
                 return plain_columns(*args)
 
             monkeypatch.setattr(ingest, "_plain_columns", slow_in_child)
-        starts = self.spy_starts(monkeypatch)
+        reads = self.spy_reads(monkeypatch)
         serial = self.load(monkeypatch, path, None)
         split = self.load(monkeypatch, path, 0)
-        offsets = [offset for offset, _ in starts]
         assert self.bits(split) == self.bits(serial)
         if kind in ("unknown_id", "bad_apy", "non_utf8"):
             assert isinstance(serial, Exception) and f"{path}:{i + 2}" in str(serial)
         else:
             assert not isinstance(serial, Exception)
-        # the row path picks up where the columns stopped, never at byte 0
-        header, middle = len("date,protocol_id,apy\n"), self.middle(path)
-        assert offsets[0] == 0
+        # the library read, then this process's columns from the header; once
+        # they or the child's are refused, one read from the top
+        header = len("date,protocol_id,apy\n")
+        assert reads == [(path, ingest.YIELDS_HEADER), header, (path, ingest.YIELDS_HEADER)]
+        assert len(forks) == 1
         if share == "first-run":
-            assert offsets[1:] == [header] and len(forks) == 1
             assert os.WIFSIGNALED(forks[0]) and os.WTERMSIG(forks[0]) == signal.SIGKILL
-        elif share == "parent":
-            assert header < offsets[1] < middle and len(forks) == 1
-        else:
-            assert offsets[1:] == [middle] and len(forks) == 1
+        elif share == "child":
             assert os.WEXITSTATUS(forks[0]) == 1  # its share is not plain rows
 
     def test_split_on_the_last_line(self, tmp_path, monkeypatch, forks):
@@ -1125,25 +1151,25 @@ class TestYieldsOnTwoProcesses:
         assert forks == []
 
     def test_read_below_the_floor_is_the_library_read(self, tmp_path, monkeypatch, forks):
-        """Below the floor nothing is read before the row path, which starts
+        """Below the floor no run is read before the row path, which starts
         at the top: a first run that is not plain rows (a blank line after the
         header) is offered to `_plain_rows` once, as in a library call."""
         lines = self.lines()
         path = self.write(tmp_path / "yields.csv", ["", *lines])
         serial = self.load(monkeypatch, path, None)
-        runs, starts = self.spy_plain_rows(monkeypatch), self.spy_starts(monkeypatch)
+        runs, reads = self.spy_plain_rows(monkeypatch), self.spy_reads(monkeypatch)
         split = self.load(monkeypatch, path, path.stat().st_size + 1)
         assert self.bits(split) == self.bits(serial)
         assert not isinstance(serial, Exception) and len(serial.series) == 3
-        assert starts == [(0, 0)] and forks == []
+        assert reads == [(path, ingest.YIELDS_HEADER)] and forks == []
         assert runs == [(False, len(lines) + 1)]  # the one run past the header
 
     @pytest.mark.parametrize("bad", [False, True])
-    def test_refused_run_is_offered_once(self, tmp_path, monkeypatch, forks, bad):
+    def test_refused_run_is_offered_twice(self, tmp_path, monkeypatch, forks, bad):
         """The CI's `early` copy: a blank line after the header and a `%` APY
         on row 1 (and a bad APY on the last line).  This process refuses its
-        first run, so the child is killed; the row path resumes at the header
-        and offers `_plain_rows` each later run, but not that one again."""
+        first run, as a column job, so the child is killed; the read from the
+        top then offers `_plain_rows` that run again, and each later run."""
         monkeypatch.setattr(ingest, "_RUN_BYTES", 100)
         lines = self.lines()
         lines[0] = self.IRREGULAR["percent"](*lines[0].split(","))
@@ -1155,9 +1181,11 @@ class TestYieldsOnTwoProcesses:
         split = self.load(monkeypatch, path, 0)
         assert self.bits(split) == self.bits(serial)
         assert isinstance(serial, Exception) == bad and len(forks) == 1
-        # one offer a run: together they hold every line past the header once
-        assert [taken for taken, _ in runs] == [False, *[True] * (len(runs) - 2), not bad]
-        assert sum(count for _, count in runs) == len(lines) + 1
+        # the column job stops at its first offer; the read from the top then
+        # offers each run once, together every line past the header
+        assert runs[0] == runs[1]
+        assert [taken for taken, _ in runs] == [False, False, *[True] * (len(runs) - 3), not bad]
+        assert sum(count for _, count in runs[1:]) == len(lines) + 1
 
     def test_read_on_one_process_with_a_second_thread(self, tmp_path, monkeypatch, forks):
         path = self.write(tmp_path / "yields.csv", self.lines())
@@ -1200,7 +1228,7 @@ class TestYieldsOnTwoProcesses:
 
     def test_library_read_never_forks(self, tmp_path, monkeypatch, forks):
         path = self.write(tmp_path / "yields.csv", self.lines())
-        monkeypatch.setattr(cli, "TWO_PROCESS_YIELDS_BYTES", 0)
+        monkeypatch.setattr(ingest, "TWO_PROCESS_YIELDS_BYTES", 0)
         ingest.load_yields(path, YIELD_IDS)
         assert forks == []
 
@@ -1214,7 +1242,7 @@ class TestYieldsOnTwoProcesses:
             (tmp_path / "yields.csv").write_text("\n".join(lines) + "\n")
         outcomes = []
         for floor in (10 ** 12, 0):  # read on one process, then on two
-            monkeypatch.setattr(cli, "TWO_PROCESS_YIELDS_BYTES", floor)
+            monkeypatch.setattr(ingest, "TWO_PROCESS_YIELDS_BYTES", floor)
             out = tmp_path / f"out{floor}"
             code = main([
                 "backtest", "--scores", str(tmp_path / "scores.csv"),

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from defiparity import cli
+from defiparity import cli, report
 from defiparity.cli import main
 
 START = dt.date(2022, 1, 20)
@@ -146,7 +146,7 @@ def test_outputs_written_on_two_processes_match_golden_hashes(tmp_path, monkeypa
     statuses, reap = [], cli._reap
     monkeypatch.setattr(cli, "_reap", lambda pid: statuses.append(reap(pid)) or statuses[-1])
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", 0)
+    monkeypatch.setattr(report, "TWO_PROCESS_REPRS", 0)
     for sub in ("fx", "no-fx"):
         (tmp_path / sub).mkdir()
     assert backtest_digests(tmp_path / "fx") == GOLDEN

@@ -49,6 +49,7 @@ from defiparity.errors import (
     UnknownProtocol,
 )
 from defiparity.ingest import load_yields
+from conftest import under_backtest
 from reference_loader import reference_load_yields
 
 IDS = ("aave", "comp", "curve", "yearn")
@@ -215,9 +216,9 @@ def load_on_two_processes(path, ids):
     """The CLI's yields read with its size floor at 0 and two usable CPUs:
     the lines from the first line start past the middle of the file are
     read by a forked child."""
-    with mock.patch.object(cli, "TWO_PROCESS_YIELDS_BYTES", 0), \
+    with mock.patch.object(ingest, "TWO_PROCESS_YIELDS_BYTES", 0), \
             mock.patch.object(cli, "_usable_cpus", lambda: 2):
-        return cli._load_yields(path, ids, None)
+        return under_backtest(load_yields, path, ids, None)
 
 
 def check_plain_valid_file(loader, tmp_path_factory, rows, data):

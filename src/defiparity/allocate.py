@@ -19,10 +19,9 @@ from .errors import (
     NotConverged,
     NotDiagonal,
     NotNormalized,
-    UniverseMismatch,
     ZeroTotalTvl,
 )
-from .risk import RiskMatrix
+from .risk import RiskMatrix, _check_ids
 
 _ARMIJO = 1e-4
 _INITIAL_STEP = 1.0  # the very first trial step
@@ -72,10 +71,7 @@ def _tvl_share_values(universe_ids: tuple[str, ...], tvls: np.ndarray) -> np.nda
 
 
 def _check_pair(w: WeightVector, m: RiskMatrix) -> None:
-    if w.universe_ids != m.universe_ids:
-        raise UniverseMismatch(
-            f"weights cover {w.universe_ids} but matrix covers {m.universe_ids}"
-        )
+    _check_ids(w, m)
     if not m.normalized:
         raise NotNormalized("ERC objective is defined on the normalized matrix")
 

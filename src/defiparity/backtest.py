@@ -253,40 +253,45 @@ def check_figures(date, ret: float, value: float, usd: float | None, risk: float
 class BacktestLedger:
     """One method's run as columns, one entry per day: the day ordinals
     (`date.toordinal()`), the return, the value, the USD value (None without
-    an FX overlay) and the risk, all read-only arrays.  Day i holds the
-    weights `set_weights[set_of_day[i]]`, one vector per active set.  The
-    constructor checks every invariant at once; `rows` is a per-day view."""
+    an FX overlay) and the risk, each a tuple of Python numbers.  Day i holds
+    the weights `set_weights[set_of_day[i]]`, one vector per active set.  The
+    constructor converts the columns once and checks every invariant at once;
+    `rows` is a per-day view."""
 
     method: str
     initial_value: float
-    days: np.ndarray = field(repr=False)
-    returns: np.ndarray = field(repr=False)
-    values_stable: np.ndarray = field(repr=False)
-    values_usd: np.ndarray | None = field(repr=False)
-    risks: np.ndarray = field(repr=False)
-    set_of_day: np.ndarray = field(repr=False)
+    days: tuple[int, ...] = field(repr=False)
+    returns: tuple[float, ...] = field(repr=False)
+    values_stable: tuple[float, ...] = field(repr=False)
+    values_usd: tuple[float, ...] | None = field(repr=False)
+    risks: tuple[float, ...] = field(repr=False)
+    set_of_day: tuple[int, ...] = field(repr=False)
     set_weights: Sequence[WeightVector] = field(repr=False)  # read ledgers build on lookup
 
     def __post_init__(self):
-        for name, dtype in (("days", np.int64), ("returns", float), ("values_stable", float),
-                            ("values_usd", float), ("risks", float), ("set_of_day", np.intp)):
-            if getattr(self, name) is not None:
-                column = np.asarray(getattr(self, name), dtype=dtype)
-                column.flags.writeable = False
-                object.__setattr__(self, name, column)
+        # an array through `tolist`, any other sequence entry by entry, without NumPy
+        for name, kind in (("days", int), ("returns", float), ("values_stable", float),
+                           ("values_usd", float), ("risks", float), ("set_of_day", int)):
+            column = getattr(self, name)
+            if column is None:
+                continue
+            if isinstance(column, np.ndarray):
+                column = column.tolist()
+            elif kind is float and None in column:  # NaN, as NumPy read it: check_figures fails
+                column = [math.nan if x is None else x for x in column]
+            object.__setattr__(self, name, tuple(map(kind, column)))
         n = len(self.days)
         if not n:
             raise ValueError("ledger must have at least one row")
         columns = (self.returns, self.values_stable, self.values_usd, self.risks, self.set_of_day)
-        if any(c is not None and c.shape != (n,) for c in columns) or not (  # a set < 0 wraps
-                self.set_of_day.view(np.uintp) < len(self.set_weights)).all():
+        if any(c is not None and len(c) != n for c in columns) or not (
+                0 <= min(self.set_of_day) <= max(self.set_of_day) < len(self.set_weights)):
             raise ValueError("ledger columns must hold one entry per day, and a set of each")
-        returns, values = self.returns.tolist(), self.values_stable.tolist()
-        usds = [None] * n if self.values_usd is None else self.values_usd.tolist()
-        for figures in zip(self.dates, returns, values, usds, self.risks.tolist()):
+        days, returns, values = self.days, self.returns, self.values_stable
+        usds = (None,) * n if self.values_usd is None else self.values_usd
+        for figures in zip(self.dates, returns, values, usds, self.risks):
             check_figures(*figures)
         # per day, in this order: consecutive days, accrual `prev * (1 + r)`, value > 0
-        days = self.days.tolist()
         for i, (day, r, v) in enumerate(zip(days, returns, values)):
             if i and day - days[i - 1] != 1:
                 raise ValueError("ledger must hold one row per consecutive day")
@@ -303,14 +308,14 @@ class BacktestLedger:
 
     @cached_property
     def dates(self) -> tuple[dt.date, ...]:
-        return tuple(map(dt.date.fromordinal, self.days.tolist()))
+        return tuple(map(dt.date.fromordinal, self.days))
 
     @cached_property
     def rows(self) -> tuple[BacktestRow, ...]:
-        usd = [None] * len(self.days) if self.values_usd is None else self.values_usd.tolist()
+        usd = (None,) * len(self.days) if self.values_usd is None else self.values_usd
         return tuple(map(
-            BacktestRow, self.dates, [self.set_weights[s] for s in self.set_of_day.tolist()],
-            self.returns.tolist(), self.values_stable.tolist(), usd, self.risks.tolist(),
+            BacktestRow, self.dates, [self.set_weights[s] for s in self.set_of_day],
+            self.returns, self.values_stable, usd, self.risks,
         ))
 
 
@@ -390,7 +395,7 @@ def compare_backtests(ledgers: list[BacktestLedger]) -> ComparisonTable:
         raise ValueError("need at least one ledger to compare")
     days = ledgers[0].days
     for ledger in ledgers[1:]:
-        if not np.array_equal(ledger.days, days):
+        if ledger.days != days:
             raise DateRangeMismatch(
                 f"ledger {ledger.method!r} covers "
                 f"{ledger.dates[0]}..{ledger.dates[-1]}, expected "
@@ -402,8 +407,8 @@ def compare_backtests(ledgers: list[BacktestLedger]) -> ComparisonTable:
     return ComparisonTable(
         methods=methods,
         dates=ledgers[0].dates,
-        values_stable={l.method: l.values_stable.tolist() for l in ledgers},
-        values_usd={l.method: [None] * len(days) if l.values_usd is None
-                    else l.values_usd.tolist() for l in ledgers},
-        risks={l.method: l.risks.tolist() for l in ledgers},
+        values_stable={l.method: l.values_stable for l in ledgers},
+        values_usd={l.method: (None,) * len(days) if l.values_usd is None
+                    else l.values_usd for l in ledgers},
+        risks={l.method: l.risks for l in ledgers},
     )

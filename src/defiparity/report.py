@@ -35,7 +35,7 @@ def _month_groups(ledger: BacktestLedger) -> list[tuple[int, int, dt.date]]:
 
 def monthly_performance(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Compounded return per calendar month, keyed by the month's last row date."""
-    returns, out = ledger.returns.tolist(), []
+    returns, out = ledger.returns, []
     for start, stop, month_end in _month_groups(ledger):
         growth = 1.0
         for r in returns[start:stop]:  # in sequence, as a day-by-day fold would
@@ -46,8 +46,7 @@ def monthly_performance(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
 
 def monthly_avg_risk(ledger: BacktestLedger) -> list[tuple[dt.date, float]]:
     """Arithmetic mean of the daily portfolio risk per calendar month."""
-    risks = ledger.risks.tolist()
-    return [(month_end, sum(risks[start:stop]) / (stop - start))
+    return [(month_end, sum(ledger.risks[start:stop]) / (stop - start))
             for start, stop, month_end in _month_groups(ledger)]
 
 
@@ -171,7 +170,7 @@ def _figure_cells(ledger: BacktestLedger) -> tuple[list[str] | None, ...]:
     (None without FX) and risk as reprs; the figures are finite
     (`check_figures`), so each repr is also the figure's JSON."""
     return (list(map(dt.date.isoformat, ledger.dates)), *(
-        None if column is None else list(map(repr, column.tolist())) for column in (
+        None if column is None else list(map(repr, column)) for column in (
             ledger.returns, ledger.values_stable, ledger.values_usd, ledger.risks)))
 
 
@@ -194,8 +193,7 @@ def _write_ledger_csv(ledger: BacktestLedger, path: Path,
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(LEDGER_FIELDS) + "\n")
         for date, ret, stable, usd, risk, s in zip(
-                dates, returns, values, usds or [""] * len(dates), risks,
-                ledger.set_of_day.tolist()):
+                dates, returns, values, usds or [""] * len(dates), risks, ledger.set_of_day):
             fh.write(f"{date},{ret},{stable},{usd},{risk},{set_cells[s]}\n")
 
 

@@ -680,7 +680,7 @@ def test_ledger_checks_name_the_error_of_the_per_row_checks(n, with_fx, data):
     panel = YieldPanel(series={"a": constant_series(0.05, 0, n - 1),
                                "b": constant_series(0.2, 0, n - 1)}, fx=fx)
     ledger = run_backtest(BacktestConfig(day(0), day(n - 1), "erc"), universe, panel)
-    columns = {name: getattr(ledger, name).tolist() for name in ("days", "returns",
+    columns = {name: list(getattr(ledger, name)) for name in ("days", "returns",
                "values_stable", "risks") + ("values_usd",) * with_fx}
     for _ in range(data.draw(st.integers(1, 3))):
         name = data.draw(st.sampled_from(sorted(columns)))
@@ -718,3 +718,53 @@ def test_ledger_columns_must_cover_every_day_with_a_set(columns, message):
     with pytest.raises(ValueError) as exc:
         dataclasses.replace(ledger, **columns)
     assert str(exc.value) == message
+
+
+LEDGER_COLUMNS = ("days", "returns", "values_stable", "values_usd", "risks", "set_of_day")
+
+
+def fx_ledger():
+    """An ERC ledger over four days with an FX overlay, in which "b" enters on day 2."""
+    universe = validate_universe([ProtocolRecord("a", 1.0), ProtocolRecord("b", 4.0)])
+    panel = YieldPanel(series={"a": constant_series(0.05, 0, 3), "b": constant_series(0.2, 2, 3)},
+                       fx=DatedSeries.from_pairs((day(i), 1.01) for i in range(4)))
+    return run_backtest(BacktestConfig(day(0), day(3), "erc"), universe, panel)
+
+
+def test_ledger_columns_become_tuples_of_python_numbers_from_any_sequence():
+    ledger = fx_ledger()
+    columns = {name: list(getattr(ledger, name)) for name in LEDGER_COLUMNS}
+    columns["returns"][0] = -0.0  # day 0 accrues from no last value
+    built = [dataclasses.replace(ledger, **{name: kind(column) for name, column in columns.items()})
+             for kind in (np.array, list, tuple)]
+    for got in [ledger] + built:
+        for name in LEDGER_COLUMNS:
+            column = getattr(got, name)
+            assert type(column) is tuple and len(column) == 4
+            assert {type(x) for x in column} == ({int} if name in ("days", "set_of_day")
+                                                 else {float})
+    for name in LEDGER_COLUMNS:
+        assert getattr(built[0], name) == getattr(built[1], name) == getattr(built[2], name)
+    assert [math.copysign(1.0, got.returns[0]) for got in built] == [-1.0] * 3
+    assert built[1].set_of_day == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("name", ["returns", "values_usd"])
+@pytest.mark.parametrize("index", [0, 2])
+def test_a_none_figure_fails_as_a_figure_that_is_not_finite(name, index):
+    ledger = fx_ledger()
+    column = list(getattr(ledger, name))
+    column[index] = None
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(ledger, **{name: column})
+    assert str(exc.value) == f"ledger figures must be finite, risk >= 0 (on {day(index)})"
+
+
+@pytest.mark.parametrize("name", ["returns", "values_stable", "values_usd", "risks"])
+def test_a_text_figure_fails_as_float_reads_it(name):
+    ledger = fx_ledger()
+    column = list(getattr(ledger, name))
+    column[1] = "x"
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(ledger, **{name: column})
+    assert str(exc.value) == "could not convert string to float: 'x'"

@@ -4,6 +4,7 @@ import datetime as dt
 import io
 import json
 import math
+import sys
 import tempfile
 from unittest import mock
 
@@ -675,6 +676,50 @@ def test_read_ledger_builds_each_weight_vector_once_when_first_looked_up(tmp_pat
     assert [row.active_ids for row in ledger.rows] == [("a", "b")] * 40 + [("a", "b", "c")] * 90
     assert len(built) == 2
     assert ledger.set_weights[::-1] == tuple(built) == tuple(reversed(ledger.set_weights))
+
+
+def numpy_calls(fn) -> int:
+    """How many C functions of NumPy `fn()` calls (`sys.setprofile`'s
+    c_call events): a NumPy function, or a method of a NumPy object."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call":
+            module = arg.__module__ or type(getattr(arg, "__self__", None)).__module__
+            calls += module.partition(".")[0] == "numpy"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_report_reads_and_folds_ledgers_without_numpy(tmp_path):
+    """Reading a ledger CSV and folding it into its monthly report calls no
+    NumPy: the columns are converted entry by entry."""
+    universe = validate_universe([
+        ProtocolRecord("a", 1.0, tvl=100.0), ProtocolRecord("b", 4.0, tvl=300.0),
+        ProtocolRecord("c", 2.0, tvl=50.0),
+    ])
+    series = {pid: DatedSeries.from_pairs(
+        (D0 + dt.timedelta(days=i), 0.01 * (k + 1)) for i in range(first, 75))
+        for k, (pid, first) in enumerate([("a", 0), ("b", 0), ("c", 40)])}
+    fx = DatedSeries.from_pairs((D0 + dt.timedelta(days=i), 1.0 + 0.001 * (i % 5))
+                                for i in range(75))
+    panel = YieldPanel(series=series, fx=fx)
+    ledgers = [run_backtest(BacktestConfig(D0, D0 + dt.timedelta(days=74), method),
+                            universe, panel) for method in ("erc", "ew", "tvl")]
+    reports = [monthly_report(ledger) for ledger in ledgers]
+    emit_outputs(ledgers, reports, tmp_path)
+    read = []
+    paths = [tmp_path / f"ledger_{method}.csv" for method in ("erc", "ew", "tvl")]
+    calls = numpy_calls(lambda: read.extend(monthly_report(read_ledger_csv(p)) for p in paths))
+    assert read == reports
+    assert calls == 0
 
 
 def long_ledger_lines(tmp_path):

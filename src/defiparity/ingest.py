@@ -12,14 +12,17 @@ divided by 100.
 Every CSV (the ledgers `report` reads too) is read by `_read_rows`: opened
 once, in binary mode, as the header line and then runs of whole lines, each
 decoded only as its rows are reached.  `_plain` decides once per run if it
-needs the csv module; the first run that does and the rest of the file go to
+needs the csv module; csv reads such a run alone where no quoted field can
+go on past it (`_quoted_rows`), else that run and the rest of the file go to
 one `csv.reader`.  The yields loader takes each run of plain rows a column at
 a time.  So rows are checked in file order, the first bad row or byte is the
 error raised, and a row is named by the line it starts on.  `defiparity
 backtest` may first read a large plain yields file's two halves a column at
-a time on two processes (`_split_columns`); a half with a run that is not
-plain rows, or a failed process, leaves the file to be read from its top,
-as a library call reads it.
+a time on two processes, each half sorted by key, and the FX file beside the
+child (`_split_columns`); a half with a run that is not plain rows or with a
+repeat, a repeat across the halves, a bad FX file or a failed process leaves
+the file to be read from its top, as a library call reads it, and the FX
+file after it.
 """
 
 from __future__ import annotations
@@ -119,20 +122,55 @@ def _plain(run: bytes) -> bytes | None:
     return None if b'"' in run or b"\r" in run or b"\0" in run else run
 
 
+# every byte but a quote and `\n`: deleting them leaves each line's quotes
+_NOT_QUOTES = bytes(b for b in range(256) if b not in b'"\n')
+
+
+def _quoted_rows(run: bytes):
+    """(line within `run`, cells) of each row of a run `_plain` refused, and
+    its line count, where csv can read the run alone: it holds no NUL and no
+    CR but before `\n`, is no longer than the field size limit, is UTF-8,
+    has an even number of quotes on every line and ends outside a quoted
+    field (a field open at its end would hold the run's last `\n`).  Else
+    None: the run and the rest of the file go to one csv.reader."""
+    if len(run) > csv.field_size_limit() or b"\0" in run:
+        return None
+    run = run.replace(b"\r\n", b"\n")
+    if b"\r" in run or b'"' in run.translate(None, _NOT_QUOTES).replace(b'""', b""):
+        return None
+    try:
+        text = run.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = list(zip(map(operator.attrgetter("line_num"), itertools.repeat(reader)), reader))
+    # an even count still opens a field after a quote inside an unquoted one
+    if rows and rows[-1][1] and rows[-1][1][-1].endswith("\n"):
+        return None
+    return rows, reader.line_num
+
+
 def _split_rows(runs, path, take):
     """(line number, cells) for each row `csv.reader` gives for the text of
     `runs`, the first a header line, named by the line it starts on; a
     csv.Error or a byte that is not UTF-8 is a ParseError at its line.  Each
     later run `_plain` accepts is first offered to `take(run, lines before)`,
     which returns its line count if it consumed it, else 0; a run not taken is
-    split on `\n` and commas here.  The first run `_plain` refuses and the rest
-    go to one csv.reader, a line at a time as a text file gives them."""
+    split on `\n` and commas here.  A run `_plain` refuses is read by csv
+    alone where `_quoted_rows` can; the first that is not, and the rest, go
+    to one csv.reader, a line at a time as a text file gives them."""
     runs, reader, lines = iter(runs), None, 0
     try:
         for run in runs:
             plain = _plain(run)
             if plain is None:
-                break
+                quoted = _quoted_rows(run)
+                if quoted is None:
+                    break
+                rows, count = quoted
+                yield from ((lines + line_num + 1, row) for line_num, row in rows)
+                lines += count
+                continue
             if lines and (taken := take(plain, lines)):
                 lines += taken
                 continue
@@ -229,7 +267,9 @@ def load_scores(path) -> Universe:
 # load_yields packs a (protocol, day) pair into one int: the protocol's index
 # above the day ordinal, which stays below 2**22 (date.max is 3_652_059)
 _DAY_BITS = 22
-_PLAIN_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
+_DAY_MASK = (1 << _DAY_BITS) - 1
+# every byte but a comma and `\n`: deleting them leaves a plain run's separators
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 def _checked_yield_row(row, path, lineno: int, index, day_of) -> tuple[int, float]:
@@ -275,10 +315,8 @@ def _plain_rows(run, index, day_of, keys, apys) -> bool:
     padded date or id, a wrong field count, a missing final `\n` or a byte
     that is not UTF-8 make it not plain.
     """
-    codes = np.frombuffer(run, dtype=np.uint8)
-    separators = codes[(codes == ord(",")) | (codes == ord("\n"))]
-    if separators.size % 3 or not (separators.reshape(-1, 3)
-                                   == _PLAIN_SEPARATORS).all():
+    separators = run.translate(None, _NOT_SEPARATORS)
+    if separators != b",,\n" * (len(separators) // 3):
         return False
     try:
         cells = run.decode("utf-8").replace("\n", ",").split(",")
@@ -300,11 +338,12 @@ def _plain_rows(run, index, day_of, keys, apys) -> bool:
     return True
 
 
-def _plain_columns(path, start, stop, index, day_of) -> bytes:
-    """The packed keys and then the APYs of the lines of yields file `path`
-    in bytes [start, stop), which start and end lines, as raw bytes; each run
+def _plain_columns(path, start, stop, index, day_of):
+    """The packed keys and the APYs of the lines of yields file `path` in
+    bytes [start, stop), which start and end lines, sorted by key; each run
     is taken a column at a time by `_plain_rows`.  Raises ValueError at the
-    first run that is not plain rows."""
+    first run that is not plain rows, and where a key repeats (the read from
+    the top names the repeat's line)."""
     keys, apys = array("q"), array("d")
     with open(path, "rb") as fh:
         fh.seek(start)
@@ -312,7 +351,34 @@ def _plain_columns(path, start, stop, index, day_of) -> bytes:
             plain = _plain(run)
             if plain is None or not _plain_rows(plain, index, day_of, keys, apys):
                 raise ValueError(f"{path}: not plain yields rows")
-    return b"".join((keys, apys))
+    packed = np.frombuffer(keys, dtype=np.int64)
+    by_key = np.argsort(packed, kind="stable")  # timsort: fast on a file's sorted runs
+    packed = packed[by_key]
+    if (packed[1:] == packed[:-1]).any():
+        raise ValueError(f"{path}: a repeated observation")
+    return packed, np.frombuffer(apys, dtype=np.float64)[by_key]
+
+
+def _joined_series(order, first, second) -> dict | None:
+    """Each protocol's series from the sorted keys and APYs of two
+    `_plain_columns` results: its rows of the first and then of the second,
+    sorted by day where their days interleave.  None if a key is in both."""
+    (keys1, apys1), (keys2, apys2) = first, second
+    cuts = np.arange(len(order) + 1) << _DAY_BITS
+    bounds1, bounds2 = (np.searchsorted(keys, cuts).tolist() for keys in (keys1, keys2))
+    series = {}
+    for pid, lo1, hi1, lo2, hi2 in zip(order, bounds1, bounds1[1:], bounds2, bounds2[1:]):
+        if lo1 == hi1 and lo2 == hi2:
+            continue
+        keys = np.concatenate((keys1[lo1:hi1], keys2[lo2:hi2]))
+        levels = np.concatenate((apys1[lo1:hi1], apys2[lo2:hi2]))
+        if lo1 < hi1 and lo2 < hi2 and keys1[hi1 - 1] >= keys2[lo2]:
+            by_key = np.argsort(keys, kind="stable")
+            keys, levels = keys[by_key], levels[by_key]
+            if (keys[1:] == keys[:-1]).any():
+                return None
+        series[pid] = DatedSeries(keys & _DAY_MASK, levels)
+    return series
 
 
 # `defiparity backtest` reads a plain yields file of at least this many bytes on
@@ -328,14 +394,16 @@ _run_jobs = contextvars.ContextVar("run_jobs", default=None)
 _PLAIN_HEADERS = (b"date,protocol_id,apy\n", b"date,protocol_id,apy\r\n")
 
 
-def _split_columns(path, index, day_of) -> list[bytes] | None:
+def _split_columns(path, index, day_of, fx_path=None) -> list | None:
     """The columns (`_plain_columns`) of yields file `path` in two jobs that
     `_run_jobs` runs on two processes: the lines from the header to the first
     line start past the middle of the file, read here, and the rest, read
-    by a child.  None, opening nothing, in a library call or where `path` is
-    not a regular file (a pipe can be read only once); None where its header
-    line is not plain, and where the runner declines or either job fails, as
-    at a run that is not plain rows."""
+    by a child; then the FX series at `fx_path`, if given, read here after
+    this process's half.  None, opening nothing, in a library call or where
+    `path` is not a regular file (a pipe can be read only once); None where
+    its header line is not plain, and where the runner declines or any job
+    fails, as at a run that is not plain rows, a repeat within a half or a
+    bad FX row."""
     run_jobs = _run_jobs.get()
     if run_jobs is None or not os.path.isfile(path):
         return None
@@ -346,12 +414,15 @@ def _split_columns(path, index, day_of) -> list[bytes] | None:
         fh.seek(size // 2)
         fh.readline()
         middle = fh.tell()
-    # the child takes the costlier job: costing the second half at the file's
-    # size (what the floor bounds) leaves the first half, and its first
-    # run, to this process
-    return run_jobs(TWO_PROCESS_YIELDS_BYTES, [
-        (functools.partial(_plain_columns, path, header, middle, index, day_of), 0),
-        (functools.partial(_plain_columns, path, middle, size, index, day_of), size)])
+    # the child takes the costliest job: costing the second half at the file's
+    # size (what the floor bounds) and the rest at 0 leaves the first half,
+    # and its first run, to this process, and the FX read after it: a
+    # DatedSeries the child pickled back would lose its read-only arrays
+    jobs = [(functools.partial(_plain_columns, path, header, middle, index, day_of), 0),
+            (functools.partial(_plain_columns, path, middle, size, index, day_of), size)]
+    if fx_path is not None:
+        jobs.append((functools.partial(load_fx, fx_path), 0))
+    return run_jobs(TWO_PROCESS_YIELDS_BYTES, jobs)
 
 
 def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
@@ -361,13 +432,17 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
     appear only once.  `_read_rows` offers `take` each run `_plain` accepts;
     a run of plain rows is read a column at a time, any other row by row: a
     plain row costs two lookups and one `float`, any other the checked parse.
-    Both give typed columns (packed protocol/day key, APY) in file order.
-    Under `defiparity backtest` a large plain file is first read a column at
-    a time on two processes (`_split_columns`); if either half holds a run
-    that is not plain rows, or a process fails, the file is read here from
-    its top, as a library call reads it.  Repeats are found on the sorted
-    keys, each series is one slice of them, and the FX CSV at `fx_path`, if
-    given, is read last for the overlay.
+    Both give typed columns (packed protocol/day key, APY) in file order;
+    repeats are found on the sorted keys and each series is one slice of
+    them.  The FX CSV at `fx_path`, if given, is read last for the overlay.
+    Under `defiparity backtest` a large plain file is first read on two
+    processes (`_split_columns`): each half comes back sorted by key and
+    checked for a repeat, and each series joins its rows of the two halves
+    (`_joined_series`); this process reads the FX file while the child reads
+    the second half.  A half that is not plain rows or holds a repeat, a
+    repeat across the halves, a bad FX file or a failed process means the
+    file is read here from its top, as a library call reads it, so an error
+    names the same line.
     """
     order = sorted(set(ids))
     # the row path strips cells, so an id with outer whitespace could only
@@ -384,34 +459,31 @@ def load_yields(path, ids: Iterable[str], fx_path=None) -> YieldPanel:
         _plain_rows(run, index, day_of, keys, apys)  # appends one row a line, or none
         return len(keys) - before
 
-    columns = _split_columns(path, index, day_of)
-    if columns is not None:
-        for sent in columns:  # each job's keys, then its APYs
-            half = len(sent) // 2
-            keys.frombytes(memoryview(sent)[:half])
-            apys.frombytes(memoryview(sent)[half:])
-    else:
-        try:
-            for lineno, row in _read_rows(path, YIELDS_HEADER, take):
-                if skipped := lineno - 2 - len(keys) - len(blanks):
-                    blanks += [len(keys)] * skipped
-                date_text, pid, apy_text = row
-                try:
-                    key, apy = index[pid] | day_of[date_text], float(apy_text)
-                except (KeyError, ValueError):
-                    apy = math.nan  # not a plain row
-                if not -1.0 < apy < inf:
-                    key, apy = _checked_yield_row(row, path, lineno, index, day_of)
-                add_key(key)
-                add_apy(apy)
-        except DefiParityError:
-            _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
-            raise
+    split = _split_columns(path, index, day_of, fx_path)
+    series = None if split is None else _joined_series(order, split[0], split[1])
+    if series is not None:
+        return YieldPanel(series=series, fx=split[2] if fx_path is not None else None)
+    try:  # a repeat the split found is raised here, at its line
+        for lineno, row in _read_rows(path, YIELDS_HEADER, take):
+            if skipped := lineno - 2 - len(keys) - len(blanks):
+                blanks += [len(keys)] * skipped
+            date_text, pid, apy_text = row
+            try:
+                key, apy = index[pid] | day_of[date_text], float(apy_text)
+            except (KeyError, ValueError):
+                apy = math.nan  # not a plain row
+            if not -1.0 < apy < inf:
+                key, apy = _checked_yield_row(row, path, lineno, index, day_of)
+            add_key(key)
+            add_apy(apy)
+    except DefiParityError:
+        _sorted_keys(keys, blanks, path, order)  # a repeat read before it wins
+        raise
     by_key, packed = _sorted_keys(keys, blanks, path, order)
     values = np.frombuffer(apys, dtype=np.float64)[by_key]
     del keys, apys, by_key
     bounds = np.searchsorted(packed, np.arange(len(order) + 1) << _DAY_BITS).tolist()
-    days = packed & ((1 << _DAY_BITS) - 1)
+    days = packed & _DAY_MASK
     series = {pid: DatedSeries(days[lo:hi], values[lo:hi])
               for pid, lo, hi in zip(order, bounds, bounds[1:]) if lo < hi}
     return YieldPanel(series=series, fx=None if fx_path is None else load_fx(fx_path))

@@ -3,6 +3,7 @@ import csv
 import datetime as dt
 import json
 import os
+import random
 import signal
 import threading
 import time
@@ -1045,6 +1046,85 @@ class TestYieldsOnTwoProcesses:
         assert isinstance(serial, DuplicateObservation)
         assert str(serial).startswith(f"{path}:{len(lines) + 1}: duplicate observation")
         assert forks == [0]
+
+    @pytest.mark.parametrize("share", ["parent", "child"])
+    def test_duplicate_within_one_share_names_the_serial_line(self, tmp_path, monkeypatch,
+                                                              forks, share):
+        """Each share's sorted keys are checked for a repeat: one found there
+        means the read from the top, which names the repeat's line."""
+        lines = self.lines()
+        path = self.write(tmp_path / "yields.csv", lines)
+        first_child_line = path.read_bytes().count(b"\n", 0, self.middle(path)) - 1
+        i, j = (0, 5) if share == "parent" else (first_child_line + 1, len(lines) - 1)
+        date, pid, _ = lines[i].split(",")
+        lines[j] = f"{date},{pid},0.5"
+        self.write(path, lines)  # the child's share still starts on the same line
+        assert path.read_bytes().count(b"\n", 0, self.middle(path)) - 1 == first_child_line
+        reads = self.spy_reads(monkeypatch)
+        serial, split = self.serial_and_split(monkeypatch, forks, path)
+        assert self.bits(split) == self.bits(serial)
+        assert isinstance(serial, DuplicateObservation)
+        assert str(serial).startswith(f"{path}:{j + 2}: duplicate observation for {pid!r}")
+        assert reads[-1] == (path, ingest.YIELDS_HEADER)  # the read from the top
+        if share == "child":
+            assert os.WEXITSTATUS(forks[0]) == 1  # its share holds the repeat
+
+    def test_shuffled_file_is_joined_protocol_by_protocol(self, tmp_path, monkeypatch, forks):
+        """Each protocol's days interleave across the two shares: its rows
+        are sorted by day where they join, and no read from the top follows."""
+        lines = self.lines()
+        random.Random(7).shuffle(lines)
+        path = self.write(tmp_path / "yields.csv", lines)
+        reads = self.spy_reads(monkeypatch)
+        serial, split = self.serial_and_split(monkeypatch, forks, path)
+        assert self.bits(split) == self.bits(serial)
+        assert [len(s) for s in serial.series.values()] == [60, 60, 60]
+        assert reads == [(path, ingest.YIELDS_HEADER), len("date,protocol_id,apy\n")]
+        assert forks == [0]
+
+    def test_fx_is_read_here_with_read_only_arrays(self, tmp_path, monkeypatch, forks):
+        write_inputs(tmp_path)
+        path = self.write(tmp_path / "plain.csv", self.lines())
+        readers, load_fx = tmp_path / "fx_readers", ingest.load_fx
+
+        def logged_load_fx(fx_path):  # a file, so that a read in the child shows too
+            with open(readers, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return load_fx(fx_path)
+
+        monkeypatch.setattr(ingest, "load_fx", logged_load_fx)
+        serial, split = self.serial_and_split(monkeypatch, forks, path, tmp_path / "fx.csv")
+        assert self.bits(split) == self.bits(serial)
+        assert forks == [0]
+        assert readers.read_text().split() == [str(os.getpid())] * 2  # serial, then split
+        assert not split.fx.levels.flags.writeable
+        assert not split.fx.ordinals.flags.writeable
+
+    def test_bad_fx_row_gives_the_serial_error_and_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                          forks):
+        """The FX read fails in this process, so the yields are read again
+        from the top and the FX file after them, as on one process."""
+        start, _ = write_inputs(tmp_path, third_protocol=True)
+        fx = tmp_path / "fx.csv"
+        fx_lines = fx.read_text().splitlines()
+        fx_lines[-1] = _cell(1, "abc")(fx_lines[-1])
+        fx.write_text("\n".join(fx_lines) + "\n")
+        path = self.write(tmp_path / "yields.csv", self.lines())
+        serial, split = self.serial_and_split(monkeypatch, forks, path, fx)
+        assert self.bits(split) == self.bits(serial)
+        assert str(serial) == f"{fx}:{len(fx_lines)}: cannot parse rate from 'abc'"
+        outcomes = []
+        for floor in (10 ** 12, 0):  # read on one process, then on two
+            monkeypatch.setattr(ingest, "TWO_PROCESS_YIELDS_BYTES", floor)
+            code = main(["backtest", "--scores", str(tmp_path / "scores.csv"),
+                         "--yields", str(path), "--fx", str(fx), "--method", "ew",
+                         "--start", start.isoformat(), "--end", "2022-01-29",
+                         "--out", str(tmp_path / "out")])
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1] == (2, ("", f"error: {serial}\n"))
+        assert len(forks) == 2 and not (tmp_path / "out").exists()
 
     IRREGULAR = {
         "unknown_id": lambda date, pid, apy: f"{date},zz,{apy}",

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from defiparity.ingest import (
     load_yields,
     save_bundle,
 )
+from reference_loader import reference_load_yields
 
 
 def write(path, text):
@@ -205,6 +207,62 @@ class TestLoadYields:
         with pytest.raises(ParseError) as exc:
             load_yields(path, ["a"])
         assert exc.value.line == 2
+
+    # ids that read as a date and as a float, so cells read three at a time
+    # parse whichever column they land in
+    ODD_IDS = ("2021-12-02", "0.5")
+
+    @pytest.mark.parametrize("pair", [
+        # the six cells, read three at a time, are two rows in their own columns
+        "2021-12-01,2021-12-02,0.01,2021-12-02\n0.5,0.02\n",
+        # they put an id in the date column and a float id in the APY column
+        "2021-12-01,0.5,0.01,2021-12-02\n0.5,0.5\n",
+    ], ids=["aligned", "misaligned"])
+    def test_four_then_two_fields_refused_a_column_at_a_time(self, tmp_path, pair):
+        """A 4-field line and then a 2-field line hold as many separators as
+        two rows; `_plain_rows` refuses the run all the same, and the row
+        path raises the reference loader's error at the 4-field line."""
+        before = "2021-12-01,2021-12-02,0.03\n2021-12-01,0.5,0.04\n"
+        run = (before + pair).encode()
+        index = {pid: k << ingest._DAY_BITS for k, pid in enumerate(sorted(self.ODD_IDS))}
+        keys, apys = array("q"), array("d")
+        assert not ingest._plain_rows(run, index, {}, keys, apys)
+        assert not keys and not apys
+        path = write(tmp_path / "yields.csv", "date,protocol_id,apy\n" + before + pair)
+        with pytest.raises(ParseError) as exc:
+            load_yields(path, self.ODD_IDS)
+        assert str(exc.value) == f"{path}:4: expected 3 fields, got 4"
+        with pytest.raises(ParseError) as want:
+            reference_load_yields(path, self.ODD_IDS)
+        assert str(exc.value) == str(want.value)
+
+    def test_quoted_id_on_row_1_leaves_later_runs_a_column_at_a_time(self, tmp_path,
+                                                                      monkeypatch):
+        """The csv module reads the run that holds the quoted id alone; every
+        later run is taken a column at a time, and the panel is the plain
+        file's."""
+        start = dt.date(2021, 12, 1)
+        lines = [f"{start + dt.timedelta(days=i)},{pid},{0.01 * k + 1e-5 * i!r}"
+                 for i in range(100) for k, pid in enumerate(("a", "b", "c"))]
+        plain = write(tmp_path / "plain.csv", "date,protocol_id,apy\n" + "\n".join(lines) + "\n")
+        date, pid, apy = lines[0].split(",")
+        quoted = write(tmp_path / "quoted.csv", plain.read_text().replace(
+            lines[0], f'{date},"{pid}",{apy}', 1))
+        monkeypatch.setattr(ingest, "_RUN_BYTES", 200)
+        want = load_yields(plain, ["a", "b", "c"])
+        runs, plain_rows = [], ingest._plain_rows
+
+        def spy(run, *args):
+            runs.append((plain_rows(run, *args), run.count(b"\n")))
+            return runs[-1][0]
+
+        monkeypatch.setattr(ingest, "_plain_rows", spy)
+        assert load_yields(quoted, ["a", "b", "c"]) == want
+        data = quoted.read_bytes()
+        header_end = data.index(b"\n") + 1
+        first_run_lines = data.count(b"\n", header_end, data.index(b"\n", header_end + 200) + 1)
+        assert len(runs) > 10 and all(taken for taken, _ in runs)
+        assert sum(count for _, count in runs) == len(lines) - first_run_lines
 
 
 class TestLoadFx:

@@ -135,3 +135,15 @@ def test_hand_off_error_names_the_physical_line(tmp_path):
         assert got[2] == 6
     else:
         assert [lineno for lineno, _ in got] == [2, 3, 5, 6]
+
+
+def test_field_opened_after_a_literal_quote_goes_on_past_its_run(tmp_path, monkeypatch):
+    """Line 2 holds two quotes, but the first is a literal one inside an
+    unquoted field, so the second opens a field that line 3 closes.  The run
+    that ends on line 2 is not read alone: it goes to csv with the rest."""
+    path = tmp_path / "file.csv"
+    path.write_bytes(b'a,b,c\nx"y,"z\nw",v\nx,y,z\n')
+    monkeypatch.setattr(ingest, "_RUN_BYTES", 1)  # a run is one line
+    got = outcome(ingest._read_rows, path)
+    assert got == outcome(reference_read_rows, path)
+    assert got == [(2, ['x"y', "z\nw", "v"]), (4, ["x", "y", "z"])]

@@ -2,9 +2,9 @@
 
 The package splits into small layers: `domain` holds the validated value
 types, `risk` builds and normalizes the score matrix, `allocate` produces
-EW/TVL/ERC weights, `backtest` simulates daily-rebalanced portfolios,
-`ingest` loads or fetches the data, and `report` turns ledgers into monthly
-tables and plot-ready files.
+EW/TVL/ERC weights, `backtest` simulates daily-rebalanced portfolios, `rows`
+reads CSV rows, `ingest` loads and saves the data, `fetch` fetches it, and
+`report` turns ledgers into monthly tables and plot-ready files.
 """
 
 from .allocate import (
@@ -36,10 +36,9 @@ from .domain import (
     WeightVector,
     validate_universe,
 )
+from .fetch import FetchSpec, fetch_remote
 from .ingest import (
     DataBundle,
-    FetchSpec,
-    fetch_remote,
     load_bundle,
     load_fx,
     load_scores,

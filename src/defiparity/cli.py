@@ -18,7 +18,7 @@ import threading
 from pathlib import Path
 
 from . import allocate as alloc
-from . import ingest, report
+from . import fetch, ingest, report
 from .backtest import (
     APY_CONVENTIONS,
     METHODS,
@@ -273,7 +273,7 @@ def _reap(pid: int) -> int | None:
         return None
 
 
-def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date, dt.date]]:
+def _load_fetch_config(path) -> tuple[fetch.FetchSpec, list[str], tuple[dt.date, dt.date]]:
     import configparser  # only `fetch` reads a config file
 
     parser = configparser.ConfigParser()
@@ -281,12 +281,12 @@ def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        fetch = parser["fetch"]
-        base_url = fetch["base_url"]
-        endpoints = {"scores": fetch["scores_endpoint"],
-                     "yields": fetch["yields_endpoint"]}
-        if "fx_endpoint" in fetch:
-            endpoints["fx"] = fetch["fx_endpoint"]
+        remote = parser["fetch"]
+        base_url = remote["base_url"]
+        endpoints = {"scores": remote["scores_endpoint"],
+                     "yields": remote["yields_endpoint"]}
+        if "fx_endpoint" in remote:
+            endpoints["fx"] = remote["fx_endpoint"]
         cache = parser["cache"]
         cache_dir = Path(cache["dir"]).expanduser()
         ttl = cache.get("ttl_seconds", "3600")
@@ -305,8 +305,8 @@ def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date
         if parser.has_section(section):
             field_map[resource] = dict(parser[section])
     try:
-        spec = ingest.FetchSpec(base_url=base_url, endpoints=endpoints, cache_dir=cache_dir,
-                                cache_ttl=cache_ttl, field_map=field_map)
+        spec = fetch.FetchSpec(base_url=base_url, endpoints=endpoints, cache_dir=cache_dir,
+                               cache_ttl=cache_ttl, field_map=field_map)
     except ValueError as exc:  # of the fields it checks, the file sets only cache_ttl
         message = str(exc).removeprefix("cache_ttl ")
         raise ValueError(f"config file {path}: ttl_seconds {message}") from None
@@ -315,7 +315,7 @@ def _load_fetch_config(path) -> tuple[ingest.FetchSpec, list[str], tuple[dt.date
 
 def cmd_fetch(args) -> int:
     spec, ids, date_range = _load_fetch_config(args.config)
-    bundle = ingest.fetch_remote(spec, ids, date_range)
+    bundle = fetch.fetch_remote(spec, ids, date_range)
     written = ingest.save_bundle(bundle, args.out)
     for path in written:
         print(path)

@@ -13,6 +13,7 @@ import datetime as dt
 import functools
 import io
 import json
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,8 @@ from pathlib import Path
 from .backtest import BacktestLedger, ComparisonTable, check_figures, compare_backtests
 from .domain import WeightVector, check_weights
 from .errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
-from .ingest import _read_rows, _run_jobs
+from .ingest import _run_jobs
+from .rows import _read_rows
 
 RATIO_TOL = 1e-9
 
@@ -247,23 +249,25 @@ def _ledger_cost(ledger: BacktestLedger) -> int:
     return 4 * len(ledger.days) + weights
 
 
+def _hidden(path: Path, tag: str) -> Path:
+    """Where `emit_outputs` first writes `path` (or keeps the file it replaces):
+    a hidden name beside it that holds the run's random `tag`."""
+    return path.with_name(f".{path.name}.{tag}")
+
+
 def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
-                   out_dir) -> tuple[list[Path], list]:
-    """Check the outputs and make `out_dir`; then the paths `emit_outputs`
-    returns, and each file's write with its cost (the float reprs it
+                   out_dir, tag: str) -> tuple[list[Path], list]:
+    """The paths in `out_dir` of the files `emit_outputs` writes, and each
+    file's write (to its `_hidden` name) with its cost (the float reprs it
     writes), in the order `emit_outputs` writes them."""
-    if not ledgers:
-        raise EmptyLedger("refusing to emit outputs for empty ledgers")
-    if not reports or any(not r.rows for r in reports):
-        raise EmptyLedger("refusing to emit outputs for an empty report")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ordered = sorted(ledgers, key=lambda l: l.method)
     paths = [out / f"ledger_{ledger.method}.csv" for ledger in ordered]
     ids_cells: dict[tuple[str, ...], str] = {}
     # each ledger's figure cells, formatted once by each process that writes them
     cells = [functools.cache(functools.partial(_figure_cells, ledger)) for ledger in ordered]
-    writes = [(lambda i=i: _write_ledger_csv(ordered[i], paths[i], ids_cells, cells[i]()),
+    writes = [(lambda i=i: _write_ledger_csv(ordered[i], _hidden(paths[i], tag), ids_cells,
+                                             cells[i]()),
                _ledger_cost(ordered[i])) for i in range(len(ordered))]
     # built by the first write that needs it, so that a DateRangeMismatch is
     # raised after the ledgers are written
@@ -273,10 +277,12 @@ def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
     figures = len(ordered) * len(ordered[0].days)
     months = sum(len(r.rows) for r in reports)
     writes += [
-        (lambda: _write_comparison_csv(table(), [c() for c in cells], comparison), 4 * figures),
-        (lambda: monthly.write_text(format_monthly(reports, "csv"), encoding="utf-8",
-                                    newline=""), 3 * months),
-        (lambda: _write_plot_data(table().methods, [c() for c in cells], plot), 3 * figures),
+        (lambda: _write_comparison_csv(table(), [c() for c in cells], _hidden(comparison, tag)),
+         4 * figures),
+        (lambda: _hidden(monthly, tag).write_text(format_monthly(reports, "csv"),
+                                                  encoding="utf-8", newline=""), 3 * months),
+        (lambda: _write_plot_data(table().methods, [c() for c in cells], _hidden(plot, tag)),
+         3 * figures),
     ]
     return paths + [comparison, monthly, plot], writes
 
@@ -288,17 +294,63 @@ def emit_outputs(
 ) -> list[Path]:
     """Write per-method ledgers, a comparison CSV, the monthly report CSV and
     plot-ready JSON into `out_dir`; byte content is deterministic for fixed
-    inputs.  Returns the written paths.  The writes run in that order on one
-    process; under `defiparity backtest` large outputs are written on two
+    inputs.  Returns the written paths.  Each file is first written under a
+    hidden name in `out_dir` (`_hidden`), in that order on one process;
+    under `defiparity backtest` large outputs are written on two
     (`ingest._run_jobs`), and if either process fails, all of them again in
-    order here.
+    order here.  Once every file is written, they are renamed into place and
+    each other `ledger_*.csv` in `out_dir` is removed, so that `out_dir`
+    holds one run's files.  On an error, the hidden files are removed and
+    the files in `out_dir` are left as they were.
     """
-    written, writes = _output_writes(ledgers, reports, out_dir)
-    run_jobs = _run_jobs.get()
-    if run_jobs is None or run_jobs(TWO_PROCESS_REPRS, writes) is None:
-        for write, _ in writes:
-            write()
+    if not ledgers:
+        raise EmptyLedger("refusing to emit outputs for empty ledgers")
+    if not reports or any(not r.rows for r in reports):
+        raise EmptyLedger("refusing to emit outputs for an empty report")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tag = os.urandom(6).hex()
+    written, writes = _output_writes(ledgers, reports, out, tag)
+    try:
+        run_jobs = _run_jobs.get()
+        if run_jobs is None or run_jobs(TWO_PROCESS_REPRS, writes) is None:
+            for write, _ in writes:
+                write()
+        replaced = _replace_outputs(out, [path.name for path in written], tag)
+    except BaseException:
+        for path in written:
+            _hidden(path, tag).unlink(missing_ok=True)
+        raise
+    for path in replaced:
+        path.unlink()
     return written
+
+
+def _replace_outputs(out: Path, names: list[str], tag: str) -> list[Path]:
+    """Rename the `_hidden` file of each of `names` in `out` to its name, and
+    remove every other `ledger_*.csv` file there.  Each file they replace or
+    remove is first renamed to a hidden `.old` name, and those are returned;
+    if a rename fails, every rename is undone, so `out` holds either this
+    run's files or the ones it held."""
+    present = os.listdir(out)
+    stale = [name for name in present
+             if name.startswith("ledger_") and name.endswith(".csv") and name not in names]
+    kept, placed = [], []
+    try:
+        for name in names + stale:
+            if name in present and (out / name).is_file():  # a directory fails its rename
+                os.replace(out / name, _hidden(out / name, f"{tag}.old"))
+                kept.append(name)
+        for name in names:
+            os.replace(_hidden(out / name, tag), out / name)
+            placed.append(name)
+    except OSError:
+        for name in placed:
+            os.replace(out / name, _hidden(out / name, tag))
+        for name in kept:
+            os.replace(_hidden(out / name, f"{tag}.old"), out / name)
+        raise
+    return [_hidden(out / name, f"{tag}.old") for name in kept]
 
 
 # --- ledger round-trip (used by the report CLI command) -------------------------

@@ -3,7 +3,7 @@
 It reads the whole file into a list of `(lineno, cells)` rows with one
 `csv.reader`, checking the field count of every row before it parses any,
 then parses each row into a per-protocol dict of date -> APY.  That row
-reader is also the oracle for `defiparity.ingest._read_rows`.  It shares no parsing code with
+reader is also the oracle for `defiparity.rows._read_rows`.  It shares no parsing code with
 `defiparity.ingest`, only the public value types and errors.
 """
 

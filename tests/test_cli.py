@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import datetime as dt
+import errno
 import json
 import os
 import random
+import shutil
 import signal
 import threading
 import time
@@ -11,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from defiparity import allocate, cli, ingest, report
+from defiparity import allocate, cli, ingest, report, rows
 from defiparity.cli import main
 from defiparity.domain import WeightVector
 from defiparity.errors import (
@@ -334,6 +336,35 @@ class TestBacktestCommand:
         assert self.fx_run(tmp_path, start, end) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {path}:4: duplicate observation for 'aave'")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("second", [["--start", "2022-01-01"], ["--gap-fill", "0"]],
+                             ids=["later-start", "gap-fill-0"])
+    def test_rerun_leaves_only_its_own_ledgers(self, tmp_path, capsys, second, fmt):
+        """An EW run into the directory of an EW, TVL and ERC run with FX
+        leaves that directory as a fresh EW run leaves its own: `report`
+        prints the second run's EW alone."""
+        start, end = write_inputs(tmp_path, third_protocol=True)
+
+        def backtest(out, method, *extra):
+            assert main(["backtest", "--scores", str(tmp_path / "scores.csv"),
+                         "--yields", str(tmp_path / "yields.csv"), "--method", method,
+                         "--start", start.isoformat(), "--end", end.isoformat(),
+                         "--out", str(tmp_path / out), *extra]) == 0
+
+        def report_of(out):
+            capsys.readouterr()
+            assert main(["report", "--ledger", str(tmp_path / out), "--format", fmt]) == 0
+            return capsys.readouterr().out
+
+        backtest("out", "ew,tvl,erc", "--fx", str(tmp_path / "fx.csv"))
+        backtest("out", "ew", *second)
+        backtest("fresh", "ew", *second)
+        assert report_of("out") == report_of("fresh")
+        assert "erc" not in report_of("out") and "tvl" not in report_of("out")
+        files = [{p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+                 for out in ("out", "fresh")]
+        assert files[0] == files[1]
 
     def test_date_outside_data_exits_2(self, tmp_path, capsys):
         start, end = write_inputs(tmp_path)
@@ -795,7 +826,7 @@ class TestOutputsOnTwoProcesses:
         ledgers = [cli.run_backtest(cli.BacktestConfig(start, end, m), universe, panel)
                    for m in ("erc", "ew", "tvl")]
         paths, writes = report._output_writes(
-            ledgers, [report.monthly_report(l) for l in ledgers], tmp_path / "out")
+            ledgers, [report.monthly_report(l) for l in ledgers], tmp_path / "out", "tag")
         costs = [cost for _, cost in writes]
         assert costs == self.COSTS
         child = cli._child_share(costs)
@@ -831,27 +862,71 @@ class TestOutputsOnTwoProcesses:
         else:
             assert os.WEXITSTATUS(forks[0]) == 3
 
+    @staticmethod
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
     def test_oserror_here_gives_the_serial_error(self, tmp_path, monkeypatch, capsys, forks):
-        """comparison.csv, which this process writes, is a directory; the
-        child writes ledger_erc.csv and is killed or has exited."""
+        """The write of comparison.csv, which this process makes, fails; the
+        child writes ledger_erc.csv and has exited.  No file is put in place,
+        and no hidden file is left."""
         self.child_writes(monkeypatch, ["ledger_erc.csv"])
-        outcomes = []
-        for name, floor in (("serial", 10 ** 12), ("split", 0)):
-            (tmp_path / name / "comparison.csv").mkdir(parents=True)
-            outcomes.append(self.backtest(monkeypatch, capsys, tmp_path, name, floor))
+        monkeypatch.setattr(report, "_write_comparison_csv", self.no_space)
+        outcomes = [self.backtest(monkeypatch, capsys, tmp_path, name, floor)
+                    for name, floor in (("serial", 10 ** 12), ("split", 0))]
         assert outcomes[0] == outcomes[1]
-        assert len(forks) == 1
+        assert forks == [0]
         code, out, err, files = outcomes[0]
         assert code == 4 and out == "before "
-        assert err.startswith("error: [Errno 21] Is a directory: ") and "comparison.csv" in err
-        assert sorted(files) == ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv"]
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert list((tmp_path / "serial").iterdir()) == list((tmp_path / "split").iterdir()) == []
+
+    @pytest.mark.parametrize("floor", [10 ** 12, 0])
+    def test_failed_third_write_leaves_the_earlier_run(self, tmp_path, monkeypatch, capsys,
+                                                       forks, floor):
+        """A run into the directory of an earlier run fails at its third
+        write (ledger_tvl.csv): the earlier run's files are left byte for
+        byte, with nothing beside them."""
+        earlier = self.backtest(monkeypatch, capsys, tmp_path, "out", 10 ** 12, "erc")
+        write = report._write_ledger_csv
+
+        def failing(ledger, path, *args):
+            if path.name.startswith(".ledger_tvl.csv."):
+                self.no_space()
+            write(ledger, path, *args)
+
+        monkeypatch.setattr(report, "_write_ledger_csv", failing)
+        code, _, err, files = self.backtest(monkeypatch, capsys, tmp_path, "out", floor)
+        assert code == 4 and err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert len(forks) == (floor == 0)
+        assert files == earlier[3]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(earlier[3])
+
+    @pytest.mark.parametrize("floor", [10 ** 12, 0])
+    def test_failed_rename_leaves_the_earlier_run(self, tmp_path, monkeypatch, capsys, forks,
+                                                  floor):
+        """After an earlier run, comparison.csv is a directory, which the
+        rename of this run's comparison.csv fails on: the renames made before
+        it are undone, so the earlier run's ledgers stay and no new one."""
+        earlier = self.backtest(monkeypatch, capsys, tmp_path, "out", 10 ** 12, "erc,tvl")
+        (tmp_path / "out" / "comparison.csv").unlink()
+        (tmp_path / "out" / "comparison.csv").mkdir()
+        code, _, err, files = self.backtest(monkeypatch, capsys, tmp_path, "out", floor, "ew")
+        assert code == 4 and err.startswith(f"error: [Errno {errno.EISDIR}] ")
+        assert "comparison.csv" in err
+        assert len(forks) == (floor == 0)
+        del earlier[3]["comparison.csv"]
+        assert files == earlier[3]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            [*earlier[3], "comparison.csv"])
 
     @pytest.mark.parametrize("floor", [10 ** 12, 0])
     def test_date_range_mismatch_raised_after_the_ledgers(self, tmp_path, monkeypatch, forks,
                                                           floor):
         """Ledgers over different date ranges, on one process or two: each
         ledger file is written with its own dates, then DateRangeMismatch is
-        raised before comparison.csv or plot_data.json is written."""
+        raised before comparison.csv or plot_data.json is written, and no
+        file is put in the output directory."""
         start, end = write_inputs(tmp_path)
         universe = ingest.load_scores(tmp_path / "scores.csv")
         panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
@@ -859,17 +934,24 @@ class TestOutputsOnTwoProcesses:
                    for m, first in (("erc", start), ("ew", start + dt.timedelta(days=1)),
                                     ("tvl", start))]
         monkeypatch.setattr(report, "TWO_PROCESS_REPRS", floor)
+        copies, write = tmp_path / "copies", report._write_ledger_csv
+        copies.mkdir()
+
+        def copying(ledger, path, *args):  # each ledger as written, in either process
+            write(ledger, path, *args)
+            shutil.copy(path, copies / f"ledger_{ledger.method}.csv")
+
+        monkeypatch.setattr(report, "_write_ledger_csv", copying)
         out = tmp_path / "out"
         with pytest.raises(DateRangeMismatch, match=r"^ledger 'ew' covers "):
             under_backtest(report.emit_outputs, ledgers,
                            [report.monthly_report(l) for l in ledgers], out)
         assert len(forks) == (floor == 0)
         for ledger in ledgers:
-            lines = (out / f"ledger_{ledger.method}.csv").read_text().splitlines()[1:]
+            lines = (copies / f"ledger_{ledger.method}.csv").read_text().splitlines()[1:]
             assert [line.split(",", 1)[0] for line in lines] == [
                 d.isoformat() for d in ledger.dates]
-        assert not (out / "comparison.csv").exists()
-        assert not (out / "plot_data.json").exists()
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "second-thread", "below-floor"])
     def test_writes_on_one_process(self, tmp_path, monkeypatch, capsys, forks, limit):
@@ -1003,7 +1085,7 @@ class TestYieldsOnTwoProcesses:
         """In call order: the start byte of each column job this process runs,
         and the path and header of each `_read_rows` call (each reads from
         the top)."""
-        reads, plain_columns, read_rows = [], ingest._plain_columns, ingest._read_rows
+        reads, plain_columns, read_rows = [], ingest._plain_columns, rows._read_rows
 
         def spy_columns(path, start, *args):
             reads.append(start)
@@ -1014,16 +1096,16 @@ class TestYieldsOnTwoProcesses:
             return read_rows(path, header, take)
 
         monkeypatch.setattr(ingest, "_plain_columns", spy_columns)
-        monkeypatch.setattr(ingest, "_read_rows", spy_rows)
+        monkeypatch.setattr(rows, "_read_rows", spy_rows)
         return reads
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    @pytest.mark.parametrize("run_bytes", [ingest._RUN_BYTES, 50])
+    @pytest.mark.parametrize("run_bytes", [rows._RUN_BYTES, 50])
     def test_plain_file_gives_the_serial_panel(self, tmp_path, monkeypatch, forks,
                                                newline, run_bytes):
         write_inputs(tmp_path)
         path = self.write(tmp_path / "plain.csv", self.lines(), newline)
-        monkeypatch.setattr(ingest, "_RUN_BYTES", run_bytes)
+        monkeypatch.setattr(rows, "_RUN_BYTES", run_bytes)
         serial = self.load(monkeypatch, path, None, tmp_path / "fx.csv")
         runs = self.spy_plain_rows(monkeypatch)
         split = self.load(monkeypatch, path, 0, tmp_path / "fx.csv")
@@ -1142,7 +1224,7 @@ class TestYieldsOnTwoProcesses:
         """The line is in the parent's first run or its last run (the child is
         killed unread), or in the child's share.  Either way the file is then
         read from its top, as the library reads it."""
-        monkeypatch.setattr(ingest, "_RUN_BYTES", 100)
+        monkeypatch.setattr(rows, "_RUN_BYTES", 100)
         lines = self.lines()
         path = self.write(tmp_path / "yields.csv", lines)
         middle_line = path.read_bytes().count(b"\n", 0, self.middle(path)) - 1
@@ -1250,7 +1332,7 @@ class TestYieldsOnTwoProcesses:
         on row 1 (and a bad APY on the last line).  This process refuses its
         first run, as a column job, so the child is killed; the read from the
         top then offers `_plain_rows` that run again, and each later run."""
-        monkeypatch.setattr(ingest, "_RUN_BYTES", 100)
+        monkeypatch.setattr(rows, "_RUN_BYTES", 100)
         lines = self.lines()
         lines[0] = self.IRREGULAR["percent"](*lines[0].split(","))
         if bad:

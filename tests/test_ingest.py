@@ -1,4 +1,5 @@
 import datetime as dt
+import errno
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from defiparity.backtest import YieldPanel
 from defiparity.domain import DatedSeries, ProtocolRecord, validate_universe
-from defiparity import ingest
+from defiparity import fetch, ingest, rows
 from defiparity.errors import (
     DuplicateId,
     DuplicateObservation,
@@ -26,10 +27,9 @@ from defiparity.errors import (
     ParseError,
     UnknownProtocol,
 )
+from defiparity.fetch import FetchSpec, fetch_remote
 from defiparity.ingest import (
     DataBundle,
-    FetchSpec,
-    fetch_remote,
     load_bundle,
     load_fx,
     load_scores,
@@ -248,7 +248,7 @@ class TestLoadYields:
         date, pid, apy = lines[0].split(",")
         quoted = write(tmp_path / "quoted.csv", plain.read_text().replace(
             lines[0], f'{date},"{pid}",{apy}', 1))
-        monkeypatch.setattr(ingest, "_RUN_BYTES", 200)
+        monkeypatch.setattr(rows, "_RUN_BYTES", 200)
         want = load_yields(plain, ["a", "b", "c"])
         runs, plain_rows = [], ingest._plain_rows
 
@@ -263,6 +263,29 @@ class TestLoadYields:
         first_run_lines = data.count(b"\n", header_end, data.index(b"\n", header_end + 200) + 1)
         assert len(runs) > 10 and all(taken for taken, _ in runs)
         assert sum(count for _, count in runs) == len(lines) - first_run_lines
+
+    def test_oserror_after_a_repeat_propagates_unchanged(self, tmp_path, monkeypatch):
+        """A repeat read before a DefiParityError is the error raised; an
+        OSError the run reader raises after a repeat is raised as it is."""
+        lines = [f"2022-01-{day:02d},a,0.01" for day in range(1, 29)]
+        path = write(tmp_path / "yields.csv",
+                     "date,protocol_id,apy\n" + "\n".join([lines[0], *lines]) + "\n")
+        runs = rows._runs
+
+        def failing_runs(fh, size=-1):  # the second run of rows cannot be read
+            for count, run in enumerate(runs(fh, size)):
+                if count:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                yield run
+
+        monkeypatch.setattr(rows, "_RUN_BYTES", 50)
+        monkeypatch.setattr(rows, "_runs", failing_runs)
+        with pytest.raises(OSError) as raised:
+            load_yields(path, ["a"])
+        assert type(raised.value) is OSError and raised.value.errno == errno.EIO
+        monkeypatch.setattr(rows, "_runs", runs)
+        with pytest.raises(DuplicateObservation, match=r"yields\.csv:3: "):
+            load_yields(path, ["a"])
 
 
 class TestLoadFx:
@@ -605,7 +628,7 @@ class TestFetchRemote:
     def test_server_error_retried_then_succeeds(self, tmp_path):
         session = ScriptedSession([StubResponse(None, status_code=503), StubResponse([{}])])
         url = "https://yields.example/scores"
-        assert ingest._http_get(make_spec(tmp_path), session, url, {}) == [{}]
+        assert fetch._http_get(make_spec(tmp_path), session, url, {}) == [{}]
         assert session.calls == 2
 
     def test_invalid_json_is_a_network_error(self, tmp_path):
@@ -613,7 +636,7 @@ class TestFetchRemote:
         session = ScriptedSession([StubResponse(invalid)])
         url = "https://yields.example/scores"
         with pytest.raises(NetworkError) as exc:
-            ingest._http_get(make_spec(tmp_path), session, url, {})
+            fetch._http_get(make_spec(tmp_path), session, url, {})
         assert str(exc.value) == (f"GET {url} returned invalid JSON: "
                                   "Expecting value: line 1 column 1 (char 0)")
         assert session.calls == 1  # not retried
@@ -656,13 +679,13 @@ class TestFetchRemote:
         # a long-lived fetcher touches ever new cache paths; the lock table
         # must not keep one lock per path
         spec = make_spec(tmp_path)
-        locks = ingest._key_locks
+        locks = fetch._key_locks
         count = len(locks)
         for i in range(1000):
-            ingest._cache_write(spec, "yields", f"p{i}", [], "https://yields.example")
-        assert ingest._key_locks is locks
-        assert len(ingest._key_locks) == count
-        assert ingest._cache_read(spec, "yields", "p999") == []
+            fetch._cache_write(spec, "yields", f"p{i}", [], "https://yields.example")
+        assert fetch._key_locks is locks
+        assert len(fetch._key_locks) == count
+        assert fetch._cache_read(spec, "yields", "p999") == []
 
     def test_ttl_must_be_nonnegative(self, tmp_path):
         # NaN and out-of-range times fail here, not at the first cache read,
@@ -716,6 +739,17 @@ class TestFetchRemote:
         assert a.universe.scores == (1.0,)
         assert b.universe.scores == (9.0,)
         assert len(session_b.calls) == 2
+
+
+def test_ingest_names_the_fetch_module_objects():
+    """`fetch`'s public names still resolve from `ingest`; the row reader's
+    private names, now in `rows`, do not, so a stale patch of one raises."""
+    from defiparity.ingest import FetchSpec as spec, fetch_remote as remote
+
+    assert spec is fetch.FetchSpec and remote is fetch.fetch_remote
+    for name in ("_RUN_BYTES", "_read_rows", "_http_get", "write_yields"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ingest, name)
 
 
 def test_cli_import_leaves_requests_unloaded():

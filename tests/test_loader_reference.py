@@ -41,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defiparity import cli, ingest
+from defiparity import rows as row_reader
 from defiparity.errors import (
     DefiParityError,
     DuplicateObservation,
@@ -338,7 +339,7 @@ def row_loop_spy(path):
 
 def short_runs(run_bytes):
     """Runs of `run_bytes`, so that a file of a few lines spans several."""
-    return mock.patch.object(ingest, "_RUN_BYTES", run_bytes)
+    return mock.patch.object(row_reader, "_RUN_BYTES", run_bytes)
 
 
 def write_bare(path, rows):
@@ -419,7 +420,7 @@ def test_single_row_file_loads_equal(tmp_path_factory, rows):
 def test_large_plain_files_load_equal(tmp_path_factory, seed, shuffled):
     path = tmp_path_factory.mktemp("large") / "yields.csv"
     write_bare(path, big_rows(seed, shuffled))
-    assert path.stat().st_size > 3 * ingest._RUN_BYTES
+    assert path.stat().st_size > 3 * row_reader._RUN_BYTES
     with row_loop_spy(path) as read_by_row, mock.patch.object(
             ingest, "_checked_yield_row") as checked:
         got = load_yields(path, IDS)
@@ -434,7 +435,7 @@ def test_crlf_and_lf_files_load_bit_equal(tmp_path_factory, seed):
     lf, crlf = (tmp_path_factory.mktemp("ends") / name for name in ("lf.csv", "crlf.csv"))
     lf.write_bytes(file_bytes(rows))
     crlf.write_bytes(file_bytes(rows, newline="\r\n", end="\r\n"))
-    assert crlf.stat().st_size > 3 * ingest._RUN_BYTES
+    assert crlf.stat().st_size > 3 * row_reader._RUN_BYTES
     with row_loop_spy(crlf) as crlf_by_row, mock.patch.object(
             ingest, "_checked_yield_row") as checked:
         got = load_yields(crlf, IDS)
@@ -470,7 +471,7 @@ def file_bytes(rows, lines=None, newline="\n", end="\n"):
 def test_large_file_with_a_late_irregular_row(tmp_path_factory, kind, seed, data):
     """A bad byte, or a repeat of a row of the first run, in a later run."""
     rows = big_rows(seed, shuffled=True)
-    later = first_row_after(rows, ingest._RUN_BYTES)
+    later = first_row_after(rows, row_reader._RUN_BYTES)
     assert later < len(rows) // 2
     i = data.draw(st.integers(later, len(rows) - 1))
     if kind == "non_utf8":
@@ -489,15 +490,15 @@ def test_late_irregular_line_file_is_read_once(tmp_path, kind):
     none of their rows takes the checked parse, and the rest by row."""
     rows = big_rows(11, shuffled=True)
     # a run is _RUN_BYTES and the rest of the line it ends in
-    i = first_row_after(rows, 3 * ingest._RUN_BYTES + 1_000)
+    i = first_row_after(rows, 3 * row_reader._RUN_BYTES + 1_000)
     assert i < len(rows)
     date, pid, apy = rows[i]
     line = f'{date},"{pid}",{apy}' if kind == "quoted_id" else f"\n{date},{pid},{apy}"
     path = tmp_path / "yields.csv"
     path.write_bytes(file_bytes(rows, {i: line}))
     data = path.read_bytes()
-    plain_lines = data.count(b"\n", 0, data.rfind(b"\n", 0, 3 * ingest._RUN_BYTES) + 1)
-    with mock.patch.object(ingest, "open", wraps=open, create=True) as opens, \
+    plain_lines = data.count(b"\n", 0, data.rfind(b"\n", 0, 3 * row_reader._RUN_BYTES) + 1)
+    with mock.patch.object(row_reader, "open", wraps=open, create=True) as opens, \
             mock.patch.object(ingest, "_checked_yield_row",
                               wraps=ingest._checked_yield_row) as checked:
         got = load_yields(path, IDS)
@@ -523,7 +524,7 @@ def test_early_irregular_line_is_read_by_row_alone(tmp_path, kind):
     data = path.read_bytes()
     # the first run is _RUN_BYTES past the header and the rest of that line
     header_end = data.index(b"\n") + 1
-    first_run_end = data.index(b"\n", header_end + ingest._RUN_BYTES) + 1
+    first_run_end = data.index(b"\n", header_end + row_reader._RUN_BYTES) + 1
     first_run_lines = data.count(b"\n", 0, first_run_end)
     real_plain_rows, columnar = ingest._plain_rows, []  # whether each run read as columns
 

@@ -1,4 +1,4 @@
-"""`ingest._read_rows` against the csv-only row reader of the reference loader.
+"""`rows._read_rows` against the csv-only row reader of the reference loader.
 
 `_read_rows` splits a plain run of lines on commas itself and hands the first
 other run, with the rest of the file, to one `csv.reader`.  Each file here is
@@ -11,14 +11,18 @@ ParseError at the line `bytes.splitlines` puts the byte on, a lone CR ending
 a line, with the message of that line decoded alone.
 """
 
+import ast
 import csv
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defiparity import ingest
+from defiparity import rows
 from defiparity.errors import ParseError
 from reference_loader import _read_rows as reference_read_rows
 
@@ -118,7 +122,7 @@ def test_rows_and_errors_equal_the_csv_reader(tmp_path_factory, case):
     with field_size_limit(limit):
         want = outcome(reference_read_rows, path)
         with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
-            got = outcome(ingest._read_rows, path)
+            got = outcome(rows._read_rows, path)
     assert got == want
     assert reader.called is (feature in NEEDS_CSV)
 
@@ -129,7 +133,7 @@ def test_hand_off_error_names_the_physical_line(tmp_path):
     # line csv reads
     path = tmp_path / "file.csv"
     path.write_text('a,b,c\nx,y,z\nx,"y\nz",w\nx,y,z\nx,\0,z\n', encoding="utf-8")
-    got = outcome(ingest._read_rows, path)
+    got = outcome(rows._read_rows, path)
     assert got == outcome(reference_read_rows, path)
     if isinstance(got, tuple):  # csv rejects NUL bytes before Python 3.11
         assert got[2] == 6
@@ -143,7 +147,26 @@ def test_field_opened_after_a_literal_quote_goes_on_past_its_run(tmp_path, monke
     that ends on line 2 is not read alone: it goes to csv with the rest."""
     path = tmp_path / "file.csv"
     path.write_bytes(b'a,b,c\nx"y,"z\nw",v\nx,y,z\n')
-    monkeypatch.setattr(ingest, "_RUN_BYTES", 1)  # a run is one line
-    got = outcome(ingest._read_rows, path)
+    monkeypatch.setattr(rows, "_RUN_BYTES", 1)  # a run is one line
+    got = outcome(rows._read_rows, path)
     assert got == outcome(reference_read_rows, path)
     assert got == [(2, ['x"y', "z\nw", "v"]), (4, ["x", "y", "z"])]
+
+
+@pytest.mark.parametrize("module, allowed", [("rows", {"errors"}), ("errors", set())])
+def test_imports_only_the_standard_library(module, allowed):
+    """`rows` and `errors` import no NumPy and no package module but
+    `errors`, so a command that reads only CSV rows need not load NumPy or
+    the rest of the package."""
+    tree = ast.parse(Path(rows.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    outside, inside = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            outside.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            inside.update([node.module] if node.module else
+                          [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            outside.add(node.module.partition(".")[0])
+    assert inside <= allowed
+    assert outside <= sys.stdlib_module_names

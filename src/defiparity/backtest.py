@@ -389,21 +389,27 @@ class ComparisonTable:
         return tuple(x - y for x, y in zip(a, b))
 
 
-def compare_backtests(ledgers: list[BacktestLedger]) -> ComparisonTable:
-    """Align ledgers sharing a date range into one per-day table of floats."""
+def _aligned_methods(ledgers: Sequence) -> tuple[str, ...]:
+    """The methods of `ledgers`, which must share one date range and differ
+    in method; reads only each one's `method` and `days`."""
     if not ledgers:
         raise ValueError("need at least one ledger to compare")
     days = ledgers[0].days
     for ledger in ledgers[1:]:
         if ledger.days != days:
-            raise DateRangeMismatch(
-                f"ledger {ledger.method!r} covers "
-                f"{ledger.dates[0]}..{ledger.dates[-1]}, expected "
-                f"{ledgers[0].dates[0]}..{ledgers[0].dates[-1]}"
-            )
+            first, this = (f"{dt.date.fromordinal(l.days[0])}..{dt.date.fromordinal(l.days[-1])}"
+                           for l in (ledgers[0], ledger))
+            raise DateRangeMismatch(f"ledger {ledger.method!r} covers {this}, expected {first}")
     methods = tuple(l.method for l in ledgers)
     if len(set(methods)) != len(methods):
         raise ValueError(f"duplicate ledger methods: {methods}")
+    return methods
+
+
+def compare_backtests(ledgers: list[BacktestLedger]) -> ComparisonTable:
+    """Align ledgers sharing a date range into one per-day table of floats."""
+    methods = _aligned_methods(ledgers)
+    days = ledgers[0].days
     return ComparisonTable(
         methods=methods,
         dates=ledgers[0].dates,

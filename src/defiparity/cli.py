@@ -45,6 +45,15 @@ EXIT_IO = 4
 # pairs; `paper`'s (0.34 MB) and `window`'s (0.57 MB) took 2.0 and 3.4 ms longer.
 TWO_PROCESS_BYTES = 1 << 20
 
+# `backtest` runs its methods as jobs on two processes when their ledgers
+# format at least this many float reprs (`_method_cost`).  The floor was set
+# for the file writes that those jobs replace: on a 2-vCPU VM, `churn`'s
+# outputs cut to 60, 90, 120, 150 and 180 days (5 840 to 25 856 reprs) were
+# written faster on two in 7/12, 7/12, 7/12, 9/12 and 9/12 fresh-process pairs
+# (paired medians -1.3, -1.7, -1.3, -5.8 and -14.0 ms of 66-120 ms); `paper`'s
+# 5 915 and `window`'s 1 442 in 6/12 each.
+TWO_PROCESS_REPRS = 20_000
+
 
 def _parse_iso_date(text: str) -> dt.date:
     try:
@@ -135,29 +144,86 @@ def cmd_backtest(args) -> int:
     if not methods:
         raise ValueError("no backtest method given")
 
-    # the yields read and the output writes may run on two processes
+    # the yields read may run on two processes
     token = ingest._run_jobs.set(_run_jobs)
     try:
         universe = ingest.load_scores(args.scores)
         panel = ingest.load_yields(args.yields, universe.ids, args.fx or None)
-        ledgers = []
-        for method in methods:
-            config = BacktestConfig(args.start, args.end, method,
-                                    max_gap_fill_days=args.gap_fill,
-                                    apy_convention=args.apy_convention)
-            ledgers.append(run_backtest(config, universe, panel))
-        reports = [report.monthly_report(ledger) for ledger in ledgers]
-        written = report.emit_outputs(ledgers, reports, args.out)
     finally:
         ingest._run_jobs.reset(token)
+    configs = [BacktestConfig(args.start, args.end, method, max_gap_fill_days=args.gap_fill,
+                              apy_convention=args.apy_convention) for method in methods]
+    written = _methods_on_two_processes(configs, universe, panel, Path(args.out))
+    if written is None:
+        ledgers = [run_backtest(config, universe, panel) for config in configs]
+        reports = [report.monthly_report(ledger) for ledger in ledgers]
+        written = report.emit_outputs(ledgers, reports, args.out)
     for path in written:
         print(path)
     return EXIT_OK
 
 
+def _methods_on_two_processes(configs, universe, panel, out: Path) -> list[Path] | None:
+    """The paths `backtest` writes, each method run as one `_run_jobs` job
+    (`_method_job`) costed from the set table that the methods share, which
+    is built here first (`_method_cost`); once the jobs are done, this process
+    writes the shared files and puts every file in place
+    (`report._place_outputs`).  None where `_run_jobs` gives None, with the
+    jobs' hidden ledgers removed, and `out` and its parents too where this
+    made them: the caller then runs every method and writes every file on one
+    process, which raises the error a job met."""
+    window = panel._window(universe, configs[0])
+    tag, ids_cells = os.urandom(6).hex(), {}
+    jobs = [(functools.partial(_method_job, config, universe, panel, out, tag, ids_cells),
+             _method_cost(window, config.method)) for config in configs]
+    made, missing = [], out  # `out` and each parent the jobs may make, deepest first
+    while not os.path.lexists(missing):
+        made.append(missing)
+        missing = missing.parent
+    results = None
+    try:
+        results = _run_jobs(TWO_PROCESS_REPRS, jobs)
+    finally:
+        if results is None and out.is_dir():
+            for config in configs:
+                report._hidden(out / f"ledger_{config.method}.csv", tag).unlink(missing_ok=True)
+            for path in made:
+                try:
+                    path.rmdir()
+                except OSError:  # not empty, so not this attempt's alone
+                    break
+    if results is None:
+        return None
+    reports, figures = zip(*results)
+    return report._place_outputs(out, tag, [config.method for config in configs],
+                                 list(reports), lambda: figures)
+
+
+def _method_job(config, universe, panel, out: Path, tag: str, ids_cells: dict):
+    """Run one method, fold it by month and write its ledger under its hidden
+    name in `out`; the monthly report and the `report._Figures` go back, not
+    the ledger and its weights."""
+    ledger = run_backtest(config, universe, panel)
+    monthly = report.monthly_report(ledger)
+    out.mkdir(parents=True, exist_ok=True)
+    return monthly, report._write_ledger(ledger, out, tag, ids_cells)
+
+
+def _method_cost(window, method: str) -> int:
+    """The float reprs `method`'s ledger formats over `window`'s set table:
+    four a day, and each set's weights once, one for an EW set (its weights
+    are equal)."""
+    weights = len(window.set_ids) if method == "ew" else sum(map(len, window.set_ids))
+    return 4 * len(window.dates) + weights
+
+
 def cmd_report(args) -> int:
     base = Path(args.ledger)
-    ledger_paths = sorted(base.glob("ledger_*.csv"))
+    try:
+        names = os.listdir(base)
+    except OSError:  # no directory to list holds no ledger
+        names = []
+    ledger_paths = [base / name for name in sorted(filter(report._is_ledger, names))]
     if not ledger_paths:
         raise FileNotFoundError(f"no ledger_*.csv files under {base}")
     reports = _monthly_reports(ledger_paths)

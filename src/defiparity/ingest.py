@@ -233,8 +233,7 @@ def _series(order, parts) -> dict | None:
 # faults for longer, were faster in 4/20, 7/20 and 13/20 on three runs.
 TWO_PROCESS_YIELDS_BYTES = 4 << 20
 # the CLI's two-process runner (`cli._run_jobs`) while `defiparity backtest`
-# reads its yields and writes its outputs; a library call finds None, so it
-# never forks
+# reads its yields; a library call finds None, so it never forks
 _run_jobs = contextvars.ContextVar("run_jobs", default=None)
 _PLAIN_HEADERS = (b"date,protocol_id,apy\n", b"date,protocol_id,apy\r\n")
 

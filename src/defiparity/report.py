@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import io
 import json
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .backtest import BacktestLedger, ComparisonTable, check_figures, compare_backtests
+from .backtest import BacktestLedger, _aligned_methods, check_figures
 from .domain import WeightVector, check_weights
 from .errors import EmptyLedger, MonthMisalignment, ParseError, ZeroRisk
-from .ingest import _run_jobs
 from .rows import _read_rows
 
 RATIO_TOL = 1e-9
@@ -199,13 +198,32 @@ def _write_ledger_csv(ledger: BacktestLedger, path: Path,
             fh.write(f"{date},{ret},{stable},{usd},{risk},{set_cells[s]}\n")
 
 
-def _write_comparison_csv(table: ComparisonTable, cells: list[tuple], path: Path) -> None:
+class _Figures(NamedTuple):
+    """What the shared files read of one method's ledger: its method, day
+    ordinals (for the date check of `_aligned_methods`), values (for the
+    value differences) and `_figure_cells`."""
+
+    method: str
+    days: tuple[int, ...]
+    values_stable: tuple[float, ...]
+    cells: tuple
+
+
+def _write_ledger(ledger: BacktestLedger, out: Path, tag: str,
+                  ids_cells: dict[tuple[str, ...], str]) -> _Figures:
+    """Write `ledger` to the `_hidden` name of its file in `out`; return its `_Figures`."""
+    cells = _figure_cells(ledger)
+    _write_ledger_csv(ledger, _hidden(out / f"ledger_{ledger.method}.csv", tag), ids_cells, cells)
+    return _Figures(ledger.method, ledger.days, ledger.values_stable, cells)
+
+
+def _write_comparison_csv(figures: Sequence[_Figures], path: Path) -> None:
     # the body is built by hand, one list of cells per column, from each
     # method's figure cells (`_figure_cells`): dates and float reprs never need
     # quoting.  The header holds the method names, so csv writes it
-    first = table.methods[0]
-    header, columns = ["date"], [cells[0][0]]
-    for m, (_, _, values, usd, risks) in zip(table.methods, cells):
+    first = figures[0]
+    header, columns = ["date"], [first.cells[0]]
+    for m, _, _, (_, _, values, usd, risks) in figures:
         header.append(f"value_stable_{m}")
         columns.append(values)
         if usd is not None:
@@ -213,78 +231,32 @@ def _write_comparison_csv(table: ComparisonTable, cells: list[tuple], path: Path
             columns.append(usd)
         header.append(f"risk_{m}")
         columns.append(risks)
-    for m in table.methods[1:]:
-        header.append(f"value_diff_{m}_vs_{first}")
-        columns.append(map(repr, table.value_difference(m, first)))
+    for m, _, values, _ in figures[1:]:  # as ComparisonTable.value_difference(m, first)
+        header.append(f"value_diff_{m}_vs_{first.method}")
+        columns.append([repr(x - y) for x, y in zip(values, first.values_stable)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _write_plot_data(methods: Sequence[str], cells: list[tuple], path: Path) -> None:
+def _write_plot_data(figures: Sequence[_Figures], path: Path) -> None:
     # json.dumps(data, sort_keys=True, separators=(",", ":")) of the figure
-    # cells, built by hand: `methods` are sorted, a missing USD value is null
+    # cells, built by hand: the methods are sorted, a missing USD value is null
     items = (json.dumps(m) + ':{"dates":["' + '","'.join(dates) + '"],"portfolio_risk":['
              + ",".join(risks) + '],"value_stable":[' + ",".join(values) + '],"value_usd":['
              + ",".join(["null"] * len(dates) if usd is None else usd) + "]}"
-             for m, (dates, _, values, usd, risks) in zip(methods, cells))
+             for m, _, _, (dates, _, values, usd, risks) in figures)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write('{"methods":{' + ",".join(items) + "}}\n")
 
 
-# `defiparity backtest` writes outputs that format at least this many float reprs
-# on two processes (`_output_writes`: a ledger's weights counted once per set,
-# once for an EW set).  On a 2-vCPU VM, `churn`'s outputs cut to 60, 90, 120, 150
-# and 180 days (5 840 to 25 856 reprs) were written faster on two in 7/12, 7/12,
-# 7/12, 9/12 and 9/12 fresh-process pairs (paired medians -1.3, -1.7, -1.3, -5.8
-# and -14.0 ms of 66-120 ms); `paper`'s 5 915 and `window`'s 1 442 in 6/12 each.
-TWO_PROCESS_REPRS = 20_000
-
-
-def _ledger_cost(ledger: BacktestLedger) -> int:
-    """The float reprs `_write_ledger_csv` formats for `ledger`: four a day,
-    and each set's weights once, one for an EW set (its weights are equal)."""
-    weights = (len(ledger.set_weights) if ledger.method == "ew"
-               else sum(len(vector) for vector in ledger.set_weights))
-    return 4 * len(ledger.days) + weights
+_SHARED_FILES = ("comparison.csv", "monthly_report.csv", "plot_data.json")
 
 
 def _hidden(path: Path, tag: str) -> Path:
     """Where `emit_outputs` first writes `path` (or keeps the file it replaces):
     a hidden name beside it that holds the run's random `tag`."""
     return path.with_name(f".{path.name}.{tag}")
-
-
-def _output_writes(ledgers: list[BacktestLedger], reports: list[MonthlyReport],
-                   out_dir, tag: str) -> tuple[list[Path], list]:
-    """The paths in `out_dir` of the files `emit_outputs` writes, and each
-    file's write (to its `_hidden` name) with its cost (the float reprs it
-    writes), in the order `emit_outputs` writes them."""
-    out = Path(out_dir)
-    ordered = sorted(ledgers, key=lambda l: l.method)
-    paths = [out / f"ledger_{ledger.method}.csv" for ledger in ordered]
-    ids_cells: dict[tuple[str, ...], str] = {}
-    # each ledger's figure cells, formatted once by each process that writes them
-    cells = [functools.cache(functools.partial(_figure_cells, ledger)) for ledger in ordered]
-    writes = [(lambda i=i: _write_ledger_csv(ordered[i], _hidden(paths[i], tag), ids_cells,
-                                             cells[i]()),
-               _ledger_cost(ordered[i])) for i in range(len(ordered))]
-    # built by the first write that needs it, so that a DateRangeMismatch is
-    # raised after the ledgers are written
-    table = functools.cache(lambda: compare_backtests(ordered))
-    comparison, monthly, plot = (out / name for name in (
-        "comparison.csv", "monthly_report.csv", "plot_data.json"))
-    figures = len(ordered) * len(ordered[0].days)
-    months = sum(len(r.rows) for r in reports)
-    writes += [
-        (lambda: _write_comparison_csv(table(), [c() for c in cells], _hidden(comparison, tag)),
-         4 * figures),
-        (lambda: _hidden(monthly, tag).write_text(format_monthly(reports, "csv"),
-                                                  encoding="utf-8", newline=""), 3 * months),
-        (lambda: _write_plot_data(table().methods, [c() for c in cells], _hidden(plot, tag)),
-         3 * figures),
-    ]
-    return paths + [comparison, monthly, plot], writes
 
 
 def emit_outputs(
@@ -294,14 +266,13 @@ def emit_outputs(
 ) -> list[Path]:
     """Write per-method ledgers, a comparison CSV, the monthly report CSV and
     plot-ready JSON into `out_dir`; byte content is deterministic for fixed
-    inputs.  Returns the written paths.  Each file is first written under a
-    hidden name in `out_dir` (`_hidden`), in that order on one process;
-    under `defiparity backtest` large outputs are written on two
-    (`ingest._run_jobs`), and if either process fails, all of them again in
-    order here.  Once every file is written, they are renamed into place and
-    each other `ledger_*.csv` in `out_dir` is removed, so that `out_dir`
-    holds one run's files.  On an error, the hidden files are removed and
-    the files in `out_dir` are left as they were.
+    inputs.  Returns the written paths.  Every file is written on this
+    process, never forked, first under a hidden name in `out_dir`
+    (`_hidden`): the ledgers by method, then the shared files
+    (`_place_outputs`).  Once every file is written, they are renamed into
+    place and each other `ledger_*.csv` in `out_dir` is removed, so that
+    `out_dir` holds one run's files.  On an error, the hidden files are
+    removed and the files in `out_dir` are left as they were.
     """
     if not ledgers:
         raise EmptyLedger("refusing to emit outputs for empty ledgers")
@@ -310,20 +281,41 @@ def emit_outputs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tag = os.urandom(6).hex()
-    written, writes = _output_writes(ledgers, reports, out, tag)
+    ordered = sorted(ledgers, key=lambda l: l.method)
+    ids_cells: dict[tuple[str, ...], str] = {}  # shared by the ledgers
+    return _place_outputs(out, tag, [l.method for l in ordered], reports,
+                          lambda: [_write_ledger(l, out, tag, ids_cells) for l in ordered])
+
+
+def _place_outputs(out: Path, tag: str, methods: list[str], reports: list[MonthlyReport],
+                   write_ledgers) -> list[Path]:
+    """The paths of the ledgers of `methods` (sorted) and of the shared files
+    in `out`, once each is written under its `_hidden` name and renamed into
+    place (`_replace_outputs`).  `write_ledgers()` gives each method's
+    `_Figures`, once its ledger is written; the shared files are then
+    written from them and `reports`, and a `DateRangeMismatch` is raised
+    after the ledgers.  On an error every hidden file is removed."""
+    paths = [out / f"ledger_{m}.csv" for m in methods] + [out / name for name in _SHARED_FILES]
+    comparison, monthly, plot = (_hidden(path, tag) for path in paths[-3:])
     try:
-        run_jobs = _run_jobs.get()
-        if run_jobs is None or run_jobs(TWO_PROCESS_REPRS, writes) is None:
-            for write, _ in writes:
-                write()
-        replaced = _replace_outputs(out, [path.name for path in written], tag)
+        figures = write_ledgers()
+        _aligned_methods(figures)
+        _write_comparison_csv(figures, comparison)
+        monthly.write_text(format_monthly(reports, "csv"), encoding="utf-8", newline="")
+        _write_plot_data(figures, plot)
+        replaced = _replace_outputs(out, [path.name for path in paths], tag)
     except BaseException:
-        for path in written:
+        for path in paths:
             _hidden(path, tag).unlink(missing_ok=True)
         raise
     for path in replaced:
         path.unlink()
-    return written
+    return paths
+
+
+def _is_ledger(name: str) -> bool:
+    """Whether a file named `name` is one `report` reads: `ledger_*.csv`."""
+    return name.startswith("ledger_") and name.endswith(".csv")
 
 
 def _replace_outputs(out: Path, names: list[str], tag: str) -> list[Path]:
@@ -333,8 +325,7 @@ def _replace_outputs(out: Path, names: list[str], tag: str) -> list[Path]:
     if a rename fails, every rename is undone, so `out` holds either this
     run's files or the ones it held."""
     present = os.listdir(out)
-    stale = [name for name in present
-             if name.startswith("ledger_") and name.endswith(".csv") and name not in names]
+    stale = [name for name in present if _is_ledger(name) and name not in names]
     kept, placed = [], []
     try:
         for name in names + stale:

@@ -33,7 +33,7 @@ def panel_builds(monkeypatch):
 
 def under_backtest(fn, *args):
     """`fn(*args)` handed the CLI's two-process runner, as `defiparity
-    backtest` hands it to `load_yields` and `emit_outputs`."""
+    backtest` hands it to `load_yields`."""
     context = contextvars.copy_context()
     context.run(ingest._run_jobs.set, cli._run_jobs)
     return context.run(fn, *args)

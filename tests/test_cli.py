@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import datetime as dt
 import errno
 import json
@@ -17,7 +18,6 @@ from defiparity import allocate, cli, ingest, report, rows
 from defiparity.cli import main
 from defiparity.domain import WeightVector
 from defiparity.errors import (
-    DateRangeMismatch,
     DefiParityError,
     DuplicateObservation,
     NotConverged,
@@ -443,6 +443,36 @@ class TestReportCommand:
     def test_missing_dir_exits_4(self, tmp_path, capsys):
         assert main(["report", "--ledger", str(tmp_path / "absent")]) == 4
 
+    @pytest.mark.parametrize("kind", ["missing", "empty", "file", "other-names"])
+    def test_no_ledger_names_the_directory(self, tmp_path, capsys, kind):
+        """A `--ledger` that is missing, empty, a file or holds no
+        `ledger_*.csv` (only hidden, backup and look-alike names) gives one
+        error line and exit 4."""
+        base = tmp_path / "ledgers"
+        if kind == "file":
+            base.write_text("")
+        elif kind != "missing":
+            base.mkdir()
+        if kind == "other-names":
+            for name in (".ledger_ew.csv.0a1b", "ledger_ew.csv.bak", "ledger_ew.txt",
+                         "xledger_ew.csv", "Ledger_ew.csv"):
+                (base / name).write_text("")
+        assert main(["report", "--ledger", str(base)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no ledger_*.csv files under {base}\n"
+
+    def test_reads_every_ledger_name(self, tmp_path, capsys):
+        """Beside other names, every `ledger_*.csv` file is read, down to the
+        shortest such name, `ledger_.csv`."""
+        out_dir = self.run_backtest_cli(tmp_path)
+        (out_dir / "ledger_ew.csv").rename(out_dir / "ledger_.csv")
+        for name in (".ledger_erc.csv.0a1b", "ledger_erc.csv.bak", "xledger_erc.csv"):
+            (out_dir / name).write_text("not a ledger")
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(out_dir), "--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["", "erc"]
+
     def test_ledger_with_only_a_header_exits_2(self, tmp_path, capsys):
         out_dir = self.run_backtest_cli(tmp_path)
         path = out_dir / "ledger_ew.csv"
@@ -751,16 +781,17 @@ class TestReportOnTwoProcesses:
         assert forks == []
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process write needs os.fork")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the method jobs need os.fork")
 class TestOutputsOnTwoProcesses:
-    """`backtest` writes outputs of any size on two processes once the reprs
-    floor is 0 and two CPUs are usable: a forked child writes a share of the
-    files.  The files, stdout, error line and exit code are those of the
-    writes on one process."""
+    """`backtest` runs its methods as jobs on two processes once the reprs
+    floor is 0 and two CPUs are usable: a forked child runs, folds and
+    writes a share of the methods, and this process writes the shared files.
+    The files, stdout, error line and exit code are those of the run on one
+    process."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """The wait status of each child the writes fork, once reaped."""
+        """The wait status of each child the jobs fork, once reaped."""
         statuses, reap = [], cli._reap
 
         def recording_reap(pid):
@@ -772,14 +803,18 @@ class TestOutputsOnTwoProcesses:
         return statuses
 
     @staticmethod
-    def backtest(monkeypatch, capsys, base, name, floor, method="ew,tvl,erc"):
+    def backtest(monkeypatch, capsys, base, name, floor, method="ew,tvl,erc", extra=(),
+                 edit=None):
         """The exit code, stdout and stderr (the output directory read as
-        `<out>`) and the files of a backtest of the fixture in `base` into
-        the new directory `name`, with this reprs floor.  Stdout is a
-        block-buffered file that holds unwritten text when a child forks."""
+        `<out>`) and the files (None without the directory) of a backtest of
+        the fixture in `base`, changed by `edit(base)` if given, into the
+        directory `name`, with this reprs floor.  Stdout is a block-buffered
+        file that holds unwritten text when a child forks."""
         start, end = write_inputs(base, third_protocol=True)
+        if edit is not None:
+            edit(base)
         out, stdout = base / name, base / f"{name}.stdout"
-        monkeypatch.setattr(report, "TWO_PROCESS_REPRS", floor)
+        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", floor)
         capsys.readouterr()
         with open(stdout, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
             fh.write("before ")  # flushed once, by this process
@@ -787,25 +822,24 @@ class TestOutputsOnTwoProcesses:
                 "backtest", "--scores", str(base / "scores.csv"),
                 "--yields", str(base / "yields.csv"), "--fx", str(base / "fx.csv"),
                 "--method", method, "--start", start.isoformat(), "--end", end.isoformat(),
-                "--out", str(out),
+                "--out", str(out), *extra,
             ])
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+        files = ({p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+                 if out.is_dir() else None)
         return (code, stdout.read_text().replace(str(out), "<out>"),
                 capsys.readouterr().err.replace(str(out), "<out>"), files)
 
-    # the fixture's output costs in the order written: 75 days, so 3 months;
-    # two sets, of 2 and 3 protocols, one EW weight each
-    COSTS = [300 + 5, 300 + 2, 300 + 5, 900, 27, 675]
+    # the fixture's method costs, by method: 75 days, two sets, of 2 and 3
+    # protocols, one EW weight each
+    COSTS = [300 + 5, 300 + 2, 300 + 5]
 
     @staticmethod
-    def child_writes(monkeypatch, names):
-        """Give the child the writes of these files (in the order of
-        `emit_outputs`: ledgers by method, comparison, monthly, plot)."""
-        order = ["ledger_erc.csv", "ledger_ew.csv", "ledger_tvl.csv", "comparison.csv",
-                 "monthly_report.csv", "plot_data.json"]
-        monkeypatch.setattr(cli, "_child_share", lambda costs: sorted(map(order.index, names)))
+    def child_runs(monkeypatch, methods):
+        """Give the child the jobs of these methods (of erc, ew, tvl)."""
+        order = ["erc", "ew", "tvl"]
+        monkeypatch.setattr(cli, "_child_share", lambda costs: sorted(map(order.index, methods)))
 
     @pytest.mark.parametrize("method", ["ew,tvl,erc", "erc"])
     def test_outputs_equal_the_serial_bytes(self, tmp_path, monkeypatch, capsys, forks, method):
@@ -817,29 +851,23 @@ class TestOutputsOnTwoProcesses:
             "comparison.csv", "monthly_report.csv", "plot_data.json"]
         assert code == 0 and not err and sorted(files) == sorted(names)
         assert out == "before " + "".join(f"<out>/{name}\n" for name in names)
-        assert forks == [0]
+        assert forks == ([0] if "," in method else [])  # one method is one job: no fork
 
     def test_child_takes_a_share_of_the_cost(self, tmp_path):
         start, end = write_inputs(tmp_path, third_protocol=True)
         universe = ingest.load_scores(tmp_path / "scores.csv")
         panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
-        ledgers = [cli.run_backtest(cli.BacktestConfig(start, end, m), universe, panel)
-                   for m in ("erc", "ew", "tvl")]
-        paths, writes = report._output_writes(
-            ledgers, [report.monthly_report(l) for l in ledgers], tmp_path / "out", "tag")
-        costs = [cost for _, cost in writes]
+        window = panel._window(universe, cli.BacktestConfig(start, end, "erc"))
+        costs = [cli._method_cost(window, m) for m in ("erc", "ew", "tvl")]
         assert costs == self.COSTS
-        child = cli._child_share(costs)
-        assert [paths[i].name for i in child] == [
-            "ledger_tvl.csv", "comparison.csv", "monthly_report.csv"]
+        assert cli._child_share(costs) == [0, 1]  # ERC and EW; TVL runs here
 
     @pytest.mark.parametrize("end", ["exit-3", "killed"])
     def test_child_that_fails_still_gives_the_outputs(self, tmp_path, monkeypatch, capsys,
                                                       forks, end):
         """The child dies as it writes ledger_erc.csv, half of which is on
-        disk when it is killed; every file is written again here."""
+        disk when it is killed; every method is run and written again here."""
         serial = self.backtest(monkeypatch, capsys, tmp_path, "serial", 10 ** 12)
-        self.child_writes(monkeypatch, ["ledger_erc.csv", "comparison.csv"])
         parent, write = os.getpid(), report._write_ledger_csv
         partial = tmp_path / "partial"
 
@@ -862,15 +890,72 @@ class TestOutputsOnTwoProcesses:
         else:
             assert os.WEXITSTATUS(forks[0]) == 3
 
+    def test_child_killed_in_its_second_run_still_gives_the_outputs(
+            self, tmp_path, monkeypatch, capsys, forks):
+        """The child has written ledger_erc.csv under its hidden name when it
+        is killed in the EW run; that file goes before every method is run
+        and written again here."""
+        serial = self.backtest(monkeypatch, capsys, tmp_path, "serial", 10 ** 12)
+        parent, run = os.getpid(), cli.run_backtest
+
+        def killed_in_child(config, universe, panel):
+            if os.getpid() != parent and config.method == "ew":
+                seen = " ".join(p.name for p in (tmp_path / "split").iterdir())
+                (tmp_path / "seen").write_text(seen)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(config, universe, panel)
+
+        monkeypatch.setattr(cli, "run_backtest", killed_in_child)
+        assert self.backtest(monkeypatch, capsys, tmp_path, "split", 0) == serial
+        assert any(name.startswith(".ledger_erc.csv.")
+                   for name in (tmp_path / "seen").read_text().split())
+        assert os.WIFSIGNALED(forks[0]) and os.WTERMSIG(forks[0]) == signal.SIGKILL
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("error", ["missing-tvl", "missing-tvl-in-child", "missing-fx"])
+    def test_run_error_gives_the_serial_error(self, tmp_path, monkeypatch, capsys, forks,
+                                              error, existing):
+        """A run that fails, in this process or in the child, gives the
+        error line and exit code of the run on one process, and leaves no
+        hidden file; `--out` is made only if it was there before."""
+        extra = ()
+        if error == "missing-fx":  # with no gap fill, the day without a rate stops every method
+            extra = ("--gap-fill", "0")
+
+            def edit(base):
+                lines = (base / "fx.csv").read_text().splitlines(keepends=True)
+                del lines[41]
+                (base / "fx.csv").write_text("".join(lines))
+        else:
+            def edit(base):  # yearn is scored but has no TVL
+                path = base / "scores.csv"
+                path.write_text(path.read_text().replace(",6.0,200\n", ",6.0,\n"))
+        if error == "missing-tvl-in-child":
+            self.child_runs(monkeypatch, ["tvl"])
+        if existing:
+            (tmp_path / "serial").mkdir()
+            (tmp_path / "split").mkdir()
+        outcomes = [self.backtest(monkeypatch, capsys, tmp_path, name, floor, extra=extra,
+                                  edit=edit)
+                    for name, floor in (("serial", 10 ** 12), ("split", 0))]
+        assert outcomes[0] == outcomes[1]
+        assert len(forks) == 1
+        code, out, err, files = outcomes[0]
+        assert code == 2 and out == "before "
+        assert err == (
+            "error: no FX rate available on 2022-01-10 within the gap-fill window\n"
+            if error == "missing-fx"
+            else "error: protocol 'yearn' has no TVL; cannot build TVL weights\n")
+        assert files == ({} if existing else None)
+
     @staticmethod
     def no_space(*args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def test_oserror_here_gives_the_serial_error(self, tmp_path, monkeypatch, capsys, forks):
-        """The write of comparison.csv, which this process makes, fails; the
-        child writes ledger_erc.csv and has exited.  No file is put in place,
-        and no hidden file is left."""
-        self.child_writes(monkeypatch, ["ledger_erc.csv"])
+        """The write of comparison.csv, which this process makes once the
+        child has run and written ERC and EW and exited, fails.  No file is
+        put in place, and no hidden file is left."""
         monkeypatch.setattr(report, "_write_comparison_csv", self.no_space)
         outcomes = [self.backtest(monkeypatch, capsys, tmp_path, name, floor)
                     for name, floor in (("serial", 10 ** 12), ("split", 0))]
@@ -885,8 +970,8 @@ class TestOutputsOnTwoProcesses:
     def test_failed_third_write_leaves_the_earlier_run(self, tmp_path, monkeypatch, capsys,
                                                        forks, floor):
         """A run into the directory of an earlier run fails at its third
-        write (ledger_tvl.csv): the earlier run's files are left byte for
-        byte, with nothing beside them."""
+        write (ledger_tvl.csv, which this process writes): the earlier run's
+        files are left byte for byte, with nothing beside them."""
         earlier = self.backtest(monkeypatch, capsys, tmp_path, "out", 10 ** 12, "erc")
         write = report._write_ledger_csv
 
@@ -911,7 +996,7 @@ class TestOutputsOnTwoProcesses:
         earlier = self.backtest(monkeypatch, capsys, tmp_path, "out", 10 ** 12, "erc,tvl")
         (tmp_path / "out" / "comparison.csv").unlink()
         (tmp_path / "out" / "comparison.csv").mkdir()
-        code, _, err, files = self.backtest(monkeypatch, capsys, tmp_path, "out", floor, "ew")
+        code, _, err, files = self.backtest(monkeypatch, capsys, tmp_path, "out", floor, "ew,tvl")
         assert code == 4 and err.startswith(f"error: [Errno {errno.EISDIR}] ")
         assert "comparison.csv" in err
         assert len(forks) == (floor == 0)
@@ -921,37 +1006,38 @@ class TestOutputsOnTwoProcesses:
             [*earlier[3], "comparison.csv"])
 
     @pytest.mark.parametrize("floor", [10 ** 12, 0])
-    def test_date_range_mismatch_raised_after_the_ledgers(self, tmp_path, monkeypatch, forks,
-                                                          floor):
-        """Ledgers over different date ranges, on one process or two: each
-        ledger file is written with its own dates, then DateRangeMismatch is
-        raised before comparison.csv or plot_data.json is written, and no
-        file is put in the output directory."""
-        start, end = write_inputs(tmp_path)
-        universe = ingest.load_scores(tmp_path / "scores.csv")
-        panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
-        ledgers = [cli.run_backtest(cli.BacktestConfig(first, end, m), universe, panel)
-                   for m, first in (("erc", start), ("ew", start + dt.timedelta(days=1)),
-                                    ("tvl", start))]
-        monkeypatch.setattr(report, "TWO_PROCESS_REPRS", floor)
-        copies, write = tmp_path / "copies", report._write_ledger_csv
+    def test_date_range_mismatch_raised_after_the_ledgers(self, tmp_path, monkeypatch, capsys,
+                                                          forks, floor):
+        """Method runs over different date ranges (EW's a day shorter), on
+        one process or two: each ledger file is written with its own dates,
+        then DateRangeMismatch is raised before comparison.csv or
+        plot_data.json is written, and no file is put in the output
+        directory."""
+        run, copies, write = cli.run_backtest, tmp_path / "copies", report._write_ledger_csv
         copies.mkdir()
+
+        def shifted(config, universe, panel):
+            if config.method == "ew":
+                config = dataclasses.replace(
+                    config, start_date=config.start_date + dt.timedelta(days=1))
+            return run(config, universe, panel)
 
         def copying(ledger, path, *args):  # each ledger as written, in either process
             write(ledger, path, *args)
             shutil.copy(path, copies / f"ledger_{ledger.method}.csv")
 
+        monkeypatch.setattr(cli, "run_backtest", shifted)
         monkeypatch.setattr(report, "_write_ledger_csv", copying)
-        out = tmp_path / "out"
-        with pytest.raises(DateRangeMismatch, match=r"^ledger 'ew' covers "):
-            under_backtest(report.emit_outputs, ledgers,
-                           [report.monthly_report(l) for l in ledgers], out)
+        code, _, err, files = self.backtest(monkeypatch, capsys, tmp_path, "out", floor)
+        assert code == 2 and err.startswith("error: ledger 'ew' covers 2021-12-02..")
         assert len(forks) == (floor == 0)
-        for ledger in ledgers:
-            lines = (copies / f"ledger_{ledger.method}.csv").read_text().splitlines()[1:]
+        start, end = dt.date(2021, 12, 1), dt.date(2022, 2, 13)
+        for method in ("erc", "ew", "tvl"):
+            lines = (copies / f"ledger_{method}.csv").read_text().splitlines()[1:]
+            first = start + dt.timedelta(days=method == "ew")
             assert [line.split(",", 1)[0] for line in lines] == [
-                d.isoformat() for d in ledger.dates]
-        assert list(out.iterdir()) == []
+                (first + dt.timedelta(days=i)).isoformat() for i in range((end - first).days + 1)]
+        assert files == {}
 
     @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "second-thread", "below-floor"])
     def test_writes_on_one_process(self, tmp_path, monkeypatch, capsys, forks, limit):
@@ -984,8 +1070,9 @@ class TestOutputsOnTwoProcesses:
         panel = ingest.load_yields(tmp_path / "yields.csv", universe.ids)
         ledgers = [cli.run_backtest(cli.BacktestConfig(start, end, m), universe, panel)
                    for m in ("erc", "tvl")]
-        monkeypatch.setattr(report, "TWO_PROCESS_REPRS", 0)
-        report.emit_outputs(ledgers, [report.monthly_report(l) for l in ledgers], tmp_path)
+        monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", 0)
+        under_backtest(report.emit_outputs, ledgers,
+                       [report.monthly_report(l) for l in ledgers], tmp_path)
         assert forks == []
 
 

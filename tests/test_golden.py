@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from defiparity import cli, report
+from defiparity import cli
 from defiparity.cli import main
 
 START = dt.date(2022, 1, 20)
@@ -141,12 +141,12 @@ def test_outputs_without_fx_match_golden_hashes(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process write needs os.fork")
 def test_outputs_written_on_two_processes_match_golden_hashes(tmp_path, monkeypatch):
-    """A forked child writes a share of the files when their cost is at
-    least the floor, here 0, and two CPUs are usable."""
+    """A forked child runs, folds and writes a share of the methods when
+    their cost is at least the floor, here 0, and two CPUs are usable."""
     statuses, reap = [], cli._reap
     monkeypatch.setattr(cli, "_reap", lambda pid: statuses.append(reap(pid)) or statuses[-1])
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(report, "TWO_PROCESS_REPRS", 0)
+    monkeypatch.setattr(cli, "TWO_PROCESS_REPRS", 0)
     for sub in ("fx", "no-fx"):
         (tmp_path / sub).mkdir()
     assert backtest_digests(tmp_path / "fx") == GOLDEN

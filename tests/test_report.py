@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import datetime as dt
@@ -6,12 +7,14 @@ import json
 import math
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defiparity import report as report_module
 from defiparity.backtest import (
     BacktestConfig,
     BacktestLedger,
@@ -32,6 +35,7 @@ from defiparity.errors import (
 from defiparity.report import (
     MonthlyReport,
     MonthlyReportRow,
+    _Figures,
     _write_comparison_csv,
     emit_outputs,
     format_monthly,
@@ -453,21 +457,23 @@ def comparison_tables(draw):
     )
 
 
-def figure_cells(table: ComparisonTable, m: str) -> tuple:
-    """Method `m`'s figure cells as `_write_comparison_csv` takes them: no
-    returns, and a USD column only where some value is given ("" for None)."""
+def figures(table: ComparisonTable, m: str) -> _Figures:
+    """Method `m`'s figures as `_write_comparison_csv` takes them: cells with
+    no returns, and a USD column only where some value is given ("" for None)."""
     usd = table.values_usd[m]
-    return ([d.isoformat() for d in table.dates], None, list(map(repr, table.values_stable[m])),
-            ["" if v is None else repr(v) for v in usd] if any(v is not None for v in usd)
-            else None, list(map(repr, table.risks[m])))
+    cells = ([d.isoformat() for d in table.dates], None, list(map(repr, table.values_stable[m])),
+             ["" if v is None else repr(v) for v in usd] if any(v is not None for v in usd)
+             else None, list(map(repr, table.risks[m])))
+    days = tuple(d.toordinal() for d in table.dates)
+    return _Figures(m, days, table.values_stable[m], cells)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(comparison_tables())
 def test_comparison_csv_equals_csv_writer_output(table):
     with tempfile.TemporaryDirectory() as out:
-        cells = [figure_cells(table, m) for m in table.methods]
-        _write_comparison_csv(table, cells, f"{out}/comparison.csv")
+        _write_comparison_csv([figures(table, m) for m in table.methods],
+                              f"{out}/comparison.csv")
         with open(f"{out}/comparison.csv", newline="", encoding="utf-8") as fh:
             assert fh.read() == comparison_csv_by_writer(table)
 
@@ -720,6 +726,23 @@ def test_report_reads_and_folds_ledgers_without_numpy(tmp_path):
     calls = numpy_calls(lambda: read.extend(monthly_report(read_ledger_csv(p)) for p in paths))
     assert read == reports
     assert calls == 0
+
+
+def test_report_module_imports_no_ingest():
+    """`report.py` imports neither `ingest` nor any other package module but
+    the ledger's, the checks', the errors' and the row reader's: it reads
+    rows through `rows` and never forks, so it needs no two-process runner."""
+    tree = ast.parse(Path(report_module.__file__).read_text(encoding="utf-8"))
+    inside, outside = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            outside.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            inside.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            outside.add(node.module)
+    assert inside == {"backtest", "domain", "errors", "rows"}
+    assert not any(name.partition(".")[0] == "defiparity" for name in outside)
 
 
 def long_ledger_lines(tmp_path):
